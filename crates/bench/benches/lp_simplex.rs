@@ -3,16 +3,15 @@
 //!
 //! The default sizes keep the CI smoke job (`cargo bench -- --test`)
 //! fast; set `HSCHED_BENCH_LARGE=1` to add the scale-axis rows at
-//! m ∈ {100, 256, 1024}, where the revised solver is benchmarked against
-//! the PR 2 sparse tableau (the tableau is skipped at m = 1024 — one
-//! solve alone blows the smoke budget) and against the certified
-//! float→exact hybrid (E12), plus the n-axis pricing ablation at
-//! n = 1024 (E13: Bland's full scan vs partial-candidate vs devex).
+//! m ∈ {100, 256, 1024}, where the exact revised solver is benchmarked
+//! against the certified float→exact hybrid (E12), plus the n-axis
+//! pricing ablation at n = 1024 (E13: Bland's full scan vs
+//! partial-candidate vs devex).
 
 use bench::fixtures;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsched_core::formulations::build_ip3;
-use lp::{Pricing, Solver};
+use lp::{Pricing, SolveOptions, Solver};
 
 fn bench_ip3_lp(c: &mut Criterion) {
     let large = std::env::var("HSCHED_BENCH_LARGE").is_ok();
@@ -29,7 +28,7 @@ fn bench_ip3_lp(c: &mut Criterion) {
             |b, lp| b.iter(|| std::hint::black_box(lp.solve())),
         );
     }
-    // Scale axis (E11): revised vs the sparse tableau at large m.
+    // Scale axis: exact revised vs the certified hybrid at large m.
     if large {
         for (n, m) in [(64usize, 100usize), (100, 256), (128, 1024)] {
             let inst = fixtures::e10_instance(n, m, 7);
@@ -38,21 +37,14 @@ fn bench_ip3_lp(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("revised_n{n}_m{m}_vars{}", vm.len())),
                 &lp,
-                |b, lp| b.iter(|| std::hint::black_box(lp.solve_with(Solver::Revised))),
+                |b, lp| b.iter(|| std::hint::black_box(lp.solve())),
             );
-            if m <= 256 {
-                g.bench_with_input(
-                    BenchmarkId::from_parameter(format!("sparse_n{n}_m{m}_vars{}", vm.len())),
-                    &lp,
-                    |b, lp| b.iter(|| std::hint::black_box(lp.solve_with(Solver::Sparse))),
-                );
-            }
             // Hybrid ablation rows (E12): float proposal + one exact
             // certification instead of exact pivoting throughout.
             g.bench_with_input(
                 BenchmarkId::from_parameter(format!("hybrid_n{n}_m{m}_vars{}", vm.len())),
                 &lp,
-                |b, lp| b.iter(|| std::hint::black_box(lp.solve_with(Solver::Hybrid))),
+                |b, lp| b.iter(|| std::hint::black_box(lp.solve_with(Solver::Hybrid.into()))),
             );
         }
         // Pricing ablation on the n axis (E13): the same hybrid solve
@@ -69,10 +61,11 @@ fn bench_ip3_lp(c: &mut Criterion) {
                 ("partial", Pricing::PartialCandidate),
                 ("devex", Pricing::Devex),
             ] {
+                let opts = SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 };
                 g.bench_with_input(
                     BenchmarkId::from_parameter(format!("hybrid_{tag}_n{n}_m{m}_vars{}", vm.len())),
                     &lp,
-                    |b, lp| b.iter(|| std::hint::black_box(lp.solve_hybrid_priced(pricing))),
+                    |b, lp| b.iter(|| std::hint::black_box(lp.solve_with(opts))),
                 );
             }
         }

@@ -499,15 +499,12 @@ pub fn e10() -> Report {
 /// Default wall-clock budget for a full E11 run.
 pub const E11_DEFAULT_BUDGET: Duration = Duration::from_secs(60);
 
-/// (n, m) sizes of E11's LP-solver comparison rows.
-pub const E11_LP_SIZES: [(usize, usize); 2] = [(64, 100), (100, 256)];
-
 /// (n, m) of E11's large-m `two_approx` operating point.
 pub const E11_TWO_APPROX_SIZE: (usize, usize) = (64, 1024);
 
-/// E11 — the scale axis (default budget): revised simplex vs the sparse
-/// tableau at m ≥ 100, the m = 1024 `two_approx` operating point, and
-/// the warm-vs-cold branch-and-bound ablation on the E3 configuration.
+/// E11 — the scale axis (default budget): the m = 1024 `two_approx`
+/// operating point and the warm-vs-cold branch-and-bound ablation on the
+/// E3 configuration.
 pub fn e11() -> Report {
     e11_with(E11_DEFAULT_BUDGET)
 }
@@ -519,41 +516,7 @@ pub fn e11_with(budget: Duration) -> Report {
     let mut t = Table::new(&["case", "n", "m", "baseline", "new", "speedup"]);
     let mut truncated = false;
 
-    // --- Revised vs sparse tableau on cold (IP-3) relaxation solves.
-    // Agreement is *enforced*, not reported: a status/objective/vertex
-    // mismatch aborts the run (same policy as E3's guarantee assert).
-    for (n, m) in E11_LP_SIZES {
-        if start.elapsed() > budget {
-            truncated = true;
-            break;
-        }
-        let inst = fixtures::e10_instance(n, m, 7);
-        let horizon = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
-        let (lp, _) = hsched_core::formulations::build_ip3(&inst, horizon).expect("has variables");
-        let t0 = Instant::now();
-        let revised = lp.solve_with(lp::Solver::Revised);
-        let d_revised = t0.elapsed();
-        let t1 = Instant::now();
-        let sparse = lp.solve_with(lp::Solver::Sparse);
-        let d_sparse = t1.elapsed();
-        assert!(
-            revised.status == sparse.status
-                && revised.objective_value == sparse.objective_value
-                && revised.values == sparse.values,
-            "solvers disagree at n={n} m={m}"
-        );
-        t.row(vec![
-            "ip3 LP sparse→revised".into(),
-            n.to_string(),
-            m.to_string(),
-            format!("{d_sparse:.1?}"),
-            format!("{d_revised:.1?}"),
-            format!("{:.1}×", d_sparse.as_secs_f64() / d_revised.as_secs_f64().max(1e-9)),
-        ]);
-    }
-
-    // --- two_approx at the large-m operating point (revised-only: the
-    // tableau baseline at this size exceeds any sane budget). ------------
+    // --- two_approx at the large-m operating point. ---------------------
     if start.elapsed() > budget {
         truncated = true;
     } else {
@@ -628,16 +591,15 @@ pub fn e11_with(budget: Duration) -> Report {
         t,
     )
     .seeds(format!(
-        "LP/two_approx: e10_instance seed 7 at (n,m) in {:?} and {:?}; B&B: e3 seed = k*97 + n \
-         for k in 0..2, n = {}, node budget {}",
-        E11_LP_SIZES,
+        "two_approx: e10_instance seed 7 at (n,m) = {:?}; B&B: e3 seed = k*97 + n for k in 0..2, \
+         n = {}, node budget {}",
         E11_TWO_APPROX_SIZE,
         E3_SIZES.last().expect("nonempty"),
         E3_NODE_LIMIT
     ))
     .note(
-        "agreement (revised vs sparse vertex; two_approx mk ≤ 2T*; cold vs warm optimum) \
-         is asserted per row — a disagreement aborts the run.",
+        "agreement (two_approx mk ≤ 2T*; cold vs warm optimum) is asserted per row — a \
+         disagreement aborts the run.",
     );
     if bnb_rows > 0 {
         r = r.note(format!(
@@ -698,10 +660,10 @@ pub fn e12_with(budget: Duration) -> Report {
         let horizon = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
         let (lp, _) = hsched_core::formulations::build_ip3(&inst, horizon).expect("has variables");
         let t0 = Instant::now();
-        let exact = lp.solve_with(lp::Solver::Revised);
+        let exact = lp.solve();
         let d_exact = t0.elapsed();
         let t1 = Instant::now();
-        let (hybrid, stats) = lp.solve_hybrid();
+        let (hybrid, stats) = lp.solve_with(lp::Solver::Hybrid.into());
         let d_hybrid = t1.elapsed();
         assert!(
             exact.status == hybrid.status
@@ -735,7 +697,7 @@ pub fn e12_with(budget: Duration) -> Report {
         let horizons: Vec<u64> =
             (0..E12_WARM_PROBES).map(|k| t0_horizon + E12_WARM_PROBES - k).collect();
         let mut cache_exact = lp::WarmCache::new();
-        let mut cache_hybrid = lp::WarmCache::with_solver(lp::Solver::Hybrid);
+        let mut cache_hybrid = lp::WarmCache::with_options(lp::Solver::Hybrid.into());
         let (mut d_exact, mut d_hybrid) = (Duration::ZERO, Duration::ZERO);
         for &h in &horizons {
             let Some((lp, _)) = hsched_core::formulations::build_ip3(&inst, h) else {
@@ -866,7 +828,8 @@ pub fn e13_with(budget: Duration) -> Report {
                 break 'sizes;
             }
             let t0 = Instant::now();
-            let (sol, stats) = lp.solve_hybrid_priced(pricing);
+            let (sol, stats) =
+                lp.solve_with(lp::SolveOptions { solver: lp::Solver::Hybrid, pricing, threads: 0 });
             let d = t0.elapsed();
             match &reference {
                 None => reference = Some((sol.status, sol.objective_value.clone())),
@@ -1353,7 +1316,6 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // config locks are the point
     fn e11_configuration_stays_under_budget() {
         assert!(E11_DEFAULT_BUDGET <= Duration::from_secs(60), "harness-all scale budget");
-        assert!(E11_LP_SIZES.iter().all(|&(n, m)| n <= 100 && m <= 256));
         // A zero budget truncates immediately (and says so).
         let start = Instant::now();
         let r = e11_with(Duration::ZERO);

@@ -19,7 +19,7 @@ use crate::assignment::Assignment;
 use crate::formulations::Ip3Probe;
 use crate::hier::schedule_hierarchical;
 use crate::instance::Instance;
-use crate::lst::{lst_assign, lst_binary_search, lst_binary_search_priced};
+use crate::lst::{lst_assign, lst_binary_search};
 use crate::pushdown::{is_fractionally_feasible, push_down_all, supported_on_singletons};
 use crate::schedule::Schedule;
 
@@ -70,20 +70,6 @@ pub fn two_approx(instance: &Instance) -> TwoApproxResult {
 
 /// [`two_approx`] with an explicit feasibility-oracle choice.
 pub fn two_approx_with(instance: &Instance, method: TwoApproxMethod) -> TwoApproxResult {
-    two_approx_priced(instance, method, lp::Pricing::default())
-}
-
-/// [`two_approx_with`] with an explicit entering-column strategy for
-/// the binary search's LP feasibility probes, end to end (both oracle
-/// choices). `T*`, the rounded assignment, and the schedule are
-/// unchanged: probes run in hybrid mode where one exact certification
-/// validates each basis regardless of the pivot path, and the final
-/// rounding solve is the same cold exact solve for every strategy.
-pub fn two_approx_priced(
-    instance: &Instance,
-    method: TwoApproxMethod,
-    pricing: lp::Pricing,
-) -> TwoApproxResult {
     let completed = instance.with_singletons();
     let m = completed.num_machines();
     let p = singleton_times(&completed);
@@ -102,12 +88,11 @@ pub fn two_approx_priced(
     let lo = completed.bottleneck_lower_bound().max(completed.volume_lower_bound()).max(1);
     let hi = completed.sequential_upper_bound().max(lo);
 
-    let t_star = match method {
-        TwoApproxMethod::DirectSingleton => {
-            let (t, _) = lst_binary_search_priced(&p, m, lo, hi, pricing)
-                .expect("completed instances always feasible at the sequential bound");
-            t
-        }
+    // The direct search ends with the LST rounding at T*; the push-down
+    // search rounds once after its own search.
+    let (t_star, rounding) = match method {
+        TwoApproxMethod::DirectSingleton => lst_binary_search(&p, m, lo, hi)
+            .expect("completed instances always feasible at the sequential bound"),
         TwoApproxMethod::PushDown => {
             // Oracle: hierarchical LP of (IP-3); by Lemma V.1 its minimal
             // feasible T equals the singleton LP's. Probes re-solve
@@ -115,7 +100,7 @@ pub fn two_approx_priced(
             // solve_warm); the push-down is run at each feasible probe to
             // produce the singleton witness the theorem's proof describes
             // (and tests assert its validity).
-            let mut probe = Ip3Probe::with_pricing(&completed, pricing);
+            let mut probe = Ip3Probe::new(&completed);
             let mut feasible = |t: u64| -> bool {
                 match probe.solve(t) {
                     None => false,
@@ -144,11 +129,10 @@ pub fn two_approx_priced(
                     lo = mid + 1;
                 }
             }
-            lo
+            (lo, lst_assign(&p, m, lo).expect("T* is feasible by construction"))
         }
     };
 
-    let rounding = lst_assign(&p, m, t_star).expect("T* is feasible by construction");
     let singles = completed.singleton_index();
     let mask: Vec<usize> = rounding
         .machine_of

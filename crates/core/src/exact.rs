@@ -91,7 +91,6 @@ fn probe(
             node_limit: opts.node_limit,
             warm_start: opts.warm_start,
             threads: opts.threads,
-            ..BnbOptions::default()
         },
     );
     *nodes += milp.nodes;

@@ -27,6 +27,21 @@ impl VarMap {
         VarMap { pairs, index }
     }
 
+    /// One variable per finite `(set, job)` pair, set-major — the fixed
+    /// layout every horizon of a binary search shares (see
+    /// [`build_ip3_fixed`]).
+    pub fn finite(instance: &Instance) -> Self {
+        let mut pairs = Vec::new();
+        for a in 0..instance.family().len() {
+            for j in 0..instance.num_jobs() {
+                if instance.ptime(j, a).is_some() {
+                    pairs.push((a, j));
+                }
+            }
+        }
+        VarMap::new(pairs)
+    }
+
     /// Number of variables.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -93,16 +108,49 @@ pub fn build_ip3(instance: &Instance, t: u64) -> Option<(LinearProgram, VarMap)>
     Some((lp, vm))
 }
 
+/// The decision system (IP-3) at horizon `t` over a *fixed* layout `vm`
+/// (normally [`VarMap::finite`]): pairs with `p_{αj} > t` are omitted
+/// from every constraint, which is feasibility-equivalent to the pruned
+/// program of [`build_ip3`] (a variable appearing in no constraint never
+/// carries weight at a returned vertex). A job with every pair pruned
+/// gets an empty `0 = 1` row, the fixed-layout encoding of
+/// `build_ip3 == None`, and every set keeps its capacity row, so the row
+/// count — and with it the slack-column layout — is the same at every
+/// horizon.
+pub fn build_ip3_fixed(instance: &Instance, vm: &VarMap, t: u64) -> LinearProgram {
+    let mut lp = LinearProgram::new(vm.len());
+    for j in 0..instance.num_jobs() {
+        let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
+            .filter(|&a| instance.ptime(j, a).is_some_and(|p| p <= t))
+            .map(|a| (vm.var(a, j).expect("finite pair in layout"), Q::one()))
+            .collect();
+        lp.add_constraint(coeffs, Relation::Eq, Q::one());
+    }
+    for a in 0..instance.family().len() {
+        let mut coeffs: Vec<(usize, Q)> = Vec::new();
+        for b in instance.subsets_of(a) {
+            for j in 0..instance.num_jobs() {
+                if let Some(p) = instance.ptime(j, b) {
+                    if p <= t {
+                        coeffs.push((vm.var(b, j).expect("finite pair in layout"), Q::from(p)));
+                    }
+                }
+            }
+        }
+        let cap = Q::from(instance.family().set(a).len() as u64) * Q::from(t);
+        lp.add_constraint(coeffs, Relation::Le, cap);
+    }
+    lp
+}
+
 /// Warm-started feasibility oracle for the LP relaxation of (IP-3) —
 /// the hot path of every binary search on the horizon `T`.
 ///
-/// Unlike [`build_ip3`], the variable layout is *fixed* across horizons:
-/// one variable per finite `(α, j)` pair regardless of `t`. Pairs with
-/// `p_{αj} > t` are omitted from every constraint of that probe, which is
-/// feasibility-equivalent to the pruned program (a variable appearing in
-/// no constraint never carries weight at a returned vertex). The fixed
-/// layout is what lets consecutive probes re-solve from the previous
-/// optimal basis via [`lp::WarmCache`] — reusing the parent's basis
+/// Unlike [`build_ip3`], the variable layout is *fixed* across horizons
+/// ([`VarMap::finite`]; each probe's program comes from
+/// [`build_ip3_fixed`]). The fixed layout is what lets consecutive
+/// probes re-solve from the previous optimal basis via
+/// [`lp::WarmCache`] — reusing the parent's basis
 /// *factorization* outright whenever the basic columns survive the
 /// horizon change — instead of re-running the two-phase simplex from
 /// scratch. Probes run in [`lp::Solver::Hybrid`] mode: an `f64` simplex
@@ -117,26 +165,10 @@ pub struct Ip3Probe<'a> {
 impl<'a> Ip3Probe<'a> {
     /// A probe for `instance` with an empty warm-start state.
     pub fn new(instance: &'a Instance) -> Self {
-        Self::with_pricing(instance, lp::Pricing::default())
-    }
-
-    /// [`Ip3Probe::new`] with an explicit entering-column strategy for
-    /// the LP solves. Any strategy is safe: hybrid certification
-    /// validates each proposed basis exactly regardless of the pivot
-    /// path, so feasibility answers (and hence `T*`) are unchanged.
-    pub fn with_pricing(instance: &'a Instance, pricing: lp::Pricing) -> Self {
-        let mut pairs = Vec::new();
-        for a in 0..instance.family().len() {
-            for j in 0..instance.num_jobs() {
-                if instance.ptime(j, a).is_some() {
-                    pairs.push((a, j));
-                }
-            }
-        }
         Ip3Probe {
             instance,
-            vm: VarMap::new(pairs),
-            cache: lp::WarmCache::with_solver_pricing(lp::Solver::Hybrid, pricing),
+            vm: VarMap::finite(instance),
+            cache: lp::WarmCache::with_options(lp::Solver::Hybrid.into()),
         }
     }
 
@@ -145,44 +177,11 @@ impl<'a> Ip3Probe<'a> {
         &self.vm
     }
 
-    /// Build the fixed-layout decision LP at horizon `t`.
-    pub fn build(&self, t: u64) -> LinearProgram {
-        let instance = self.instance;
-        let mut lp = LinearProgram::new(self.vm.len());
-        // Assignment rows; a job with every pair pruned gets an empty
-        // `0 = 1` row, the fixed-layout encoding of `build_ip3 == None`.
-        for j in 0..instance.num_jobs() {
-            let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
-                .filter(|&a| instance.ptime(j, a).is_some_and(|p| p <= t))
-                .map(|a| (self.vm.var(a, j).expect("finite pair in layout"), Q::one()))
-                .collect();
-            lp.add_constraint(coeffs, Relation::Eq, Q::one());
-        }
-        // Capacity rows (3a), one per set at every probe (fixed row count
-        // keeps the slack-column layout aligned across horizons).
-        for a in 0..instance.family().len() {
-            let mut coeffs: Vec<(usize, Q)> = Vec::new();
-            for b in instance.subsets_of(a) {
-                for j in 0..instance.num_jobs() {
-                    if let Some(p) = instance.ptime(j, b) {
-                        if p <= t {
-                            let v = self.vm.var(b, j).expect("finite pair in layout");
-                            coeffs.push((v, Q::from(p)));
-                        }
-                    }
-                }
-            }
-            let cap = Q::from(instance.family().set(a).len() as u64) * Q::from(t);
-            lp.add_constraint(coeffs, Relation::Le, cap);
-        }
-        lp
-    }
-
     /// Feasibility at horizon `t`; on success returns a vertex of the
     /// relaxation (support only on pairs with `p ≤ t`) and remembers the
     /// optimal basis (and its factorization) for the next probe.
     pub fn solve(&mut self, t: u64) -> Option<Vec<Q>> {
-        let lp = self.build(t);
+        let lp = build_ip3_fixed(self.instance, &self.vm, t);
         let sol = lp.solve_warm_cached(&mut self.cache);
         if sol.status != LpStatus::Optimal {
             return None;
@@ -204,15 +203,7 @@ impl<'a> Ip3Probe<'a> {
 /// valid lower bound on the optimal makespan — used by the experiments
 /// to report ratios without solving the NP-hard problem on large inputs.
 pub fn build_fractional_lb(instance: &Instance, t: u64) -> (LinearProgram, VarMap) {
-    let mut pairs = Vec::new();
-    for a in 0..instance.family().len() {
-        for j in 0..instance.num_jobs() {
-            if instance.ptime(j, a).is_some() {
-                pairs.push((a, j));
-            }
-        }
-    }
-    let vm = VarMap::new(pairs);
+    let vm = VarMap::finite(instance);
     let mut lp = LinearProgram::new(vm.len());
     for j in 0..instance.num_jobs() {
         let coeffs: Vec<(usize, Q)> = (0..instance.family().len())

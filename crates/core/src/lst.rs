@@ -197,15 +197,6 @@ pub struct LstProbe<'a> {
 impl<'a> LstProbe<'a> {
     /// A probe over `p` (`n × m`, `None` = inadmissible pair).
     pub fn new(p: &'a [Vec<Option<u64>>], m: usize) -> Self {
-        Self::with_pricing(p, m, lp::Pricing::default())
-    }
-
-    /// [`LstProbe::new`] with an explicit entering-column strategy for
-    /// the LP solves. Safe with any strategy: probes run in hybrid mode,
-    /// where one exact certification validates the proposed basis
-    /// regardless of the pivot path, so feasibility answers are
-    /// unchanged — only the scan work per pivot drops.
-    pub fn with_pricing(p: &'a [Vec<Option<u64>>], m: usize, pricing: lp::Pricing) -> Self {
         let mut pairs = Vec::new();
         for (j, row) in p.iter().enumerate() {
             assert_eq!(row.len(), m, "p must be n × m");
@@ -215,7 +206,7 @@ impl<'a> LstProbe<'a> {
                 }
             }
         }
-        let cache = lp::WarmCache::with_solver_pricing(lp::Solver::Hybrid, pricing);
+        let cache = lp::WarmCache::with_options(lp::Solver::Hybrid.into());
         LstProbe { p, m, pairs, cache }
     }
 
@@ -269,24 +260,10 @@ impl<'a> LstProbe<'a> {
 pub fn lst_binary_search(
     p: &[Vec<Option<u64>>],
     m: usize,
-    lo: u64,
-    hi: u64,
-) -> Option<(u64, LstAssignment)> {
-    lst_binary_search_priced(p, m, lo, hi, lp::Pricing::default())
-}
-
-/// [`lst_binary_search`] with an explicit entering-column strategy for
-/// the feasibility probes (see [`LstProbe::with_pricing`]); `T*` and the
-/// rounding are unchanged — the final rounding solve is the same cold
-/// exact solve either way.
-pub fn lst_binary_search_priced(
-    p: &[Vec<Option<u64>>],
-    m: usize,
     mut lo: u64,
     mut hi: u64,
-    pricing: lp::Pricing,
 ) -> Option<(u64, LstAssignment)> {
-    let mut probe = LstProbe::with_pricing(p, m, pricing);
+    let mut probe = LstProbe::new(p, m);
     // Ensure hi is feasible; expand geometrically if the caller's bound
     // was too tight.
     let mut guard = 0;

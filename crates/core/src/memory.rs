@@ -531,9 +531,8 @@ struct Model1Probe<'a> {
 }
 
 impl<'a> Model1Probe<'a> {
-    /// Build the probe with an explicit entering-column strategy
-    /// (hybrid certification keeps feasibility answers exact either way).
-    fn with_pricing(m1: &'a MemoryModel1, pricing: lp::Pricing) -> Self {
+    /// A probe over `m1` with an empty warm-start state.
+    fn new(m1: &'a MemoryModel1) -> Self {
         let inst = &m1.instance;
         let mut pairs = Vec::new();
         for a in 0..inst.family().len() {
@@ -548,7 +547,7 @@ impl<'a> Model1Probe<'a> {
         Model1Probe {
             m1,
             vm: VarMap::new(pairs),
-            cache: lp::WarmCache::with_solver_pricing(lp::Solver::Hybrid, pricing),
+            cache: lp::WarmCache::with_options(lp::Solver::Hybrid.into()),
         }
     }
 
@@ -605,16 +604,10 @@ impl<'a> Model1Probe<'a> {
 /// the baseline `T` the theorems compare against. Consecutive horizon
 /// probes re-solve from the previous optimal basis ([`Model1Probe`]).
 pub fn model1_lp_t_star(m1: &MemoryModel1) -> Option<u64> {
-    model1_lp_t_star_priced(m1, lp::Pricing::default())
-}
-
-/// [`model1_lp_t_star`] with an explicit entering-column strategy for
-/// the feasibility probes; the returned `T*` is unchanged.
-pub fn model1_lp_t_star_priced(m1: &MemoryModel1, pricing: lp::Pricing) -> Option<u64> {
     let inst = &m1.instance;
     let lo = inst.bottleneck_lower_bound().max(inst.volume_lower_bound()).max(1);
     let hi = inst.sequential_upper_bound().max(lo);
-    let mut probe = Model1Probe::with_pricing(m1, pricing);
+    let mut probe = Model1Probe::new(m1);
     binary_search_min(lo, hi, &mut |t| probe.feasible(t))
 }
 
@@ -686,22 +679,12 @@ struct Model2Probe<'a> {
 }
 
 impl<'a> Model2Probe<'a> {
-    /// Build the probe with an explicit entering-column strategy
-    /// (hybrid certification keeps feasibility answers exact either way).
-    fn with_pricing(m2: &'a MemoryModel2, pricing: lp::Pricing) -> Self {
-        let inst = &m2.instance;
-        let mut pairs = Vec::new();
-        for a in 0..inst.family().len() {
-            for j in 0..inst.num_jobs() {
-                if inst.ptime(j, a).is_some() {
-                    pairs.push((a, j));
-                }
-            }
-        }
+    /// A probe over `m2` with an empty warm-start state.
+    fn new(m2: &'a MemoryModel2) -> Self {
         Model2Probe {
             m2,
-            vm: VarMap::new(pairs),
-            cache: lp::WarmCache::with_solver_pricing(lp::Solver::Hybrid, pricing),
+            vm: VarMap::finite(&m2.instance),
+            cache: lp::WarmCache::with_options(lp::Solver::Hybrid.into()),
         }
     }
 
@@ -759,16 +742,10 @@ impl<'a> Model2Probe<'a> {
 /// Consecutive horizon probes re-solve from the previous optimal basis
 /// ([`Model2Probe`]).
 pub fn model2_lp_t_star(m2: &MemoryModel2) -> Option<u64> {
-    model2_lp_t_star_priced(m2, lp::Pricing::default())
-}
-
-/// [`model2_lp_t_star`] with an explicit entering-column strategy for
-/// the feasibility probes; the returned `T*` is unchanged.
-pub fn model2_lp_t_star_priced(m2: &MemoryModel2, pricing: lp::Pricing) -> Option<u64> {
     let inst = &m2.instance;
     let lo = inst.bottleneck_lower_bound().max(inst.volume_lower_bound()).max(1);
     let hi = inst.sequential_upper_bound().max(lo);
-    let mut probe = Model2Probe::with_pricing(m2, pricing);
+    let mut probe = Model2Probe::new(m2);
     binary_search_min(lo, hi, &mut |t| probe.feasible(t))
 }
 

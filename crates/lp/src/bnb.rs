@@ -22,7 +22,7 @@ use std::sync::{Condvar, Mutex};
 use numeric::Q;
 
 use crate::problem::{LinearProgram, Relation};
-use crate::simplex::{LpStatus, Solver};
+use crate::simplex::LpStatus;
 
 /// Solver knobs.
 #[derive(Clone, Debug)]
@@ -38,11 +38,6 @@ pub struct BnbOptions {
     /// parent basis is typically a handful of dual pivots from optimal.
     /// On by default; turn off to reproduce the cold pivot paths.
     pub warm_start: bool,
-    /// LP solver for the node relaxations. [`Solver::Hybrid`] certifies
-    /// float bases and falls back to the exact path, so any choice here
-    /// yields exact relaxation bounds; the default stays
-    /// [`Solver::Revised`] to keep node pivot paths bit-reproducible.
-    pub solver: Solver,
     /// Workers exploring subtrees concurrently (`0` = the
     /// [`hpool::default_threads`] env-driven default, `1` = the serial
     /// path). Status, objective, and incumbent point are bit-identical
@@ -53,13 +48,7 @@ pub struct BnbOptions {
 
 impl Default for BnbOptions {
     fn default() -> Self {
-        BnbOptions {
-            node_limit: 200_000,
-            first_feasible: false,
-            warm_start: true,
-            solver: Solver::default(),
-            threads: 0,
-        }
+        BnbOptions { node_limit: 200_000, first_feasible: false, warm_start: true, threads: 0 }
     }
 }
 
@@ -133,8 +122,8 @@ pub fn solve_binary(lp: &LinearProgram, binary: &[usize], opts: &BnbOptions) -> 
             node_lp.add_constraint(vec![(var, Q::one())], Relation::Eq, rhs);
         }
         let relax = match &parent_basis {
-            Some(hint) if opts.warm_start => node_lp.solve_warm_with(hint, opts.solver),
-            _ => node_lp.solve_with(opts.solver),
+            Some(hint) if opts.warm_start => node_lp.solve_warm(hint),
+            _ => node_lp.solve(),
         };
         match relax.status {
             LpStatus::Infeasible => continue,
@@ -349,17 +338,17 @@ fn bnb_worker(
         processed += 1;
 
         // Node relaxation — identical to the serial path, outside the
-        // lock. Each node solve is itself serial (`solve_warm_with` /
-        // `solve_with` default to the caller's options), so vertices and
-        // bases are the serial ones bit-for-bit.
+        // lock. Each node solve is itself serial (`solve_warm` / `solve`
+        // run the default options), so vertices and bases are the serial
+        // ones bit-for-bit.
         let mut node_lp = root.clone();
         for &(var, val) in &node.fixings {
             let rhs = if val { Q::one() } else { Q::zero() };
             node_lp.add_constraint(vec![(var, Q::one())], Relation::Eq, rhs);
         }
         let relax = match &node.hint {
-            Some(hint) if opts.warm_start => node_lp.solve_warm_with(hint, opts.solver),
-            _ => node_lp.solve_with(opts.solver),
+            Some(hint) if opts.warm_start => node_lp.solve_warm(hint),
+            _ => node_lp.solve(),
         };
 
         // Branch variable (pure function of the relaxation, lock-free):
@@ -548,29 +537,6 @@ mod tests {
         assert_eq!(warm.status, MilpStatus::Optimal);
         assert_eq!(cold.status, MilpStatus::Optimal);
         assert_eq!(warm.objective, cold.objective);
-    }
-
-    /// Node relaxations through the certified hybrid solver prove the
-    /// same optimum as the default exact path.
-    #[test]
-    fn hybrid_relaxations_agree_with_exact() {
-        let mut lp = LinearProgram::new(5);
-        for v in 0..5 {
-            lp.set_objective(v, q(-(v as i64 + 2)));
-        }
-        lp.add_constraint((0..5).map(|v| (v, q(v as i64 + 1))).collect(), Relation::Le, q(7));
-        lp.add_constraint(vec![(0, q(1)), (2, q(1)), (4, q(1))], Relation::Le, q(2));
-        let binary: Vec<usize> = (0..5).collect();
-        let exact = solve_binary(&lp, &binary, &BnbOptions::default());
-        let hybrid = solve_binary(
-            &lp,
-            &binary,
-            &BnbOptions { solver: Solver::Hybrid, ..Default::default() },
-        );
-        assert_eq!(exact.status, MilpStatus::Optimal);
-        assert_eq!(hybrid.status, MilpStatus::Optimal);
-        assert_eq!(exact.objective, hybrid.objective);
-        assert_eq!(exact.values, hybrid.values, "same incumbent under identical branching");
     }
 
     #[test]

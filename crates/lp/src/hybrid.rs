@@ -37,8 +37,8 @@ use numeric::Q;
 use crate::factor::{Factorization, SVec};
 use crate::problem::{LinearProgram, Relation};
 use crate::revised::{
-    Allowed, BudgetError, PriceState, Pricing, ReuseState, RevisedOptions, RevisedStats, WarmCache,
-    VIRTUAL,
+    Allowed, BudgetError, PriceState, Pricing, Refactor, ReuseState, RevisedStats, SolveOptions,
+    WarmCache, WarmMode, VIRTUAL,
 };
 use crate::simplex::{LpSolution, LpStatus};
 
@@ -786,7 +786,7 @@ enum FloatProposal {
     GaveUp,
 }
 
-/// Float mirror of the cold two-phase `solve_revised_with`: identity
+/// Float mirror of the cold two-phase `solve_revised`: identity
 /// slack/artificial start, phase 1 on the artificial sum, drive-out,
 /// phase 2 on the real objective.
 #[allow(clippy::too_many_arguments)] // internal mirror of the exact path's parameter list
@@ -1006,7 +1006,7 @@ fn float_warm(
 /// phase, exact data kept *row-major in the raw constraints* so the
 /// certifier only ever clones the handful of exact columns it
 /// factorizes. Normalization (duplicate summing, sign flips for
-/// negative right-hand sides) matches [`assemble`] exactly, so column
+/// negative right-hand sides) matches [`LinearProgram::assemble`] exactly, so column
 /// indices and basis hints are interchangeable with the exact solvers.
 struct Assembled {
     n: usize,
@@ -1038,12 +1038,7 @@ fn assemble_hybrid(lp: &LinearProgram, threads: usize) -> Assembled {
     let mut slack = Vec::new();
     for (i, c) in lp.constraints.iter().enumerate() {
         let ng = c.rhs.is_negative();
-        let rel = match (ng, c.rel) {
-            (false, rel) => rel,
-            (true, Relation::Le) => Relation::Ge,
-            (true, Relation::Ge) => Relation::Le,
-            (true, Relation::Eq) => Relation::Eq,
-        };
+        let rel = if ng { c.rel.flipped() } else { c.rel };
         if !matches!(rel, Relation::Eq) {
             slack.push((i, matches!(rel, Relation::Ge)));
         }
@@ -1558,34 +1553,18 @@ fn certify(
 }
 
 impl LinearProgram {
-    /// Cold hybrid solve: float two-phase proposal + exact
-    /// certification, falling back to [`Self::solve_revised_with`] on
-    /// any certification failure. The stats report whether this solve
-    /// was certified or fell back (plus the exact solver's counters when
-    /// it ran).
-    pub fn solve_hybrid(&self) -> (LpSolution, RevisedStats) {
-        self.solve_hybrid_cold(None, Pricing::default())
-    }
-
-    /// [`Self::solve_hybrid`] with an explicit entering-column strategy
-    /// for the float proposer (and for the exact fallback, should
-    /// certification fail). Any strategy is safe here: one exact
-    /// certification validates the proposed basis regardless of the
-    /// pivot path that found it — which is exactly why non-Bland pricing
-    /// ships through the hybrid first.
-    pub fn solve_hybrid_priced(&self, pricing: Pricing) -> (LpSolution, RevisedStats) {
-        self.solve_hybrid_cold(None, pricing)
-    }
-
-    /// Cold hybrid core. With a cache, a certified solve seeds the
-    /// reusable factorization so the *next* (warm) probe can try
-    /// hint-first certification.
-    fn solve_hybrid_cold(
+    /// Cold hybrid solve: float two-phase proposal + exact certification,
+    /// falling back to the exact revised solver on any certification
+    /// failure. The stats report whether this solve was certified or fell
+    /// back (plus the exact solver's counters when it ran). With a cache,
+    /// a certified solve seeds the reusable factorization so the *next*
+    /// (warm) probe can try hint-first certification.
+    pub(crate) fn solve_hybrid_cold(
         &self,
+        opts: SolveOptions,
         cache: Option<&mut WarmCache>,
-        pricing: Pricing,
     ) -> (LpSolution, RevisedStats) {
-        let threads = hpool::resolve_threads(cache.as_deref().map_or(0, |c| c.threads()));
+        let threads = hpool::resolve_threads(opts.threads);
         let mut asm = assemble_hybrid(self, threads);
 
         // Cold float layout appends artificial columns, mirroring the
@@ -1624,7 +1603,7 @@ impl LinearProgram {
             &asm.f_cost,
             basis0,
             art_start,
-            pricing,
+            opts.pricing,
             &mut stats,
             threads,
         );
@@ -1639,11 +1618,7 @@ impl LinearProgram {
                 (sol, stats)
             }
             None => {
-                let (sol, s) = self.solve_revised_with(&RevisedOptions {
-                    pricing,
-                    threads,
-                    ..RevisedOptions::default()
-                });
+                let (sol, s) = self.solve_revised(opts, Refactor::default());
                 stats.absorb(&s);
                 stats.hybrid_fallbacks = 1;
                 (sol, stats)
@@ -1653,13 +1628,14 @@ impl LinearProgram {
 
     /// Warm hybrid solve: float crash/repair proposal from `hint` +
     /// exact certification, falling back to the exact warm solver. With
-    /// a cache, two reuse levels apply: a still-valid certified
-    /// factorization whose basis certifies optimal for the *new*
-    /// program short-circuits the float phase entirely (the
-    /// binary-search pattern where only right-hand sides drift), and
-    /// otherwise the cached factorization is still offered to the
-    /// certifier wholesale. The exact fallback shares the same cache,
-    /// so its own reuse and cap-fallback counters keep working.
+    /// a cache (whose options the caller passes as `opts`), two reuse
+    /// levels apply: a still-valid certified factorization whose basis
+    /// certifies optimal for the *new* program short-circuits the float
+    /// phase entirely (the binary-search pattern where only right-hand
+    /// sides drift), and otherwise the cached factorization is still
+    /// offered to the certifier wholesale. The exact fallback shares the
+    /// same cache, so its own reuse and cap-fallback counters keep
+    /// working.
     ///
     /// `limit` is an exact-pivot budget for the fallback paths (see
     /// [`SolveBudget`](crate::SolveBudget)): `None` never errors, `Some`
@@ -1668,13 +1644,13 @@ impl LinearProgram {
     pub(crate) fn solve_hybrid_warm(
         &self,
         hint: &[usize],
+        opts: SolveOptions,
         mut cache: Option<&mut WarmCache>,
         limit: Option<usize>,
     ) -> Result<(LpSolution, RevisedStats), BudgetError> {
-        let threads = hpool::resolve_threads(cache.as_deref().map_or(0, |c| c.threads()));
+        let threads = hpool::resolve_threads(opts.threads);
         let asm = assemble_hybrid(self, threads);
         let mut stats = RevisedStats { threads, ..RevisedStats::default() };
-        let pricing = cache.as_deref().map(|c| c.pricing()).unwrap_or_default();
 
         // Injected fault: behave exactly as if certification failed —
         // skip the float proposal entirely and take the exact fallback.
@@ -1682,16 +1658,13 @@ impl LinearProgram {
         // stays recorded even when a budget aborts the exact attempt;
         // forced faults only exist on caches, so nothing is lost for the
         // cacheless callers.
-        let forced = cache.as_deref_mut().is_some_and(|c| c.take_forced_cert_failure());
-        if forced {
-            if let Some(c) = cache.as_deref_mut() {
+        if let Some(c) = cache.as_deref_mut() {
+            if c.take_forced_cert_failure() {
                 c.hybrid_fallbacks += 1;
+                let sol =
+                    self.solve_warm_revised(hint, opts, cache, WarmMode::from_limit(limit))?;
+                return Ok((sol, stats));
             }
-            let sol = match limit {
-                None => self.solve_warm_revised_capped(hint, cache, None),
-                Some(l) => self.solve_warm_revised_budgeted(hint, cache, l)?,
-            };
-            return Ok((sol, stats));
         }
 
         // Hint-first certification: no pivots of any kind when the
@@ -1715,10 +1688,10 @@ impl LinearProgram {
 
         // No hint to crash from: the cold path is both faster and far
         // better conditioned than repairing a first-m-independent-columns
-        // basis (mirrors `solve_warm_cached`, which cold-solves when the
-        // cache is cold).
+        // basis (mirrors the exact cached path, which cold-solves when
+        // the cache is cold).
         if hint.is_empty() {
-            return Ok(self.solve_hybrid_cold(cache, pricing));
+            return Ok(self.solve_hybrid_cold(opts, cache));
         }
 
         // A stale hint (out-of-range columns or duplicate slots — a
@@ -1735,12 +1708,19 @@ impl LinearProgram {
                 if let Some(c) = cache.as_deref_mut() {
                     c.warm_fallbacks += 1;
                 }
-                return Ok(self.solve_hybrid_cold(cache, pricing));
+                return Ok(self.solve_hybrid_cold(opts, cache));
             }
         }
 
-        let proposal =
-            float_warm(&asm.f_cols, &asm.f_rhs, &asm.f_cost, hint, pricing, &mut stats, threads);
+        let proposal = float_warm(
+            &asm.f_cols,
+            &asm.f_rhs,
+            &asm.f_cost,
+            hint,
+            opts.pricing,
+            &mut stats,
+            threads,
+        );
 
         let reuse = match (&proposal, cache.as_deref_mut()) {
             // Only lift the cached state out for a clean full-rank
@@ -1761,63 +1741,9 @@ impl LinearProgram {
             }
             None => {
                 stats.hybrid_fallbacks = 1;
-                let sol = match limit {
-                    None => self.solve_warm_revised_capped(hint, cache, None),
-                    Some(l) => self.solve_warm_revised_budgeted(hint, cache, l)?,
-                };
+                let sol =
+                    self.solve_warm_revised(hint, opts, cache, WarmMode::from_limit(limit))?;
                 Ok((sol, stats))
-            }
-        }
-    }
-
-    /// [`Self::solve_warm_cached`] in hybrid mode: thread the hint and
-    /// certified-factorization reuse through the cache and keep its
-    /// certification/fallback counters.
-    pub(crate) fn solve_hybrid_cached(&self, cache: &mut WarmCache) -> LpSolution {
-        let hint = std::mem::take(&mut cache.hint);
-        let (sol, stats) = self.solve_hybrid_warm(&hint, Some(cache), None).unwrap_or_else(|_| {
-            unreachable!("uncapped hybrid warm solve has no budget to exhaust")
-        });
-        cache.hybrid_certified += stats.hybrid_certified;
-        cache.hybrid_fallbacks += stats.hybrid_fallbacks;
-        // The exact warm fallback feeds its own pricing counters into
-        // the cache directly; `stats` carries only the float phase's, so
-        // this absorb never double-counts.
-        cache.absorb_pricing(&stats);
-        if sol.status == LpStatus::Optimal && !sol.basis.is_empty() {
-            cache.hint = sol.basis.clone();
-        } else {
-            cache.hint = hint;
-        }
-        sol
-    }
-
-    /// [`Self::solve_hybrid_cached`] under an exact-pivot budget: the
-    /// float proposer runs normally, but any exact fallback it needs
-    /// (certification failure, injected fault) is budgeted — on
-    /// [`BudgetError`] the cache keeps its previous hint so the caller
-    /// can retry through a cheaper rung of its ladder.
-    pub(crate) fn solve_hybrid_budgeted_cached(
-        &self,
-        cache: &mut WarmCache,
-        limit: usize,
-    ) -> Result<LpSolution, BudgetError> {
-        let hint = std::mem::take(&mut cache.hint);
-        match self.solve_hybrid_warm(&hint, Some(cache), Some(limit)) {
-            Ok((sol, stats)) => {
-                cache.hybrid_certified += stats.hybrid_certified;
-                cache.hybrid_fallbacks += stats.hybrid_fallbacks;
-                cache.absorb_pricing(&stats);
-                if sol.status == LpStatus::Optimal && !sol.basis.is_empty() {
-                    cache.hint = sol.basis.clone();
-                } else {
-                    cache.hint = hint;
-                }
-                Ok(sol)
-            }
-            Err(e) => {
-                cache.hint = hint;
-                Err(e)
             }
         }
     }
@@ -1827,7 +1753,12 @@ impl LinearProgram {
 mod tests {
     use super::*;
     use crate::problem::Relation as R;
-    use crate::simplex::Solver;
+    use crate::Solver;
+
+    /// A cold hybrid solve under the default pricing.
+    fn solve_hybrid(lp: &LinearProgram) -> (LpSolution, RevisedStats) {
+        lp.solve_with(Solver::Hybrid.into())
+    }
 
     fn q(v: i64) -> Q {
         Q::from_int(v)
@@ -1841,8 +1772,8 @@ mod tests {
     /// certified cold path the float mirrors the exact pivot sequence,
     /// so the vertex matches too.
     fn assert_matches_revised(lp: &LinearProgram) {
-        let exact = lp.solve_with(Solver::Revised);
-        let (hybrid, stats) = lp.solve_hybrid();
+        let exact = lp.solve();
+        let (hybrid, stats) = solve_hybrid(lp);
         assert_eq!(exact.status, hybrid.status);
         assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
         if exact.status == LpStatus::Optimal {
@@ -1911,13 +1842,13 @@ mod tests {
         let mut lp = LinearProgram::new(1);
         lp.set_objective(0, q(1));
         lp.add_constraint(vec![(0, Q::ratio(1, 1i64 << 40))], R::Ge, q(1));
-        let (sol, stats) = lp.solve_hybrid();
+        let (sol, stats) = solve_hybrid(&lp);
         assert_eq!(stats.hybrid_fallbacks, 1, "certification must fail");
         assert_eq!(stats.hybrid_certified, 0);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values[0], Q::from(1u64 << 40));
         // And the exact reference agrees bit for bit.
-        let exact = lp.solve_with(Solver::Revised);
+        let exact = lp.solve();
         assert_eq!(sol.values, exact.values);
         assert_eq!(sol.objective_value, exact.objective_value);
     }
@@ -1942,7 +1873,7 @@ mod tests {
         lp.set_objective(1, q(1));
         lp.add_constraint(vec![(0, c.clone()), (1, c.clone())], R::Ge, c.clone() + c.clone());
         lp.add_constraint(vec![(0, c.clone())], R::Le, c.clone() * q(3));
-        let (sol, stats) = lp.solve_hybrid();
+        let (sol, stats) = solve_hybrid(&lp);
         assert_eq!(
             stats.hybrid_fallbacks, 0,
             "huge-but-tame coefficients must not force the exact fallback"
@@ -1950,7 +1881,7 @@ mod tests {
         assert_eq!(stats.hybrid_certified, 1);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(lp.is_feasible_point(&sol.values));
-        let exact = lp.solve_with(Solver::Revised);
+        let exact = lp.solve();
         assert_eq!(sol.objective_value, exact.objective_value);
     }
 
@@ -1968,7 +1899,7 @@ mod tests {
             }
             lp
         };
-        let mut cache = WarmCache::with_solver(Solver::Hybrid);
+        let mut cache = WarmCache::with_options(Solver::Hybrid.into());
         for cap in [5i64, 4, 3, 2] {
             let lp = build(cap);
             let hybrid = lp.solve_warm_cached(&mut cache);
@@ -1997,7 +1928,7 @@ mod tests {
         }
         lp.add_constraint(vec![(0, q(3)), (2, q(2))], R::Le, q(4));
         lp.add_constraint(vec![(1, q(2)), (3, q(4))], R::Le, q(4));
-        let (sol, stats) = lp.solve_hybrid();
+        let (sol, stats) = solve_hybrid(&lp);
         assert_eq!(stats.hybrid_certified, 1);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!(lp.is_feasible_point(&sol.values));
@@ -2015,7 +1946,7 @@ mod tests {
         lp.add_constraint(vec![(1, q(2)), (2, q(1))], R::Ge, q(3));
         let reference = lp.solve();
         for hint in [vec![], vec![0, 1, 2], reference.basis.clone(), vec![9, 9, 0]] {
-            let warm = lp.solve_warm_with(&hint, Solver::Hybrid);
+            let warm = lp.solve_warm_with(&hint, Solver::Hybrid.into());
             assert_eq!(warm.status, reference.status, "hint {hint:?}");
             assert_eq!(warm.objective_value, reference.objective_value, "hint {hint:?}");
             assert!(lp.is_feasible_point(&warm.values), "hint {hint:?}");
@@ -2033,7 +1964,7 @@ mod tests {
         lp.add_constraint(vec![(0, q(1)), (1, q(2))], R::Le, q(14));
         lp.add_constraint(vec![(0, q(3)), (1, q(-1))], R::Ge, q(0));
         let reference = lp.solve();
-        let mut cache = WarmCache::with_solver(Solver::Hybrid);
+        let mut cache = WarmCache::with_options(Solver::Hybrid.into());
         let first = lp.solve_warm_cached(&mut cache);
         assert_eq!(first.objective_value, reference.objective_value);
         assert_eq!(cache.hybrid_fallbacks(), 0);
@@ -2069,7 +2000,7 @@ mod tests {
         lp.add_constraint(vec![(0, q(1))], R::Ge, q(3));
         lp.add_constraint(vec![(1, q(1))], R::Ge, q(2));
         let cold = lp.solve();
-        let mut cache = WarmCache::with_solver(Solver::Hybrid);
+        let mut cache = WarmCache::with_options(Solver::Hybrid.into());
         // Both slack columns: the exact fallback's dual repair needs two
         // pivots, one more than the budget grants.
         cache.hint = vec![2, 3];

@@ -22,11 +22,12 @@
 //! degenerate) scheduling polytopes that arise from pruned assignment
 //! constraints.
 //!
-//! Three pivot-identical implementations coexist (see [`Solver`]): the
-//! production [revised simplex](crate::Solver::Revised) against an exact
-//! LU-factorized basis with eta updates, and the earlier
-//! [sparse](crate::Solver::Sparse) / [dense](crate::Solver::Dense)
-//! tableau solvers retained as differential references. Warm starts
+//! Two production solvers sit behind one options struct
+//! ([`SolveOptions`]): the exact [revised simplex](crate::Solver::Revised)
+//! against an LU-factorized basis with eta updates (the default), and the
+//! certified [float→exact hybrid](crate::Solver::Hybrid). The revised
+//! solver is pivot-identical to the dense tableau kept as a test-only
+//! differential oracle ([`LinearProgram::solve_dense`]). Warm starts
 //! ([`LinearProgram::solve_warm`], [`WarmCache`]) re-solve related
 //! programs from a previous basis — the hot path of every binary search
 //! on the horizon `T`.
@@ -37,12 +38,13 @@ mod hybrid;
 mod problem;
 mod revised;
 mod simplex;
-mod sparse;
 
 pub use bnb::{solve_binary, BnbOptions, MilpSolution, MilpStatus};
 pub use problem::{Constraint, LinearProgram, Relation};
-pub use revised::{BudgetError, Pricing, RevisedOptions, RevisedStats, SolveBudget, WarmCache};
-pub use simplex::{LpSolution, LpStatus, Solver};
+pub use revised::{
+    BudgetError, Pricing, RevisedStats, SolveBudget, SolveOptions, Solver, WarmCache,
+};
+pub use simplex::{LpSolution, LpStatus};
 
 #[cfg(test)]
 mod tests {

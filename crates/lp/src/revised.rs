@@ -1,15 +1,15 @@
 //! Revised simplex with an exact LU-factorized basis — the production
-//! solver at scale.
+//! solver, plus the options, warm-start cache, and budget types shared
+//! by both production solvers ([`Solver`]).
 //!
-//! The dense and sparse solvers in this crate maintain the transformed
-//! tableau `B⁻¹A` explicitly: every pivot rewrites every touched row, and
-//! on the paper's decision LPs the rows fill in rapidly once the basis
-//! outgrows a few hundred rows. The revised method never materializes
-//! the tableau. It keeps the original constraint matrix in sparse column
-//! form, represents `B⁻¹` as a [`Factorization`] (a sparsity-ordered
-//! exact elimination of the basis columns, refactorized on a
-//! fill/pivot-count trigger, plus one eta per pivot since), and derives
-//! everything the simplex compares on demand:
+//! A tableau solver maintains the transformed matrix `B⁻¹A` explicitly:
+//! every pivot rewrites every touched row, and on the paper's decision
+//! LPs the rows fill in rapidly once the basis outgrows a few hundred
+//! rows. The revised method never materializes the tableau. It keeps the
+//! original constraint matrix in sparse column form, represents `B⁻¹` as
+//! a [`Factorization`] (a sparsity-ordered exact elimination of the basis
+//! columns, refactorized on a fill/pivot-count trigger, plus one eta per
+//! pivot since), and derives everything the simplex compares on demand:
 //!
 //! * **pricing** — one BTRAN for the multipliers `y = B⁻ᵀ c_B`, then
 //!   reduced costs `c_j − y·A_j` column by column in Bland order with
@@ -18,12 +18,12 @@
 //! * **basic values** — `x_B` updated incrementally per pivot, exactly
 //!   as the tableau updates its right-hand side.
 //!
-//! Because all of these are the *same exact rational values* the
-//! dense/sparse tableaus maintain, and the Bland entering rule and ratio
-//! tie-break are verbatim the same, the revised solver takes the
-//! identical pivot path and returns bit-identical vertices — the
-//! differential tests assert equality of status, objective, values, and
-//! basis across all three implementations.
+//! Because all of these are the *same exact rational values* a tableau
+//! maintains, and the Bland entering rule and ratio tie-break are
+//! verbatim the same, the revised solver takes the pivot path of the
+//! dense test oracle ([`LinearProgram::solve_dense`]) and returns
+//! bit-identical vertices — the differential tests assert equality of
+//! status, objective, values, and basis.
 //!
 //! [`LinearProgram::solve_warm`] is also implemented here: the hinted
 //! columns are crashed into a basis by one exact factorization pass
@@ -39,12 +39,29 @@ use numeric::Q;
 use crate::factor::{Factorization, SVec};
 use crate::problem::{LinearProgram, Relation};
 use crate::simplex::{LpSolution, LpStatus};
-use crate::sparse::assemble;
 
 /// Marker for a row slot whose basic variable is a *virtual* identity
 /// column (a redundant row discovered by the warm-start crash; the
-/// tableau solvers delete such rows instead).
+/// tableau oracle deletes such rows instead).
 pub(crate) const VIRTUAL: usize = usize::MAX;
+
+/// Which production solver to run. Both are exact: status and optimal
+/// objective always agree.
+///
+/// [`Revised`](Solver::Revised) pivots in exact arithmetic against an
+/// LU-factorized basis (eta updates, BTRAN/FTRAN pricing — no
+/// transformed tableau at all). [`Hybrid`](Solver::Hybrid) runs an f64
+/// simplex first and certifies the proposed basis exactly, falling back
+/// to [`Revised`](Solver::Revised) when certification fails; a certified
+/// vertex may be a different optimal basic solution.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Solver {
+    /// Revised simplex against an exact factorized basis (default).
+    #[default]
+    Revised,
+    /// f64 revised simplex + exact certification, exact fallback.
+    Hybrid,
+}
 
 /// Entering-column selection strategy for the primal simplex phases.
 ///
@@ -74,16 +91,19 @@ pub enum Pricing {
     Devex,
 }
 
-/// Tuning knobs for the refactorization trigger.
-#[derive(Clone, Debug)]
-pub struct RevisedOptions {
-    /// Refactorize after this many eta updates (pivot-count trigger).
-    pub refactor_interval: usize,
-    /// Refactorize when the update file's nonzeros exceed
-    /// `refactor_fill_factor · (m + factorization nonzeros)` (fill
-    /// trigger).
-    pub refactor_fill_factor: usize,
-    /// Entering-column selection strategy (default: [`Pricing::Bland`]).
+/// How to solve: the one configuration of every solve entry point
+/// ([`LinearProgram::solve_with`], [`LinearProgram::solve_warm_with`],
+/// [`WarmCache::with_options`]). The default — exact revised simplex,
+/// Bland's rule, env-driven threads — is what [`LinearProgram::solve`]
+/// runs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SolveOptions {
+    /// Which production solver runs.
+    pub solver: Solver,
+    /// Entering-column strategy (for the hybrid: of both the float
+    /// proposer and the exact fallback). Non-Bland pricing changes the
+    /// pivot *path* (and possibly which optimal vertex is returned) but
+    /// never the status or objective.
     pub pricing: Pricing,
     /// Pricing-scan parallelism: the number of chunks the reduced-cost
     /// scans are split into, executed on [`hpool::ThreadPool::global`].
@@ -97,28 +117,36 @@ pub struct RevisedOptions {
     pub threads: usize,
 }
 
-impl Default for RevisedOptions {
-    fn default() -> Self {
-        RevisedOptions {
-            refactor_interval: 64,
-            refactor_fill_factor: 4,
-            pricing: Pricing::default(),
-            threads: 0,
-        }
+impl From<Solver> for SolveOptions {
+    fn from(solver: Solver) -> Self {
+        SolveOptions { solver, ..SolveOptions::default() }
     }
 }
 
-/// Counters reported by [`LinearProgram::solve_revised_with`]; the
-/// refactorization count is what the trigger test pins.
+/// Refactorization trigger of the exact core. Crate-private: only the
+/// representation-only test tightens it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Refactor {
+    /// Refactorize after this many eta updates (pivot-count trigger).
+    pub(crate) interval: usize,
+    /// Refactorize when the update file's nonzeros exceed
+    /// `fill_factor · (m + factorization nonzeros)` (fill trigger).
+    pub(crate) fill_factor: usize,
+}
+
+impl Default for Refactor {
+    fn default() -> Self {
+        Refactor { interval: 64, fill_factor: 4 }
+    }
+}
+
+/// Counters reported by [`LinearProgram::solve_with`].
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RevisedStats {
     /// Simplex pivots performed (all phases, including warm repair).
     pub pivots: usize,
     /// Basis refactorizations triggered after the initial factorization.
     pub refactorizations: usize,
-    /// Warm solves whose anti-cycling pivot cap tripped, restarting the
-    /// program cold (exactness is unaffected; speed degrades).
-    pub warm_fallbacks: usize,
     /// Hybrid solves whose float-proposed basis was certified exactly.
     pub hybrid_certified: usize,
     /// Hybrid solves that failed certification and fell back to the
@@ -144,7 +172,6 @@ impl RevisedStats {
     pub(crate) fn absorb(&mut self, other: &RevisedStats) {
         self.pivots += other.pivots;
         self.refactorizations += other.refactorizations;
-        self.warm_fallbacks += other.warm_fallbacks;
         self.hybrid_certified += other.hybrid_certified;
         self.hybrid_fallbacks += other.hybrid_fallbacks;
         self.columns_priced += other.columns_priced;
@@ -166,23 +193,17 @@ pub struct WarmCache {
     /// solves that ended with a clean (virtual-free) basis.
     pub(crate) reuse: Option<ReuseState>,
     pub(crate) factor_reuses: usize,
-    /// Which solver [`LinearProgram::solve_warm_cached`] dispatches to.
-    pub(crate) solver: crate::Solver,
+    /// How every solve driven through this cache runs.
+    pub(crate) opts: SolveOptions,
     /// Warm solves that tripped the anti-cycling cap and restarted cold.
     pub(crate) warm_fallbacks: usize,
     /// Hybrid solves certified exactly / fallen back (hybrid caches only).
     pub(crate) hybrid_certified: usize,
     pub(crate) hybrid_fallbacks: usize,
-    /// Entering-column strategy threaded into every solve driven through
-    /// this cache (both the hybrid float proposer and the exact phases).
-    pub(crate) pricing: Pricing,
     /// Pricing work accumulated across all solves through this cache.
     pub(crate) columns_priced: usize,
     pub(crate) candidate_refills: usize,
     pub(crate) devex_resets: usize,
-    /// Pricing-scan parallelism threaded into every solve (see
-    /// [`RevisedOptions::threads`]; 0 = the env-driven default).
-    pub(crate) threads: usize,
     /// One entry per worker cache folded in via
     /// [`WarmCache::absorb_worker`]: that worker's fallback count
     /// (warm + hybrid) — the per-worker breakdown the batch/B&B layers
@@ -207,32 +228,25 @@ pub(crate) struct ReuseState {
 }
 
 impl WarmCache {
-    /// An empty cache: the first `solve_warm_cached` runs cold.
+    /// An empty cache with the default options: the first
+    /// `solve_warm_cached` runs cold.
     pub fn new() -> Self {
         WarmCache::default()
     }
 
-    /// An empty cache whose [`LinearProgram::solve_warm_cached`] calls
-    /// run through `solver`. [`crate::Solver::Hybrid`] is the intended
-    /// non-default choice (float proposal + exact certification);
-    /// tableau solvers map to the default exact warm path.
-    pub fn with_solver(solver: crate::Solver) -> Self {
-        WarmCache { solver, ..WarmCache::default() }
+    /// An empty cache whose solves all run under `opts` — the solver
+    /// ([`Solver::Hybrid`] is the intended non-default choice: float
+    /// proposal + exact certification), the entering-column strategy,
+    /// and the pricing-scan parallelism. Under [`Solver::Hybrid`] the
+    /// exact certification holds regardless of the path the float
+    /// proposer took.
+    pub fn with_options(opts: SolveOptions) -> Self {
+        WarmCache { opts, ..WarmCache::default() }
     }
 
-    /// [`WarmCache::with_solver`] with an explicit entering-column
-    /// strategy for every solve driven through this cache. Non-Bland
-    /// pricing changes the pivot *path* (and possibly which optimal
-    /// vertex is returned) but never the status or objective; under
-    /// [`crate::Solver::Hybrid`] the exact certification holds
-    /// regardless of the path the float proposer took.
-    pub fn with_solver_pricing(solver: crate::Solver, pricing: Pricing) -> Self {
-        WarmCache { solver, pricing, ..WarmCache::default() }
-    }
-
-    /// The entering-column strategy threaded into this cache's solves.
-    pub fn pricing(&self) -> Pricing {
-        self.pricing
+    /// The options every solve through this cache runs under.
+    pub fn options(&self) -> SolveOptions {
+        self.opts
     }
 
     /// Reduced costs evaluated across all solves through this cache.
@@ -250,8 +264,11 @@ impl WarmCache {
         self.devex_resets
     }
 
-    /// Fold one solve's pricing counters into the cache totals.
-    pub(crate) fn absorb_pricing(&mut self, stats: &RevisedStats) {
+    /// Fold one solve's pricing and certification counters into the
+    /// cache totals.
+    pub(crate) fn absorb(&mut self, stats: &RevisedStats) {
+        self.hybrid_certified += stats.hybrid_certified;
+        self.hybrid_fallbacks += stats.hybrid_fallbacks;
         self.columns_priced += stats.columns_priced;
         self.candidate_refills += stats.candidate_refills;
         self.devex_resets += stats.devex_resets;
@@ -285,18 +302,6 @@ impl WarmCache {
     /// exact solver (hybrid caches only; zero otherwise).
     pub fn hybrid_fallbacks(&self) -> usize {
         self.hybrid_fallbacks
-    }
-
-    /// Set the pricing-scan parallelism threaded into every solve driven
-    /// through this cache (see [`RevisedOptions::threads`]; 0 = the
-    /// env-driven default). Results are identical for every value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configured pricing-scan parallelism (0 = env default).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Fold a worker's cache into this aggregate: all counters are
@@ -385,8 +390,8 @@ enum PhaseOutcome {
     PivotLimit,
 }
 
-/// How [`LinearProgram::solve_warm_revised_inner`] treats its pivot cap.
-enum WarmMode {
+/// How [`LinearProgram::solve_warm_revised`] treats its pivot cap.
+pub(crate) enum WarmMode {
     /// Historical behavior: on cap trip, restart cold (exact result
     /// either way; the trip is counted in
     /// [`WarmCache::warm_fallbacks`]). `None` uses the anti-cycling
@@ -397,6 +402,14 @@ enum WarmMode {
     /// [`BudgetError::PivotCapExhausted`] instead of silently restarting
     /// cold, so the caller's degradation policy decides what runs next.
     Budget(usize),
+}
+
+impl WarmMode {
+    /// The mode for an optional exact-pivot budget: none keeps the
+    /// counted cold restart, a limit makes the cap a hard stop.
+    pub(crate) fn from_limit(limit: Option<usize>) -> Self {
+        limit.map_or(WarmMode::Capped(None), WarmMode::Budget)
+    }
 }
 
 /// A per-solve resource budget for [`LinearProgram::solve_budgeted`].
@@ -543,13 +556,13 @@ struct Core<'a> {
     /// `x_B = B⁻¹ b` per slot — the tableau's right-hand side.
     xb: Vec<Q>,
     factor: Factorization,
-    opts: RevisedOptions,
+    refactor: Refactor,
     stats: RevisedStats,
     /// Scratch for FTRAN results.
     u: Vec<Q>,
     price: PriceState,
     /// Resolved pricing-scan parallelism (≥ 1; from
-    /// [`RevisedOptions::threads`] via [`hpool::resolve_threads`]).
+    /// [`SolveOptions::threads`] via [`hpool::resolve_threads`]).
     threads: usize,
 }
 
@@ -660,8 +673,8 @@ impl<'a> Core<'a> {
     /// Fill/pivot-count refactorization trigger.
     fn maybe_refactor(&mut self) {
         let f = &self.factor;
-        let fill_cap = self.opts.refactor_fill_factor * (self.m + f.factor_nnz());
-        if f.update_count() < self.opts.refactor_interval && f.update_nnz() <= fill_cap {
+        let fill_cap = self.refactor.fill_factor * (self.m + f.factor_nnz());
+        if f.update_count() < self.refactor.interval && f.update_nnz() <= fill_cap {
             return;
         }
         self.refactor();
@@ -1012,20 +1025,38 @@ impl<'a> Core<'a> {
 }
 
 impl LinearProgram {
-    /// Cold two-phase revised-simplex solve; pivot-identical to the
-    /// dense and sparse tableau implementations.
-    pub(crate) fn solve_revised(&self) -> LpSolution {
-        self.solve_revised_with(&RevisedOptions::default()).0
+    /// Solve the program exactly with two-phase primal simplex.
+    ///
+    /// Returns a basic feasible (vertex) solution when the status is
+    /// [`LpStatus::Optimal`]. Termination is guaranteed by Bland's rule.
+    /// Runs the default options (exact revised solver); see
+    /// [`solve_with`](Self::solve_with).
+    pub fn solve(&self) -> LpSolution {
+        self.solve_with(SolveOptions::default()).0
     }
 
-    /// [`solve_revised`](Self::solve_revised) with explicit
-    /// refactorization knobs, reporting pivot/refactorization counters.
-    /// The returned solution is independent of the options — a
-    /// refactorization is a change of representation only, which the
-    /// trigger test pins by forcing multiple reinversions.
-    pub fn solve_revised_with(&self, opts: &RevisedOptions) -> (LpSolution, RevisedStats) {
+    /// Cold solve under explicit [`SolveOptions`], reporting the solve's
+    /// counters (pivots, refactorizations, pricing work, and — for the
+    /// hybrid — whether the float basis was certified or fell back).
+    pub fn solve_with(&self, opts: SolveOptions) -> (LpSolution, RevisedStats) {
+        match opts.solver {
+            Solver::Revised => self.solve_revised(opts, Refactor::default()),
+            Solver::Hybrid => self.solve_hybrid_cold(opts, None),
+        }
+    }
+
+    /// Cold two-phase revised-simplex solve; pivot-identical to the dense
+    /// oracle under Bland pricing. The returned solution is independent
+    /// of `refactor` — a refactorization is a change of representation
+    /// only, which the trigger test pins by forcing multiple
+    /// reinversions.
+    pub(crate) fn solve_revised(
+        &self,
+        opts: SolveOptions,
+        refactor: Refactor,
+    ) -> (LpSolution, RevisedStats) {
         let n = self.num_vars;
-        let (srows, rels, rhs) = assemble(self);
+        let (srows, rels, rhs) = self.assemble();
         let m = srows.len();
 
         // Column layout: structural | slacks/surplus | artificials —
@@ -1075,7 +1106,7 @@ impl LinearProgram {
             in_basis,
             xb: rhs,
             factor: Factorization::identity(m),
-            opts: opts.clone(),
+            refactor,
             stats: RevisedStats::default(),
             u: Vec::new(),
             price: PriceState::new(opts.pricing, cols),
@@ -1113,7 +1144,7 @@ impl LinearProgram {
             // pivoting on the smallest real column with a nonzero
             // transformed entry — or mark the row dead when the whole
             // transformed row is zero over real columns (the tableau
-            // solvers delete such rows; a dead row's entries stay zero
+            // oracle deletes such rows; a dead row's entries stay zero
             // under every later pivot, so keeping it cannot change the
             // pivot path).
             for i in 0..m {
@@ -1145,8 +1176,8 @@ impl LinearProgram {
     }
 
     /// Read the structural solution out of a finished core, skipping
-    /// dead rows so the reported basis matches the tableau solvers'
-    /// (which physically delete redundant rows).
+    /// dead rows so the reported basis matches the tableau oracle's
+    /// (which physically deletes redundant rows).
     fn extract_revised(&self, core: &Core<'_>, dead: &[bool]) -> LpSolution {
         let n = self.num_vars;
         let mut values = vec![Q::zero(); n];
@@ -1164,54 +1195,38 @@ impl LinearProgram {
         LpSolution { status: LpStatus::Optimal, objective_value, values, basis, num_structural: n }
     }
 
-    /// Warm-started revised solve from a basis hint. See
-    /// [`solve_warm`](Self::solve_warm) for the contract; this is its
-    /// implementation, optionally threading a [`WarmCache`] for
-    /// factorization reuse across related programs.
-    fn solve_warm_revised(&self, hint: &[usize], cache: Option<&mut WarmCache>) -> LpSolution {
-        self.solve_warm_revised_capped(hint, cache, None)
-    }
-
-    /// [`solve_warm_revised`](Self::solve_warm_revised) with an explicit
-    /// anti-cycling pivot cap (`None` = the production formula). The
-    /// override exists so tests can trip the cap on small programs and
-    /// observe the counted fallback.
-    pub(crate) fn solve_warm_revised_capped(
-        &self,
-        hint: &[usize],
-        cache: Option<&mut WarmCache>,
-        cap_override: Option<usize>,
-    ) -> LpSolution {
-        match self.solve_warm_revised_inner(hint, cache, WarmMode::Capped(cap_override)) {
-            Ok(sol) => sol,
-            Err(_) => unreachable!("capped mode never reports budget exhaustion"),
+    /// A cold revised solve whose counters are folded into `cache`: a
+    /// cache's first solve, or the counted cold restart of a warm solve
+    /// (exact either way, the cold solve is simply the slower sure thing).
+    fn solve_cold(&self, opts: SolveOptions, cache: Option<&mut WarmCache>) -> LpSolution {
+        let (sol, stats) = self.solve_revised(opts, Refactor::default());
+        if let Some(c) = cache {
+            c.absorb(&stats);
         }
+        sol
     }
 
-    /// [`solve_warm_revised_capped`](Self::solve_warm_revised_capped)
-    /// under a hard pivot *budget*: instead of restarting cold when the
-    /// cap trips, the solve aborts with
+    /// Warm-started revised solve from a basis hint — the implementation
+    /// behind [`solve_warm`](Self::solve_warm), optionally threading a
+    /// [`WarmCache`] (whose options the caller passes as `opts`) for
+    /// factorization reuse across related programs.
+    ///
+    /// Under [`WarmMode::Capped`] the anti-cycling cap (overridable so
+    /// tests can trip it on small programs) restarts cold and never
+    /// errors. Under [`WarmMode::Budget`] the solve instead aborts with
     /// [`BudgetError::PivotCapExhausted`] so the caller's degradation
-    /// policy decides what runs next. A stale hint still falls through
-    /// to a from-scratch crash (counted in `warm_fallbacks`), but the
+    /// policy decides what runs next; a stale hint still falls through to
+    /// a from-scratch crash (counted in `warm_fallbacks`), but the
     /// crash's repair/primal pivots run under the same budget.
-    pub(crate) fn solve_warm_revised_budgeted(
+    pub(crate) fn solve_warm_revised(
         &self,
         hint: &[usize],
-        cache: Option<&mut WarmCache>,
-        limit: usize,
-    ) -> Result<LpSolution, BudgetError> {
-        self.solve_warm_revised_inner(hint, cache, WarmMode::Budget(limit))
-    }
-
-    fn solve_warm_revised_inner(
-        &self,
-        hint: &[usize],
+        opts: SolveOptions,
         mut cache: Option<&mut WarmCache>,
         mode: WarmMode,
     ) -> Result<LpSolution, BudgetError> {
         let n = self.num_vars;
-        let (srows, rels, rhs) = assemble(self);
+        let (srows, rels, rhs) = self.assemble();
         let m = srows.len();
         let n_slack = rels.iter().filter(|r| !matches!(r, Relation::Eq)).count();
         let cols = n + n_slack;
@@ -1299,17 +1314,8 @@ impl LinearProgram {
                     if let Some(c) = cache.as_deref_mut() {
                         c.warm_fallbacks += 1;
                     }
-                    if matches!(mode, WarmMode::Capped(_)) {
-                        if let Some(c) = cache.as_deref_mut() {
-                            return Ok(self
-                                .solve_revised_with(&RevisedOptions {
-                                    pricing: c.pricing,
-                                    threads: c.threads,
-                                    ..RevisedOptions::default()
-                                })
-                                .0);
-                        }
-                        return Ok(self.solve());
+                    if let WarmMode::Capped(_) = mode {
+                        return Ok(self.solve_cold(opts, cache));
                     }
                     wanted.clear();
                 }
@@ -1328,8 +1334,8 @@ impl LinearProgram {
                     }
                 }
                 // Rows no real column can pivot: virtual identity
-                // columns (the redundant/inconsistent rows the tableau
-                // warm solver deletes or rejects).
+                // columns (the redundant/inconsistent rows a tableau
+                // deletes or rejects).
                 for p in 0..m {
                     if left == 0 {
                         break;
@@ -1359,8 +1365,7 @@ impl LinearProgram {
             }
         }
 
-        let pricing = cache.as_deref().map(|c| c.pricing).unwrap_or_default();
-        let threads = hpool::resolve_threads(cache.as_deref().map(|c| c.threads).unwrap_or(0));
+        let threads = hpool::resolve_threads(opts.threads);
         let mut core = Core {
             m,
             a_cols: &a_cols,
@@ -1368,10 +1373,10 @@ impl LinearProgram {
             in_basis,
             xb,
             factor,
-            opts: RevisedOptions { pricing, threads, ..RevisedOptions::default() },
+            refactor: Refactor::default(),
             stats: RevisedStats::default(),
             u: Vec::new(),
-            price: PriceState::new(pricing, cols),
+            price: PriceState::new(opts.pricing, cols),
             threads,
         };
         core.stats.threads = threads;
@@ -1401,32 +1406,22 @@ impl LinearProgram {
             core.pivot(row, enter);
             pivots += 1;
             if pivots > pivot_cap {
+                if let Some(c) = cache.as_deref_mut() {
+                    c.absorb(&core.stats);
+                }
                 if let WarmMode::Budget(_) = mode {
                     // The budget is a hard stop, not a license to restart
                     // cold; surface what was spent and let the caller's
                     // ladder pick the next rung.
-                    if let Some(c) = cache.as_deref_mut() {
-                        c.absorb_pricing(&core.stats);
-                    }
                     return Err(BudgetError::PivotCapExhausted { pivots: core.stats.pivots });
                 }
-                // Safety valve: exactness is preserved either way, the
-                // cold solve is simply the slower sure thing. Counted so
-                // callers can see their warm starts degrading instead of
-                // the fallback being swallowed silently.
+                // Safety valve, counted so callers can see their warm
+                // starts degrading instead of the fallback being
+                // swallowed silently.
                 if let Some(c) = cache.as_deref_mut() {
                     c.warm_fallbacks += 1;
-                    c.absorb_pricing(&core.stats);
                 }
-                let (sol, cold_stats) = self.solve_revised_with(&RevisedOptions {
-                    pricing,
-                    threads,
-                    ..RevisedOptions::default()
-                });
-                if let Some(c) = cache.as_deref_mut() {
-                    c.absorb_pricing(&cold_stats);
-                }
-                return Ok(sol);
+                return Ok(self.solve_cold(opts, cache));
             }
         }
 
@@ -1443,7 +1438,7 @@ impl LinearProgram {
             }
             PhaseOutcome::PivotLimit => {
                 if let Some(c) = cache.as_deref_mut() {
-                    c.absorb_pricing(&core.stats);
+                    c.absorb(&core.stats);
                 }
                 return Err(BudgetError::PivotCapExhausted { pivots: core.stats.pivots });
             }
@@ -1452,8 +1447,7 @@ impl LinearProgram {
 
         let sol = self.extract_revised(&core, &dead);
         if let Some(c) = cache {
-            c.absorb_pricing(&core.stats);
-            c.hint = sol.basis.clone();
+            c.absorb(&core.stats);
             c.reuse = if dead.iter().any(|&d| d) {
                 // A basis with virtual columns is only valid against
                 // this exact program; don't offer it for reuse.
@@ -1488,51 +1482,29 @@ impl LinearProgram {
     /// pivot path depends on the hint). Status and objective value always
     /// agree.
     pub fn solve_warm(&self, hint: &[usize]) -> LpSolution {
-        self.solve_warm_revised(hint, None)
+        self.solve_warm_with(hint, SolveOptions::default())
     }
 
-    /// [`solve_warm`](Self::solve_warm) with an explicit implementation
-    /// choice. [`Solver::Sparse`] runs the tableau-based warm solver
-    /// retained as a differential reference; [`Solver::Dense`] has no
-    /// warm path and also maps to the sparse reference.
-    /// [`Solver::Hybrid`] runs the float proposal + exact certification
-    /// warm path, falling back to the exact warm solver.
-    pub fn solve_warm_with(&self, hint: &[usize], solver: crate::Solver) -> LpSolution {
-        match solver {
-            crate::Solver::Revised => self.solve_warm_revised(hint, None),
-            crate::Solver::Sparse | crate::Solver::Dense => self.solve_warm_sparse(hint),
-            crate::Solver::Hybrid => {
-                self.solve_hybrid_warm(hint, None, None)
-                    .unwrap_or_else(|_| unreachable!("uncapped hybrid warm solve has no budget"))
-                    .0
-            }
-        }
+    /// [`solve_warm`](Self::solve_warm) under explicit [`SolveOptions`].
+    /// [`Solver::Hybrid`] runs the float crash/repair proposal + exact
+    /// certification, falling back to the exact warm solver.
+    pub fn solve_warm_with(&self, hint: &[usize], opts: SolveOptions) -> LpSolution {
+        let res = match opts.solver {
+            Solver::Revised => self.solve_warm_revised(hint, opts, None, WarmMode::Capped(None)),
+            Solver::Hybrid => self.solve_hybrid_warm(hint, opts, None, None).map(|(sol, _)| sol),
+        };
+        res.unwrap_or_else(|_| unreachable!("an uncapped warm solve has no budget to exhaust"))
     }
 
     /// [`solve_warm`](Self::solve_warm) driven by a persistent
-    /// [`WarmCache`]: the first call solves cold; later calls warm-start
-    /// from the previous basis and, when the hinted basis columns are
-    /// unchanged in the new program, reuse the previous factorization
-    /// outright (no crash at all) — the intended mode for binary-search
-    /// feasibility probes.
+    /// [`WarmCache`] under the cache's options: the first call solves
+    /// cold; later calls warm-start from the previous basis and, when the
+    /// hinted basis columns are unchanged in the new program, reuse the
+    /// previous factorization outright (no crash at all) — the intended
+    /// mode for binary-search feasibility probes.
     pub fn solve_warm_cached(&self, cache: &mut WarmCache) -> LpSolution {
-        if cache.solver == crate::Solver::Hybrid {
-            return self.solve_hybrid_cached(cache);
-        }
-        if cache.is_warm() {
-            let hint = std::mem::take(&mut cache.hint);
-            let sol = self.solve_warm_revised(&hint, Some(cache));
-            if cache.hint.is_empty() {
-                cache.hint = hint; // failed solve: keep the old hint
-            }
-            sol
-        } else {
-            let sol = self.solve();
-            if sol.status == LpStatus::Optimal {
-                cache.hint = sol.basis.clone();
-            }
-            sol
-        }
+        self.solve_cached(cache, None)
+            .unwrap_or_else(|_| unreachable!("an uncapped cached solve has no budget to exhaust"))
     }
 
     /// [`solve_warm_cached`](Self::solve_warm_cached) under a resource
@@ -1559,35 +1531,48 @@ impl LinearProgram {
                 return Err(BudgetError::DeadlineExpired);
             }
         }
-        match budget.max_pivots {
-            None => Ok(self.solve_warm_cached(cache)),
-            Some(0) => Err(BudgetError::PivotCapExhausted { pivots: 0 }),
-            Some(limit) => {
-                if cache.solver == crate::Solver::Hybrid {
-                    return self.solve_hybrid_budgeted_cached(cache, limit);
-                }
-                if cache.is_warm() {
-                    let hint = std::mem::take(&mut cache.hint);
-                    match self.solve_warm_revised_budgeted(&hint, Some(cache), limit) {
-                        Ok(sol) => {
-                            if cache.hint.is_empty() {
-                                cache.hint = hint; // failed solve: keep the old hint
-                            }
-                            Ok(sol)
-                        }
-                        Err(e) => {
-                            cache.hint = hint;
-                            Err(e)
-                        }
-                    }
-                } else {
-                    // Cold first solve of a fresh cache: bounded by the
-                    // anti-cycling cap, happens once — not pivot-capped
-                    // (see [`SolveBudget`]).
-                    Ok(self.solve_warm_cached(cache))
-                }
-            }
+        if budget.max_pivots == Some(0) {
+            return Err(BudgetError::PivotCapExhausted { pivots: 0 });
         }
+        self.solve_cached(cache, budget.max_pivots)
+    }
+
+    /// The one cached dispatch behind both public entry points: run the
+    /// cache's solver from its hint under an optional exact-pivot budget,
+    /// then keep the new basis as the next hint — or, when the solve
+    /// found no optimal basis or gave up, the old one.
+    fn solve_cached(
+        &self,
+        cache: &mut WarmCache,
+        limit: Option<usize>,
+    ) -> Result<LpSolution, BudgetError> {
+        let opts = cache.opts;
+        let hint = std::mem::take(&mut cache.hint);
+        let res = match opts.solver {
+            // The exact warm fallback feeds its own counters into the
+            // cache directly; the returned stats carry only the float
+            // phase's, so absorbing them never double-counts.
+            Solver::Hybrid => {
+                self.solve_hybrid_warm(&hint, opts, Some(&mut *cache), limit).map(|(sol, stats)| {
+                    cache.absorb(&stats);
+                    sol
+                })
+            }
+            // Cold first solve of a fresh cache: bounded by the
+            // anti-cycling cap, happens once — not pivot-capped (see
+            // [`SolveBudget`]).
+            Solver::Revised if hint.is_empty() => Ok(self.solve_cold(opts, Some(&mut *cache))),
+            Solver::Revised => {
+                self.solve_warm_revised(&hint, opts, Some(&mut *cache), WarmMode::from_limit(limit))
+            }
+        };
+        cache.hint = match &res {
+            Ok(sol) if sol.status == LpStatus::Optimal && !sol.basis.is_empty() => {
+                sol.basis.clone()
+            }
+            _ => hint,
+        };
+        res
     }
 }
 
@@ -1595,7 +1580,6 @@ impl LinearProgram {
 mod tests {
     use super::*;
     use crate::problem::Relation as R;
-    use crate::simplex::Solver;
 
     fn q(v: i64) -> Q {
         Q::from_int(v)
@@ -1605,14 +1589,24 @@ mod tests {
         Q::ratio(p, d)
     }
 
-    /// The revised solver is pivot-identical to the tableau solvers on
+    /// A cached warm solve under the default options with an explicit
+    /// anti-cycling cap (`None` = the production formula).
+    fn warm_capped(
+        lp: &LinearProgram,
+        hint: &[usize],
+        cache: &mut WarmCache,
+        cap: Option<usize>,
+    ) -> LpSolution {
+        lp.solve_warm_revised(hint, SolveOptions::default(), Some(cache), WarmMode::Capped(cap))
+            .expect("capped mode never reports budget exhaustion")
+    }
+
+    /// The revised solver is pivot-identical to the dense oracle on
     /// every handcrafted reference program.
     fn assert_identical(lp: &LinearProgram) {
-        let d = lp.solve_with(Solver::Dense);
-        let s = lp.solve_with(Solver::Sparse);
-        let r = lp.solve_with(Solver::Revised);
+        let d = lp.solve_dense();
+        let r = lp.solve();
         assert_eq!(d.status, r.status);
-        assert_eq!(s.status, r.status);
         if r.status == LpStatus::Optimal {
             assert_eq!(d.objective_value, r.objective_value);
             assert_eq!(d.values, r.values, "pivot-identical vertices");
@@ -1668,11 +1662,17 @@ mod tests {
         );
         lp.add_constraint(vec![(2, q(1))], R::Le, q(1));
         out.push(lp);
+        // Duplicate indices summed; zero-sum coefficient vanishes.
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, q(-1));
+        lp.add_constraint(vec![(0, q(1)), (0, q(2)), (1, q(1)), (1, q(-1))], R::Le, q(6));
+        lp.add_constraint(vec![(1, q(1))], R::Le, q(5));
+        out.push(lp);
         out
     }
 
     #[test]
-    fn matches_tableaus_on_reference_programs() {
+    fn matches_dense_on_reference_programs() {
         for lp in reference_programs() {
             assert_identical(&lp);
         }
@@ -1696,15 +1696,11 @@ mod tests {
         }
         chain.add_constraint(vec![(0, q(1)), (3, q(1))], R::Ge, q(1));
         for lp in [chain, reference_programs().remove(5)] {
-            let (default, _) = lp.solve_revised_with(&RevisedOptions::default());
+            let default = lp.solve();
             // Refactor after every pivot (fill factor 0 makes any update
             // nonzero exceed the cap).
-            let tight = RevisedOptions {
-                refactor_interval: 1,
-                refactor_fill_factor: 0,
-                ..RevisedOptions::default()
-            };
-            let (forced, stats) = lp.solve_revised_with(&tight);
+            let tight = Refactor { interval: 1, fill_factor: 0 };
+            let (forced, stats) = lp.solve_revised(SolveOptions::default(), tight);
             assert!(
                 stats.refactorizations >= 2,
                 "expected ≥ 2 reinversions, got {} over {} pivots",
@@ -1715,11 +1711,11 @@ mod tests {
             assert_eq!(default.objective_value, forced.objective_value);
             assert_eq!(default.values, forced.values, "refactorization changed the vertex");
             assert_eq!(default.basis, forced.basis, "refactorization changed the basis");
-            // And both agree with the sparse tableau reference.
-            let sparse = lp.solve_with(Solver::Sparse);
-            assert_eq!(sparse.status, forced.status);
-            if sparse.status == LpStatus::Optimal {
-                assert_eq!(sparse.values, forced.values);
+            // And both agree with the dense oracle.
+            let dense = lp.solve_dense();
+            assert_eq!(dense.status, forced.status);
+            if dense.status == LpStatus::Optimal {
+                assert_eq!(dense.values, forced.values);
             }
         }
     }
@@ -1779,28 +1775,24 @@ mod tests {
         lp.add_constraint(vec![(0, q(1))], R::Ge, q(3));
         let cold = lp.solve();
         let mut cache = WarmCache::new();
-        let warm = lp.solve_warm_revised_capped(&donor_sol.basis, Some(&mut cache), None);
+        let warm = warm_capped(&lp, &donor_sol.basis, &mut cache, None);
         assert_eq!(cache.warm_fallbacks(), 1, "out-of-range hint must be counted stale");
         assert_eq!(warm.status, cold.status);
         assert_eq!(warm.objective_value, cold.objective_value);
         assert_eq!(warm.values, cold.values);
         // Duplicate columns in a hint are equally stale.
-        let warm = lp.solve_warm_revised_capped(&[0, 0], Some(&mut cache), None);
+        let warm = warm_capped(&lp, &[0, 0], &mut cache, None);
         assert_eq!(cache.warm_fallbacks(), 2, "duplicated hint must be counted stale");
         assert_eq!(warm.objective_value, cold.objective_value);
         // A genuine self-hint afterwards is not a fallback.
-        let warm = lp.solve_warm_revised_capped(&cold.basis, Some(&mut cache), None);
+        let warm = warm_capped(&lp, &cold.basis, &mut cache, None);
         assert_eq!(cache.warm_fallbacks(), 2);
         assert_eq!(warm.objective_value, cold.objective_value);
     }
 
-    /// On a program whose attractive columns sit behind a long dead
-    /// prefix, Bland's in-order scan re-prices the prefix every pivot
-    /// while the candidate strategies pay for it once per refill — the
-    /// counters must show strictly less pricing work, at the same
-    /// optimal objective (the vertex may legitimately differ).
-    #[test]
-    fn partial_and_devex_price_fewer_columns() {
+    /// 200 variables whose 10 attractive columns sit behind a dead
+    /// prefix of 190.
+    fn dead_prefix_lp() -> LinearProgram {
         let nv = 200;
         let dead = nv - 10;
         let mut lp = LinearProgram::new(nv);
@@ -1812,13 +1804,23 @@ mod tests {
             lp.add_constraint(vec![(v, q(1))], R::Le, q(1));
         }
         lp.add_constraint((dead..nv).map(|v| (v, q(1))).collect(), R::Le, q(5));
-        let (bland, bland_stats) = lp.solve_revised_with(&RevisedOptions::default());
+        lp
+    }
+
+    /// On a program whose attractive columns sit behind a long dead
+    /// prefix, Bland's in-order scan re-prices the prefix every pivot
+    /// while the candidate strategies pay for it once per refill — the
+    /// counters must show strictly less pricing work, at the same
+    /// optimal objective (the vertex may legitimately differ).
+    #[test]
+    fn partial_and_devex_price_fewer_columns() {
+        let lp = dead_prefix_lp();
+        let (bland, bland_stats) = lp.solve_with(SolveOptions::default());
         assert_eq!(bland.status, LpStatus::Optimal);
         assert!(bland_stats.columns_priced > 0);
         assert_eq!(bland_stats.candidate_refills, 0, "Bland never touches the candidate list");
         for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let opts = RevisedOptions { pricing, ..RevisedOptions::default() };
-            let (sol, stats) = lp.solve_revised_with(&opts);
+            let (sol, stats) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
             assert_eq!(sol.status, bland.status, "{pricing:?}");
             assert_eq!(sol.objective_value, bland.objective_value, "{pricing:?}");
             assert!(lp.is_feasible_point(&sol.values), "{pricing:?}");
@@ -1844,13 +1846,13 @@ mod tests {
         // Hinting the slack column crashes to a primal-infeasible basis
         // (s = -3), so the dual repair needs a pivot — and a zero pivot
         // budget trips the anti-cycling cap on that first pivot.
-        let capped = lp.solve_warm_revised_capped(&[1], Some(&mut cache), Some(0));
+        let capped = warm_capped(&lp, &[1], &mut cache, Some(0));
         assert_eq!(cache.warm_fallbacks(), 1, "cap fallback must be recorded");
         assert_eq!(capped.status, cold.status);
         assert_eq!(capped.objective_value, cold.objective_value);
         assert_eq!(capped.values, cold.values);
         // An uncapped warm solve on the same cache does not count one.
-        let warm = lp.solve_warm_revised_capped(&cold.basis, Some(&mut cache), None);
+        let warm = warm_capped(&lp, &cold.basis, &mut cache, None);
         assert_eq!(warm.objective_value, cold.objective_value);
         assert_eq!(cache.warm_fallbacks(), 1);
     }
@@ -1950,5 +1952,83 @@ mod tests {
         assert_eq!(sol.status, first.status);
         assert_eq!(sol.objective_value, first.objective_value);
         assert!(cache.is_warm(), "the cold solve re-warms the cache");
+    }
+
+    /// A revised cache's cold first solve runs under the cache's own
+    /// options: the direct solve's basis and its pricing work.
+    #[test]
+    fn revised_cache_cold_solve_uses_cache_options() {
+        let lp = dead_prefix_lp();
+        let opts = SolveOptions { pricing: Pricing::Devex, threads: 1, ..SolveOptions::default() };
+        let (direct, stats) = lp.solve_with(opts);
+        assert!(stats.columns_priced > 0);
+        let mut cache = WarmCache::with_options(opts);
+        let cached = lp.solve_warm_cached(&mut cache);
+        assert_eq!(cached.basis, direct.basis, "the cache must solve with its Devex pricing");
+        assert_eq!(cache.columns_priced(), stats.columns_priced, "cold pricing work is counted");
+        assert_eq!(cache.candidate_refills(), stats.candidate_refills);
+    }
+
+    #[test]
+    fn warm_from_cold_basis_is_instant_on_same_program() {
+        let mut lp = LinearProgram::new(2);
+        lp.add_constraint(vec![(0, q(1)), (1, q(1))], R::Eq, q(10));
+        lp.add_constraint(vec![(0, q(1)), (1, q(-1))], R::Eq, q(2));
+        let cold = lp.solve();
+        let warm = lp.solve_warm(&cold.basis);
+        assert_eq!(warm.status, LpStatus::Optimal);
+        assert_eq!(warm.values, cold.values);
+    }
+
+    #[test]
+    fn warm_with_garbage_hint_still_exact() {
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, q(1));
+        lp.set_objective(1, q(1));
+        lp.add_constraint(vec![(0, q(2)), (1, q(1))], R::Ge, q(3));
+        lp.add_constraint(vec![(0, q(1)), (1, q(3))], R::Ge, q(4));
+        for hint in [vec![], vec![0], vec![1, 3], vec![99, 100, 0]] {
+            let warm = lp.solve_warm(&hint);
+            assert_eq!(warm.status, LpStatus::Optimal);
+            assert_eq!(warm.objective_value, q(2));
+            assert!(lp.is_feasible_point(&warm.values));
+        }
+    }
+
+    #[test]
+    fn warm_detects_infeasible() {
+        let mut lp = LinearProgram::new(1);
+        lp.add_constraint(vec![(0, q(1))], R::Ge, q(5));
+        lp.add_constraint(vec![(0, q(1))], R::Le, q(3));
+        assert_eq!(lp.solve_warm(&[0]).status, LpStatus::Infeasible);
+        assert_eq!(lp.solve_warm(&[]).status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn warm_detects_unbounded() {
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, q(-1));
+        lp.add_constraint(vec![(1, q(1))], R::Le, q(1));
+        assert_eq!(lp.solve_warm(&[1]).status, LpStatus::Unbounded);
+    }
+
+    #[test]
+    fn warm_inconsistent_zero_row() {
+        // x + y = 1 twice with different rhs: the crash leaves a zero row
+        // with nonzero b.
+        let mut lp = LinearProgram::new(2);
+        lp.add_constraint(vec![(0, q(1)), (1, q(1))], R::Eq, q(1));
+        lp.add_constraint(vec![(0, q(1)), (1, q(1))], R::Eq, q(2));
+        assert_eq!(lp.solve_warm(&[0, 1]).status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn warm_redundant_row_dropped() {
+        let mut lp = LinearProgram::new(2);
+        lp.add_constraint(vec![(0, q(1)), (1, q(1))], R::Eq, q(4));
+        lp.add_constraint(vec![(0, q(2)), (1, q(2))], R::Eq, q(8));
+        let warm = lp.solve_warm(&[0]);
+        assert_eq!(warm.status, LpStatus::Optimal);
+        assert!(lp.is_feasible_point(&warm.values));
     }
 }

@@ -1,10 +1,18 @@
-//! Two-phase primal simplex over exact rationals with Bland's rule.
+//! Solution types, and the dense two-phase tableau kept as a test-only
+//! differential oracle.
 //!
-//! The tableau is dense; every pivot keeps the basis columns as an exact
-//! identity, so the returned solution is a *basic feasible solution* — a
-//! vertex of the polyhedron. This is load-bearing for the callers: the
-//! Lenstra–Shmoys–Tardos rounding and the iterative rounding lemmas count
-//! positive variables against tight rows at a vertex.
+//! The dense tableau ([`LinearProgram::solve_dense`]) stores `B⁻¹A` in
+//! full and is far too slow for production sizes; it exists because it
+//! is the most obviously correct implementation of exact two-phase
+//! simplex with Bland's rule. The production revised solver is
+//! pivot-identical to it (same assembly, same entering rule, same ratio
+//! tie-break), and the differential suites pin status, objective,
+//! vertex, and basis against it. Every pivot keeps the basis columns as
+//! an exact identity, so the returned solution is a *basic feasible
+//! solution* — a vertex of the polyhedron. This is load-bearing for the
+//! callers: the Lenstra–Shmoys–Tardos rounding and the iterative
+//! rounding lemmas count positive variables against tight rows at a
+//! vertex.
 
 use numeric::Q;
 
@@ -22,7 +30,7 @@ pub enum LpStatus {
     Unbounded,
 }
 
-/// Result of [`LinearProgram::solve`].
+/// Result of an LP solve.
 #[derive(Clone, Debug)]
 pub struct LpSolution {
     /// Solve outcome; `values`/`objective_value` are meaningful only when
@@ -176,57 +184,13 @@ fn run_phase(t: &mut Tableau, cost: &[Q], allowed: &dyn Fn(usize) -> bool) -> Ph
     }
 }
 
-/// Which simplex implementation to run. [`Dense`](Solver::Dense),
-/// [`Sparse`](Solver::Sparse) and [`Revised`](Solver::Revised) are exact
-/// and follow the same Bland pivoting rules, so they return *identical*
-/// solutions.
-///
-/// [`Revised`](Solver::Revised) is the exact production solver
-/// (LU-factorized basis, eta updates, BTRAN/FTRAN pricing — no
-/// transformed tableau at all); [`Sparse`](Solver::Sparse) and
-/// [`Dense`](Solver::Dense) are the earlier tableau implementations,
-/// retained as differential references. [`Hybrid`](Solver::Hybrid) runs
-/// an f64 simplex first and certifies the proposed basis exactly,
-/// falling back to [`Revised`](Solver::Revised) when certification
-/// fails; its status and optimal objective always match the exact
-/// solvers, but a certified vertex may be a different optimal basic
-/// solution.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Solver {
-    /// Dense two-phase tableau (reference implementation).
-    Dense,
-    /// Sparse-row two-phase tableau (second reference).
-    Sparse,
-    /// Revised simplex against an exact factorized basis (default).
-    #[default]
-    Revised,
-    /// f64 revised simplex + exact certification, exact fallback.
-    Hybrid,
-}
-
 impl LinearProgram {
-    /// Solve the program exactly with two-phase primal simplex.
-    ///
-    /// Returns a basic feasible (vertex) solution when the status is
-    /// [`LpStatus::Optimal`]. Termination is guaranteed by Bland's rule.
-    /// Runs the default (revised) solver; see [`Solver`] and
+    /// Solve with the dense two-phase tableau. **Test-only**: this is
+    /// the differential oracle the production solvers are pinned
+    /// against, not a production path — it is `O(rows × cols)` per
+    /// pivot. Use [`solve`](Self::solve) or
     /// [`solve_with`](Self::solve_with).
-    pub fn solve(&self) -> LpSolution {
-        self.solve_with(Solver::default())
-    }
-
-    /// [`solve`](Self::solve) with an explicit implementation choice.
-    pub fn solve_with(&self, solver: Solver) -> LpSolution {
-        match solver {
-            Solver::Dense => self.solve_dense(),
-            Solver::Sparse => self.solve_sparse(),
-            Solver::Revised => self.solve_revised(),
-            Solver::Hybrid => self.solve_hybrid().0,
-        }
-    }
-
-    /// Solve with the dense reference implementation.
-    pub(crate) fn solve_dense(&self) -> LpSolution {
+    pub fn solve_dense(&self) -> LpSolution {
         let n = self.num_vars;
         let m = self.constraints.len();
 
@@ -241,13 +205,7 @@ impl LinearProgram {
                 row[*idx] += coef.clone();
             }
             let (row, rel, b) = if c.rhs.is_negative() {
-                let row: Vec<Q> = row.into_iter().map(|v| -v).collect();
-                let rel = match c.rel {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-                (row, rel, -c.rhs.clone())
+                (row.into_iter().map(|v| -v).collect(), c.rel.flipped(), -c.rhs.clone())
             } else {
                 (row, c.rel, c.rhs.clone())
             };

@@ -1,17 +1,16 @@
 //! Differential tests: the revised (factorized-basis) production solver,
-//! the sparse tableau, and the warm-started solvers against the dense
-//! reference implementation.
+//! the certified hybrid, and the warm-started solvers against the dense
+//! test oracle.
 //!
-//! The sparse and revised solvers are written to be *pivot-identical* to
-//! the dense one (same assembly, same Bland rules, same ratio
-//! tie-break), so on top of the status/objective agreement the ISSUE
-//! asks for we can assert the stronger property that the returned
-//! vertices — and bases — are equal across all three. The warm solvers
+//! The revised solver is written to be *pivot-identical* to the dense
+//! one (same assembly, same Bland rules, same ratio tie-break), so on top
+//! of status/objective agreement we can assert the stronger property
+//! that the returned vertices — and bases — are equal. The warm solvers
 //! take a different pivot path by design, so for them we assert semantic
 //! agreement: same status, same optimal objective, feasible vertex,
 //! vertex support bound.
 
-use lp::{LinearProgram, LpStatus, Pricing, Relation, RevisedOptions, Solver, WarmCache};
+use lp::{LinearProgram, LpStatus, Pricing, Relation, SolveOptions, Solver, WarmCache};
 use numeric::Q;
 use proptest::prelude::*;
 
@@ -55,10 +54,10 @@ fn random_lp(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Dense, sparse, and revised agree bit-for-bit on random
-    /// mixed-relation LPs — status, objective, vertex, and basis.
+    /// Dense and revised agree bit-for-bit on random mixed-relation LPs
+    /// — status, objective, vertex, and basis.
     #[test]
-    fn revised_and_sparse_match_dense_exactly(
+    fn revised_matches_dense_exactly(
         nv in 1usize..5,
         n_cons in 0usize..6,
         objs in proptest::collection::vec(-4i64..5, 5),
@@ -67,16 +66,14 @@ proptest! {
         rhss in proptest::collection::vec(-6i64..12, 6),
     ) {
         let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
-        let dense = lp.solve_with(Solver::Dense);
-        for solver in [Solver::Sparse, Solver::Revised] {
-            let other = lp.solve_with(solver);
-            prop_assert_eq!(dense.status, other.status, "{:?}", solver);
-            if dense.status == LpStatus::Optimal {
-                prop_assert_eq!(&dense.objective_value, &other.objective_value);
-                prop_assert_eq!(&dense.values, &other.values, "vertices must be identical ({:?})", solver);
-                prop_assert_eq!(&dense.basis, &other.basis, "bases must be identical ({:?})", solver);
-                prop_assert!(lp.is_feasible_point(&other.values));
-            }
+        let dense = lp.solve_dense();
+        let revised = lp.solve();
+        prop_assert_eq!(dense.status, revised.status);
+        if dense.status == LpStatus::Optimal {
+            prop_assert_eq!(&dense.objective_value, &revised.objective_value);
+            prop_assert_eq!(&dense.values, &revised.values, "vertices must be identical");
+            prop_assert_eq!(&dense.basis, &revised.basis, "bases must be identical");
+            prop_assert!(lp.is_feasible_point(&revised.values));
         }
     }
 
@@ -96,7 +93,7 @@ proptest! {
         // Nonnegative objective keeps the warm primal phase bounded, so
         // status comparison is exactly {Optimal, Infeasible}.
         let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
-        let reference = lp.solve_with(Solver::Dense);
+        let reference = lp.solve_dense();
         let hints: Vec<Vec<usize>> = vec![
             reference.basis.clone(),
             reference.basis.iter().copied().take(reference.basis.len() / 2).collect(),
@@ -104,10 +101,10 @@ proptest! {
             Vec::new(),
         ];
         for hint in hints {
-            // All warm implementations: the factorized production one,
-            // the sparse-tableau reference, and the certified hybrid.
-            for solver in [Solver::Revised, Solver::Sparse, Solver::Hybrid] {
-                let warm = lp.solve_warm_with(&hint, solver);
+            // Both warm implementations: the factorized exact one and the
+            // certified hybrid.
+            for solver in [Solver::Revised, Solver::Hybrid] {
+                let warm = lp.solve_warm_with(&hint, solver.into());
                 prop_assert_eq!(reference.status, warm.status, "hint {:?} ({:?})", &hint, solver);
                 if reference.status == LpStatus::Optimal {
                     prop_assert_eq!(&reference.objective_value, &warm.objective_value);
@@ -144,7 +141,7 @@ proptest! {
         let base = build(0).solve();
         let perturbed = build(delta);
         let warm = perturbed.solve_warm(&base.basis);
-        let cold = perturbed.solve_with(Solver::Dense);
+        let cold = perturbed.solve_dense();
         prop_assert_eq!(cold.status, warm.status);
         if cold.status == LpStatus::Optimal {
             prop_assert_eq!(&cold.objective_value, &warm.objective_value);
@@ -156,7 +153,7 @@ proptest! {
         for shift in [0i64, delta, delta.saturating_sub(1)] {
             let lp = build(shift);
             let cached = lp.solve_warm_cached(&mut cache);
-            let reference = lp.solve_with(Solver::Dense);
+            let reference = lp.solve_dense();
             prop_assert_eq!(reference.status, cached.status, "shift {}", shift);
             if reference.status == LpStatus::Optimal {
                 prop_assert_eq!(&reference.objective_value, &cached.objective_value);
@@ -181,8 +178,8 @@ proptest! {
         rhss in proptest::collection::vec(-6i64..12, 6),
     ) {
         let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
-        let exact = lp.solve_with(Solver::Revised);
-        let hybrid = lp.solve_with(Solver::Hybrid);
+        let exact = lp.solve();
+        let (hybrid, _) = lp.solve_with(Solver::Hybrid.into());
         prop_assert_eq!(exact.status, hybrid.status);
         if exact.status == LpStatus::Optimal {
             prop_assert_eq!(&exact.objective_value, &hybrid.objective_value);
@@ -205,10 +202,9 @@ proptest! {
         rhss in proptest::collection::vec(-6i64..12, 6),
     ) {
         let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
-        let (bland, _) = lp.solve_revised_with(&RevisedOptions::default());
+        let bland = lp.solve();
         for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let opts = RevisedOptions { pricing, ..RevisedOptions::default() };
-            let (sol, _) = lp.solve_revised_with(&opts);
+            let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
             prop_assert_eq!(bland.status, sol.status, "{:?}", pricing);
             if bland.status == LpStatus::Optimal {
                 prop_assert_eq!(&bland.objective_value, &sol.objective_value, "{:?}", pricing);
@@ -216,7 +212,7 @@ proptest! {
             }
             // The hybrid under the same strategy must stay certified-or-
             // fallback exact as well.
-            let (hyb, stats) = lp.solve_hybrid_priced(pricing);
+            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 });
             prop_assert_eq!(bland.status, hyb.status, "hybrid {:?}", pricing);
             prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
             if bland.status == LpStatus::Optimal {
@@ -249,11 +245,11 @@ proptest! {
         };
         for solver in [Solver::Revised, Solver::Hybrid] {
             for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-                let mut cache = WarmCache::with_solver_pricing(solver, pricing);
+                let mut cache = WarmCache::with_options(SolveOptions { solver, pricing, threads: 0 });
                 for shift in [0i64, delta, delta.saturating_sub(1)] {
                     let lp = build(shift);
                     let cached = lp.solve_warm_cached(&mut cache);
-                    let reference = lp.solve_with(Solver::Dense);
+                    let reference = lp.solve_dense();
                     prop_assert_eq!(
                         reference.status, cached.status,
                         "{:?}/{:?} shift {}", solver, pricing, shift
@@ -300,16 +296,15 @@ proptest! {
             rhs1,
         );
         lp.add_constraint(vec![(2, q(1))], Relation::Le, tweak(6, q(1)));
-        let exact = lp.solve_with(Solver::Revised);
+        let exact = lp.solve();
         for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let opts = RevisedOptions { pricing, ..RevisedOptions::default() };
-            let (sol, _) = lp.solve_revised_with(&opts);
+            let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
             prop_assert_eq!(exact.status, sol.status, "{:?} k = {}", pricing, k);
             if exact.status == LpStatus::Optimal {
                 prop_assert_eq!(&exact.objective_value, &sol.objective_value, "{:?} k = {}", pricing, k);
                 prop_assert!(lp.is_feasible_point(&sol.values));
             }
-            let (hyb, stats) = lp.solve_hybrid_priced(pricing);
+            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 });
             prop_assert_eq!(exact.status, hyb.status, "hybrid {:?} k = {}", pricing, k);
             prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
             if exact.status == LpStatus::Optimal {
@@ -356,8 +351,8 @@ proptest! {
             rhs1,
         );
         lp.add_constraint(vec![(2, q(1))], Relation::Le, tweak(6, q(1)));
-        let exact = lp.solve_with(Solver::Revised);
-        let hybrid = lp.solve_with(Solver::Hybrid);
+        let exact = lp.solve();
+        let (hybrid, _) = lp.solve_with(Solver::Hybrid.into());
         prop_assert_eq!(exact.status, hybrid.status);
         if exact.status == LpStatus::Optimal {
             prop_assert_eq!(&exact.objective_value, &hybrid.objective_value);

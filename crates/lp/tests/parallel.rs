@@ -12,7 +12,7 @@
 //! reduction would surface), and random binary MILPs for the B&B layer.
 
 use lp::{
-    solve_binary, BnbOptions, LinearProgram, LpStatus, Pricing, Relation, RevisedOptions, Solver,
+    solve_binary, BnbOptions, LinearProgram, LpStatus, Pricing, Relation, SolveOptions, Solver,
     WarmCache,
 };
 use numeric::Q;
@@ -107,11 +107,10 @@ fn beale_lp(k: u32, signs: &[bool], perturb_rhs: bool) -> LinearProgram {
 /// Assert the full bit-identity contract between a serial and a
 /// threaded revised solve of `lp` under `pricing`.
 fn assert_threads_invariant(lp: &LinearProgram, pricing: Pricing) {
-    let serial = RevisedOptions { pricing, threads: 1, ..RevisedOptions::default() };
-    let (reference, ref_stats) = lp.solve_revised_with(&serial);
+    let serial = SolveOptions { pricing, threads: 1, ..SolveOptions::default() };
+    let (reference, ref_stats) = lp.solve_with(serial);
     for threads in THREADS {
-        let opts = RevisedOptions { pricing, threads, ..RevisedOptions::default() };
-        let (sol, stats) = lp.solve_revised_with(&opts);
+        let (sol, stats) = lp.solve_with(SolveOptions { threads, ..serial });
         assert_eq!(reference.status, sol.status, "{pricing:?} threads={threads}");
         assert_eq!(reference.objective_value, sol.objective_value, "{pricing:?} threads={threads}");
         assert_eq!(reference.values, sol.values, "vertex {pricing:?} threads={threads}");
@@ -204,8 +203,8 @@ fn wide_lp_golden_is_thread_count_invariant() {
         for pricing in [Pricing::Bland, Pricing::PartialCandidate, Pricing::Devex] {
             assert_threads_invariant(&lp, pricing);
         }
-        let serial = RevisedOptions { threads: 1, ..RevisedOptions::default() };
-        let (reference, _) = lp.solve_revised_with(&serial);
+        let serial = SolveOptions { threads: 1, ..SolveOptions::default() };
+        let (reference, _) = lp.solve_with(serial);
         assert_eq!(reference.status, LpStatus::Optimal, "golden must be solvable");
     }
 }
@@ -217,13 +216,11 @@ fn wide_lp_golden_is_thread_count_invariant() {
 #[test]
 fn hybrid_warm_cache_is_thread_count_invariant() {
     let lp = wide_lp(80, 5);
-    let mut serial_cache = WarmCache::with_solver_pricing(Solver::Hybrid, Pricing::Bland);
-    serial_cache.set_threads(1);
-    let reference = lp.solve_warm_cached(&mut serial_cache);
+    let serial = SolveOptions { solver: Solver::Hybrid, pricing: Pricing::Bland, threads: 1 };
+    let reference = lp.solve_warm_cached(&mut WarmCache::with_options(serial));
     assert_eq!(reference.status, LpStatus::Optimal);
     for threads in THREADS {
-        let mut cache = WarmCache::with_solver_pricing(Solver::Hybrid, Pricing::Bland);
-        cache.set_threads(threads);
+        let mut cache = WarmCache::with_options(SolveOptions { threads, ..serial });
         // Cold-through-cache, then a warm re-solve of the same program.
         for pass in 0..2 {
             let sol = lp.solve_warm_cached(&mut cache);
@@ -234,7 +231,7 @@ fn hybrid_warm_cache_is_thread_count_invariant() {
             );
             assert_eq!(reference.values, sol.values, "vertex threads={threads} pass={pass}");
         }
-        assert_eq!(cache.threads(), threads, "configured count must round-trip");
+        assert_eq!(cache.options().threads, threads, "configured count must round-trip");
     }
 }
 

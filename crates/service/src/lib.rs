@@ -50,10 +50,11 @@
 //!   so a poisoned stream degrades the service instead of panicking it.
 
 use baselines::greedy::greedy_hierarchical;
+use hsched_core::formulations::{build_ip3_fixed, VarMap};
 use hsched_core::hier::{schedule_hierarchical, HierError};
 use hsched_core::{Assignment, Instance, Schedule, ScheduleError};
 use laminar::{topology, LaminarFamily, MachineSet};
-use lp::{BudgetError, LinearProgram, LpStatus, Relation, SolveBudget, Solver, WarmCache};
+use lp::{BudgetError, LpStatus, SolveBudget, SolveOptions, Solver, WarmCache};
 use numeric::Q;
 use simulator::{simulate, SimError};
 
@@ -368,50 +369,6 @@ impl<'a> Tracker<'a> {
     }
 }
 
-/// All finite `(set, job)` pairs of an instance — the fixed variable
-/// layout shared by every probe of one epoch's binary search.
-fn finite_pairs(instance: &Instance) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    for a in 0..instance.family().len() {
-        for j in 0..instance.num_jobs() {
-            if instance.ptime(j, a).is_some() {
-                pairs.push((a, j));
-            }
-        }
-    }
-    pairs
-}
-
-/// The (IP-3) relaxation at horizon `t` over the fixed layout `pairs`
-/// (pairs with `p > t` are left out of every constraint, which is
-/// feasibility-equivalent to pruning them).
-fn feasibility_lp(instance: &Instance, pairs: &[(usize, usize)], t: u64) -> LinearProgram {
-    let var_of = |set: usize, job: usize| pairs.iter().position(|&p| p == (set, job));
-    let mut lp = LinearProgram::new(pairs.len());
-    for j in 0..instance.num_jobs() {
-        let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
-            .filter(|&a| instance.ptime(j, a).is_some_and(|p| p <= t))
-            .map(|a| (var_of(a, j).expect("finite pair in layout"), Q::one()))
-            .collect();
-        lp.add_constraint(coeffs, Relation::Eq, Q::one());
-    }
-    for a in 0..instance.family().len() {
-        let mut coeffs: Vec<(usize, Q)> = Vec::new();
-        for b in instance.subsets_of(a) {
-            for j in 0..instance.num_jobs() {
-                if let Some(p) = instance.ptime(j, b) {
-                    if p <= t {
-                        coeffs.push((var_of(b, j).expect("finite pair in layout"), Q::from(p)));
-                    }
-                }
-            }
-        }
-        let cap = Q::from(instance.family().set(a).len() as u64) * Q::from(t);
-        lp.add_constraint(coeffs, Relation::Le, cap);
-    }
-    lp
-}
-
 /// Snapshot of the cache counters already folded into the report, so
 /// each epoch contributes exactly its own delta (see
 /// [`Scheduler::sync_cache_counters`]).
@@ -459,7 +416,11 @@ impl Scheduler {
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(cfg.ovh_den > 0, "overhead denominator must be positive");
         let m = cfg.family.num_machines();
-        let cache = WarmCache::with_solver_pricing(Solver::Hybrid, cfg.pricing);
+        let cache = WarmCache::with_options(SolveOptions {
+            solver: Solver::Hybrid,
+            pricing: cfg.pricing,
+            threads: 0,
+        });
         Scheduler {
             cfg,
             active: Vec::new(),
@@ -559,7 +520,7 @@ impl Scheduler {
     fn tstar_warm(
         &mut self,
         instance: &Instance,
-        pairs: &[(usize, usize)],
+        vm: &VarMap,
         lb: u64,
         ub: u64,
     ) -> Result<u64, BudgetError> {
@@ -567,7 +528,7 @@ impl Scheduler {
         let (mut lo, mut hi) = (lb, ub);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let lp = feasibility_lp(instance, pairs, mid);
+            let lp = build_ip3_fixed(instance, vm, mid);
             let sol = lp.solve_budgeted(&mut self.cache, &budget)?;
             if sol.status == LpStatus::Optimal {
                 hi = mid;
@@ -578,15 +539,15 @@ impl Scheduler {
         Ok(hi)
     }
 
-    /// The same search from a cold start: one fresh exact revised solver
-    /// per probe, no state shared with the (possibly faulted) warm cache.
-    fn tstar_cold(&self, instance: &Instance, pairs: &[(usize, usize)], lb: u64, ub: u64) -> u64 {
+    /// The same search from a cold start: one cold exact revised solve
+    /// per probe under the configured pricing, no state shared with the
+    /// (possibly faulted) warm cache.
+    fn tstar_cold(&self, instance: &Instance, vm: &VarMap, lb: u64, ub: u64) -> u64 {
+        let opts = SolveOptions { pricing: self.cfg.pricing, ..SolveOptions::default() };
         let (mut lo, mut hi) = (lb, ub);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let lp = feasibility_lp(instance, pairs, mid);
-            let mut cold = WarmCache::with_solver_pricing(Solver::Revised, self.cfg.pricing);
-            if lp.solve_warm_cached(&mut cold).status == LpStatus::Optimal {
+            if build_ip3_fixed(instance, vm, mid).solve_with(opts).0.status == LpStatus::Optimal {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -810,7 +771,7 @@ impl Scheduler {
 
         // --- Degradation ladder for the reference horizon T*. ---------
         let lb = r.instance.bottleneck_lower_bound().max(r.instance.volume_lower_bound());
-        let pairs = finite_pairs(&r.instance);
+        let vm = VarMap::finite(&r.instance);
         let (tier, t_star, t_greedy) = if deadline_overrun {
             // Exercise the real deadline path once — an already-expired
             // deadline must fail fast at the solve entry — then skip
@@ -820,7 +781,7 @@ impl Scheduler {
                 deadline: Some(std::time::Instant::now()),
             };
             if !r_specs.is_empty() {
-                let lp = feasibility_lp(&r.instance, &pairs, t_epoch);
+                let lp = build_ip3_fixed(&r.instance, &vm, t_epoch);
                 let res = lp.solve_budgeted(&mut self.cache, &expired);
                 debug_assert!(matches!(res, Err(BudgetError::DeadlineExpired)));
                 if res.is_err() {
@@ -832,15 +793,11 @@ impl Scheduler {
         } else if r_specs.is_empty() {
             (Tier::Warm, 0, None)
         } else {
-            match self.tstar_warm(&r.instance, &pairs, lb.min(t_epoch), t_epoch) {
+            match self.tstar_warm(&r.instance, &vm, lb.min(t_epoch), t_epoch) {
                 Ok(t) => (Tier::Warm, t, None),
                 Err(_) => {
                     self.report.budget_exhaustions += 1;
-                    (
-                        Tier::Cold,
-                        self.tstar_cold(&r.instance, &pairs, lb.min(t_epoch), t_epoch),
-                        None,
-                    )
+                    (Tier::Cold, self.tstar_cold(&r.instance, &vm, lb.min(t_epoch), t_epoch), None)
                 }
             }
         };
