@@ -5,7 +5,7 @@
 //! small instances the exact partitioned optimum is available through
 //! `hsched_core::exact` on a singleton family.
 
-use hsched_core::lst::lst_binary_search;
+use hsched_core::lst::{lpt_schedule, lst_binary_search};
 
 /// A partitioned (non-migratory) solution.
 #[derive(Clone, Debug)]
@@ -16,49 +16,19 @@ pub struct PartitionedResult {
     pub makespan: u64,
 }
 
-fn loads(p: &[Vec<Option<u64>>], m: usize, machine_of: &[usize]) -> Vec<u64> {
-    let mut l = vec![0u64; m];
-    for (j, &i) in machine_of.iter().enumerate() {
-        l[i] += p[j][i].expect("assignment uses admissible pairs");
-    }
-    l
-}
-
-/// Greedy list scheduling in LPT order: jobs sorted by their *best*
-/// processing time descending; each goes to the machine minimizing the
-/// resulting completion (load + p). Returns `None` if some job has no
-/// admissible machine.
+/// Greedy list scheduling in LPT order ([`lpt_schedule`]: best time
+/// descending, each job to the machine where it finishes first). Returns
+/// `None` if some job has no admissible machine.
 pub fn lpt_greedy(p: &[Vec<Option<u64>>], m: usize) -> Option<PartitionedResult> {
-    let n = p.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let best = |j: usize| p[j].iter().flatten().min().copied();
-    for j in 0..n {
-        best(j)?;
-    }
-    order.sort_by_key(|&j| std::cmp::Reverse(best(j).expect("checked")));
-    let mut load = vec![0u64; m];
-    let mut machine_of = vec![0usize; n];
-    for &j in &order {
-        let (i, _) = (0..m)
-            .filter_map(|i| p[j][i].map(|pij| (i, load[i] + pij)))
-            .min_by_key(|&(_, fin)| fin)?;
-        machine_of[j] = i;
-        load[i] += p[j][i].expect("admissible");
-    }
-    Some(PartitionedResult { makespan: load.into_iter().max().unwrap_or(0), machine_of })
+    let (machine_of, makespan) = lpt_schedule(p, m)?;
+    Some(PartitionedResult { machine_of, makespan })
 }
 
 /// The LST 2-approximation for `R||Cmax` (binary search + LP rounding).
 pub fn lst_partitioned(p: &[Vec<Option<u64>>], m: usize) -> Option<PartitionedResult> {
-    if p.is_empty() {
-        return Some(PartitionedResult { machine_of: Vec::new(), makespan: 0 });
-    }
-    let hi: u64 =
-        p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
-    let (_, rounding) = lst_binary_search(p, m, 1, hi)?;
-    let machine_of = rounding.machine_of;
-    let makespan = loads(p, m, &machine_of).into_iter().max().unwrap_or(0);
-    Some(PartitionedResult { machine_of, makespan })
+    let (_, rounding) = lst_binary_search(p, m)?;
+    let makespan = rounding.makespan(p, m);
+    Some(PartitionedResult { machine_of: rounding.machine_of, makespan })
 }
 
 #[cfg(test)]

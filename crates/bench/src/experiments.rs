@@ -491,8 +491,9 @@ pub fn e10() -> Report {
     Report::new("e10", "Runtime scaling of the 2-approximation (wall clock)", t)
         .seeds("seed = 7 for every size")
         .note(
-            "polynomial growth, dominated by the exact-rational simplex\n\
-             (sparse rows + warm-started probes + i128 fast-path rationals).",
+            "polynomial growth, mostly LP time: the one cold hybrid rounding\n\
+             solve at T* and the 0-2 warm hybrid probes inside the\n\
+             LPT-witnessed bracket.",
         )
 }
 

@@ -1,7 +1,9 @@
 //! The polynomial-time approximation algorithms.
 //!
 //! * [`two_approx`] — Theorem V.2: binary-search the minimal integral `T`
-//!   at which the LP relaxation of (IP-3) is feasible (`T* ≤ OPT`), turn
+//!   at which the LP relaxation of (IP-3) is feasible (`T* ≤ OPT`),
+//!   between a volume/bottleneck lower bound and the makespan of an LPT
+//!   list schedule (a feasible horizon that needs no LP probe), turn
 //!   the fractional solution into an unrelated-machines one (Lemma V.1
 //!   push-down — or, equivalently, solve the singleton LP directly), and
 //!   round with Lenstra–Shmoys–Tardos. The integral assignment uses only
@@ -19,7 +21,7 @@ use crate::assignment::Assignment;
 use crate::formulations::Ip3Probe;
 use crate::hier::schedule_hierarchical;
 use crate::instance::Instance;
-use crate::lst::{lst_assign, lst_binary_search};
+use crate::lst::{least_feasible, lst_assign, lst_binary_search, lst_bracket};
 use crate::pushdown::{is_fractionally_feasible, push_down_all, supported_on_singletons};
 use crate::schedule::Schedule;
 
@@ -85,14 +87,14 @@ pub fn two_approx_with(instance: &Instance, method: TwoApproxMethod) -> TwoAppro
         };
     }
 
-    let lo = completed.bottleneck_lower_bound().max(completed.volume_lower_bound()).max(1);
-    let hi = completed.sequential_upper_bound().max(lo);
-
-    // The direct search ends with the LST rounding at T*; the push-down
-    // search rounds once after its own search.
+    // Both searches share `lst_bracket`: the LPT schedule's makespan is
+    // feasible for the singleton LP and, as a singleton assignment, for
+    // (IP-3). The direct search ends with the LST rounding at T*; the
+    // push-down search rounds once after its own search.
     let (t_star, rounding) = match method {
-        TwoApproxMethod::DirectSingleton => lst_binary_search(&p, m, lo, hi)
-            .expect("completed instances always feasible at the sequential bound"),
+        TwoApproxMethod::DirectSingleton => {
+            lst_binary_search(&p, m).expect("completed instances have a machine for every job")
+        }
         TwoApproxMethod::PushDown => {
             // Oracle: hierarchical LP of (IP-3); by Lemma V.1 its minimal
             // feasible T equals the singleton LP's. Probes re-solve
@@ -100,36 +102,21 @@ pub fn two_approx_with(instance: &Instance, method: TwoApproxMethod) -> TwoAppro
             // solve_warm); the push-down is run at each feasible probe to
             // produce the singleton witness the theorem's proof describes
             // (and tests assert its validity).
+            let (lo, hi) =
+                lst_bracket(&p, m).expect("completed instances have a machine for every job");
             let mut probe = Ip3Probe::new(&completed);
-            let mut feasible = |t: u64| -> bool {
-                match probe.solve(t) {
-                    None => false,
-                    Some(mut x) => {
-                        let tq = Q::from(t);
-                        push_down_all(&completed, probe.varmap(), &mut x, &tq)
-                            .expect("feasible solutions push down");
-                        debug_assert!(is_fractionally_feasible(
-                            &completed,
-                            probe.varmap(),
-                            &x,
-                            &tq
-                        ));
-                        debug_assert!(supported_on_singletons(&completed, probe.varmap(), &x));
-                        true
-                    }
+            let t_star = least_feasible(lo, hi, |t| match probe.solve(t) {
+                None => false,
+                Some(mut x) => {
+                    let tq = Q::from(t);
+                    push_down_all(&completed, probe.varmap(), &mut x, &tq)
+                        .expect("feasible solutions push down");
+                    debug_assert!(is_fractionally_feasible(&completed, probe.varmap(), &x, &tq));
+                    debug_assert!(supported_on_singletons(&completed, probe.varmap(), &x));
+                    true
                 }
-            };
-            let (mut lo, mut hi) = (lo, hi);
-            debug_assert!(feasible(hi));
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if feasible(mid) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            (lo, lst_assign(&p, m, lo).expect("T* is feasible by construction"))
+            });
+            (t_star, lst_assign(&p, m, t_star).expect("T* is feasible by construction"))
         }
     };
 
@@ -265,26 +252,18 @@ pub fn eight_approx(gi: &GeneralInstance) -> Option<EightApproxResult> {
             preemptive_lb: 0,
         });
     }
-    let hi: u64 =
-        p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
-    let (t_star, rounding) = lst_binary_search(&p, m, 1, hi)?;
+    let (t_star, rounding) = lst_binary_search(&p, m)?;
     let makespan = rounding.makespan(&p, m);
 
     // Preemptive LP lower bound by binary search.
-    let (mut lo, mut phi) = (1u64, hi);
-    while !preemptive_feasible(&p, m, phi) {
-        phi = phi.saturating_mul(2);
+    let mut hi: u64 =
+        p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
+    while !preemptive_feasible(&p, m, hi) {
+        hi = hi.saturating_mul(2);
     }
-    while lo < phi {
-        let mid = lo + (phi - lo) / 2;
-        if preemptive_feasible(&p, m, mid) {
-            phi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
+    let preemptive_lb = least_feasible(1, hi, |t| preemptive_feasible(&p, m, t));
 
-    Some(EightApproxResult { machine_of: rounding.machine_of, makespan, t_star, preemptive_lb: lo })
+    Some(EightApproxResult { machine_of: rounding.machine_of, makespan, t_star, preemptive_lb })
 }
 
 #[cfg(test)]

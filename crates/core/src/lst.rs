@@ -9,7 +9,7 @@
 //! each machine receives at most one matched job of size ≤ `T`, so the
 //! rounded makespan is at most `(machine load ≤ T) + T = 2T`.
 
-use lp::{LinearProgram, LpStatus, Relation};
+use lp::{LinearProgram, LpStatus, Relation, Solver};
 use numeric::Q;
 
 /// Outcome of [`lst_assign`].
@@ -41,46 +41,29 @@ impl LstAssignment {
     }
 }
 
-/// Solve the pruned unrelated-machines LP at horizon `t` and round it.
-///
-/// `p[j][i]` is the processing time of job `j` on machine `i` (`None` =
-/// inadmissible). Returns `None` when the LP is infeasible at `t` (or
-/// some job has no machine with `p_ij ≤ t`).
-pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
+/// The pruned unrelated-machines LP at horizon `t`: one variable per
+/// pair `(j, i)` with `p_ij ≤ t` (job-major order), one assignment row
+/// per job, then one capacity row per machine that has a pair. Returns
+/// the LP and `var_of[j][i]` (`usize::MAX` = pruned), or `None` when
+/// some job has no pair left.
+fn pruned_lp(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<(LinearProgram, Vec<Vec<usize>>)> {
     let n = p.len();
-    if n == 0 {
-        return Some(LstAssignment {
-            machine_of: Vec::new(),
-            fallback_used: false,
-            fractional: Vec::new(),
-        });
-    }
-    // Variable layout: pairs (j, i) with p[j][i] ≤ t.
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut var_of = vec![vec![usize::MAX; m]; n];
+    let mut num_vars = 0;
     for (j, row) in p.iter().enumerate() {
         assert_eq!(row.len(), m, "p must be n × m");
-        let mut any = false;
         for (i, time) in row.iter().enumerate() {
-            if let Some(time) = time {
-                if *time <= t {
-                    pairs.push((j, i));
-                    any = true;
-                }
+            if time.is_some_and(|time| time <= t) {
+                var_of[j][i] = num_vars;
+                num_vars += 1;
             }
         }
-        if !any {
+        if var_of[j].iter().all(|&v| v == usize::MAX) {
             return None;
         }
     }
-    let var_of = {
-        let mut map = vec![vec![usize::MAX; m]; n];
-        for (v, &(j, i)) in pairs.iter().enumerate() {
-            map[j][i] = v;
-        }
-        map
-    };
 
-    let mut lp = LinearProgram::new(pairs.len());
+    let mut lp = LinearProgram::new(num_vars);
     for j in 0..n {
         let coeffs: Vec<(usize, Q)> = (0..m)
             .filter(|&i| var_of[j][i] != usize::MAX)
@@ -97,7 +80,33 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
             lp.add_constraint(coeffs, Relation::Le, Q::from(t));
         }
     }
-    let sol = lp.solve();
+    Some((lp, var_of))
+}
+
+/// Solve the pruned unrelated-machines LP at horizon `t` and round it.
+///
+/// `p[j][i]` is the processing time of job `j` on machine `i` (`None` =
+/// inadmissible). Returns `None` when the LP is infeasible at `t` (or
+/// some job has no machine with `p_ij ≤ t`).
+///
+/// The LP runs under [`lp::Solver::Hybrid`]: a float simplex proposes a
+/// basis, one exact factorization certifies it, and any failure falls
+/// back to the exact solver, so feasibility is decided exactly. The
+/// objective is zero, so the vertex is wherever phase 1 stops; the float
+/// proposer mirrors Bland's rule, and on the instance families tested
+/// (`hybrid_rounding_lp_returns_the_exact_vertex`) the certified vertex
+/// is the exact solver's.
+pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
+    let n = p.len();
+    if n == 0 {
+        return Some(LstAssignment {
+            machine_of: Vec::new(),
+            fallback_used: false,
+            fractional: Vec::new(),
+        });
+    }
+    let (lp, var_of) = pruned_lp(p, m, t)?;
+    let (sol, _) = lp.solve_with(Solver::Hybrid.into());
     if sol.status != LpStatus::Optimal {
         return None;
     }
@@ -176,7 +185,7 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
 }
 
 /// Warm-started feasibility oracle for the pruned unrelated-machines LP
-/// at varying horizons — the hot loop of [`lst_binary_search`].
+/// at varying horizons — the probes of [`lst_binary_search`].
 ///
 /// The variable layout is *fixed*: one variable per finite `(job,
 /// machine)` pair, with pairs pruned at a given `t` simply omitted from
@@ -249,43 +258,79 @@ impl<'a> LstProbe<'a> {
     }
 }
 
-/// Binary-search the minimal integral `t` for which the pruned LP is
-/// feasible (the LST deadline `T*`), between `lo` and `hi` inclusive.
-/// Returns the minimal feasible `t` and its rounding.
+/// Greedy list scheduling in LPT order: jobs sorted by their *best*
+/// processing time descending (stable, so ties keep job order); each goes
+/// to the machine minimizing its completion `load + p_ij`, the lowest
+/// index on ties. Returns `machine_of` and the makespan, or `None` if
+/// some job has no admissible machine.
+pub fn lpt_schedule(p: &[Vec<Option<u64>>], m: usize) -> Option<(Vec<usize>, u64)> {
+    let best: Vec<u64> =
+        p.iter().map(|row| row.iter().flatten().min().copied()).collect::<Option<_>>()?;
+    let mut order: Vec<usize> = (0..p.len()).collect();
+    order.sort_by_key(|&j| std::cmp::Reverse(best[j]));
+    let mut load = vec![0u64; m];
+    let mut machine_of = vec![0usize; p.len()];
+    for &j in &order {
+        let (i, _) = (0..m)
+            .filter_map(|i| p[j][i].map(|pij| (i, load[i] + pij)))
+            .min_by_key(|&(_, fin)| fin)?;
+        machine_of[j] = i;
+        load[i] += p[j][i].expect("admissible");
+    }
+    Some((machine_of, load.into_iter().max().unwrap_or(0)))
+}
+
+/// A bracket `[lo, hi]` on the LST deadline `T*`, with `hi` feasible, or
+/// `None` if some job has no admissible machine.
 ///
-/// The probes run through the warm-started [`LstProbe`]; only the final
-/// rounding at the minimal `t` solves cold (so the returned vertex — and
-/// hence the rounded assignment — is identical to the unsearched
-/// `lst_assign(p, m, t*)`).
-pub fn lst_binary_search(
-    p: &[Vec<Option<u64>>],
-    m: usize,
+/// `lo = max(1, max_j min_i p_ij, ⌈Σ_j min_i p_ij / m⌉)`: every job needs
+/// a pair `p_ij ≤ T`, and the loads, each at most `T`, carry at least
+/// `Σ_j min_i p_ij`. `hi` is the makespan of [`lpt_schedule`]. That
+/// schedule is an integral point of the LP at its own makespan (every
+/// assigned `p_ij` is at most its machine's load), so `hi` needs no
+/// probe; and since each job lands where it finishes first, at most
+/// `min_i p_ij` above the makespan so far, `hi ≤ Σ_j min_i p_ij`.
+pub(crate) fn lst_bracket(p: &[Vec<Option<u64>>], m: usize) -> Option<(u64, u64)> {
+    let (_, makespan) = lpt_schedule(p, m)?;
+    let best: Vec<u64> = p.iter().filter_map(|row| row.iter().flatten().min().copied()).collect();
+    let volume = best.iter().sum::<u64>().div_ceil(m.max(1) as u64);
+    let lo = best.into_iter().max().unwrap_or(0).max(volume).max(1);
+    Some((lo, makespan.max(lo)))
+}
+
+/// The least `t` in `[lo, hi]` with `feasible(t)`, for a monotone
+/// `feasible` that holds at `hi` (never probed there).
+pub(crate) fn least_feasible(
     mut lo: u64,
     mut hi: u64,
-) -> Option<(u64, LstAssignment)> {
-    let mut probe = LstProbe::new(p, m);
-    // Ensure hi is feasible; expand geometrically if the caller's bound
-    // was too tight.
-    let mut guard = 0;
-    while !probe.feasible(hi) {
-        hi = hi.saturating_mul(2).max(1);
-        guard += 1;
-        if guard > 64 {
-            return None;
-        }
-    }
-    if lo > hi {
-        lo = hi;
-    }
+    mut feasible: impl FnMut(u64) -> bool,
+) -> u64 {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if probe.feasible(mid) {
+        if feasible(mid) {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    lst_assign(p, m, lo).map(|a| (lo, a))
+    lo
+}
+
+/// The minimal integral `t ≥ 1` for which the pruned LP is feasible (the
+/// LST deadline `T*`) and its rounding, or `None` if some job has no
+/// admissible machine.
+///
+/// The search brackets `T*` itself — a volume and bottleneck lower bound,
+/// and the makespan of [`lpt_schedule`] as a feasible upper bound — and
+/// probes only inside `[lo, hi)` through the warm-started [`LstProbe`].
+/// Only the final rounding at `T*` solves cold, so the returned vertex —
+/// and hence the rounded assignment — is identical to the unsearched
+/// `lst_assign(p, m, T*)`.
+pub fn lst_binary_search(p: &[Vec<Option<u64>>], m: usize) -> Option<(u64, LstAssignment)> {
+    let (lo, hi) = lst_bracket(p, m)?;
+    let mut probe = LstProbe::new(p, m);
+    let t_star = least_feasible(lo, hi, |t| probe.feasible(t));
+    lst_assign(p, m, t_star).map(|a| (t_star, a))
 }
 
 #[cfg(test)]
@@ -315,7 +360,7 @@ mod tests {
         let p: Vec<Vec<Option<u64>>> = (0..6)
             .map(|j| (0..3).map(|i| Some(1 + ((j * 7 + i * 13) % 10) as u64)).collect())
             .collect();
-        let (t_star, a) = lst_binary_search(&p, 3, 1, 100).unwrap();
+        let (t_star, a) = lst_binary_search(&p, 3).unwrap();
         assert!(!a.fallback_used);
         assert!(a.makespan(&p, 3) <= 2 * t_star, "LST bound violated");
     }
@@ -338,7 +383,7 @@ mod tests {
             vec![None, Some(2), Some(2)],
             vec![Some(2), None, Some(2)],
         ];
-        let (t_star, a) = lst_binary_search(&p, 3, 1, 10).unwrap();
+        let (t_star, a) = lst_binary_search(&p, 3).unwrap();
         assert_eq!(t_star, 2);
         assert!(a.makespan(&p, 3) <= 4);
         // All three jobs on distinct machines is the only way ≤ 2·2 here
@@ -351,7 +396,7 @@ mod tests {
     #[test]
     fn single_machine_stacks() {
         let p = vec![vec![Some(2)], vec![Some(3)], vec![Some(4)]];
-        let (t_star, a) = lst_binary_search(&p, 1, 1, 100).unwrap();
+        let (t_star, a) = lst_binary_search(&p, 1).unwrap();
         assert_eq!(t_star, 9);
         assert_eq!(a.makespan(&p, 1), 9);
     }
@@ -363,9 +408,51 @@ mod tests {
     }
 
     #[test]
-    fn binary_search_expands_hi() {
+    fn closed_bracket_needs_no_probe() {
+        // The bottleneck bound meets the LPT makespan: T* = 1000 with no
+        // probe at all.
         let p = vec![vec![Some(1000)]];
-        let (t_star, _) = lst_binary_search(&p, 1, 1, 2).unwrap();
+        assert_eq!(lst_bracket(&p, 1), Some((1000, 1000)));
+        let t_star = least_feasible(1000, 1000, |_| unreachable!("closed bracket"));
         assert_eq!(t_star, 1000);
+        let (t_star, a) = lst_binary_search(&p, 1).unwrap();
+        assert_eq!((t_star, a.machine_of), (1000, vec![0]));
+    }
+
+    #[test]
+    fn hybrid_rounding_lp_returns_the_exact_vertex() {
+        // The perfbench offline shapes at their T*: the zero-objective
+        // LST LP has one vertex Bland's phase 1 reaches, and the hybrid
+        // must certify exactly that vertex.
+        use laminar::topology;
+        let mut rng = workloads::rng(15);
+        let families = [
+            topology::semi_partitioned(8),
+            topology::semi_partitioned(24),
+            topology::clustered(3, 4),
+            topology::clustered(2, 11),
+            topology::smp_cmp(&[2, 2, 2]),
+            topology::smp_cmp(&[3, 2, 4]),
+        ];
+        for (family, n) in families.iter().flat_map(|f| [20, 34, 48].map(|n| (f, n))) {
+            let inst =
+                workloads::random::overhead_instance(family.clone(), n, 5, 60, 1, 4, &mut rng);
+            let completed = inst.with_singletons();
+            let m = completed.num_machines();
+            // `approx::singleton_times` by hand: `workloads` builds the
+            // library's `Instance`, not this test build's.
+            let singles = completed.singleton_index();
+            let p: Vec<Vec<Option<u64>>> = (0..n)
+                .map(|j| (0..m).map(|i| singles[i].and_then(|a| completed.ptime(j, a))).collect())
+                .collect();
+            let (t_star, _) = lst_binary_search(&p, m).unwrap();
+            let (lp, _) = pruned_lp(&p, m, t_star).unwrap();
+            let (exact, _) = lp.solve_with(Solver::Revised.into());
+            let (hybrid, stats) = lp.solve_with(Solver::Hybrid.into());
+            let shape = format!("n {n}, m {m}, |A| {}, T* {t_star}", completed.family().len());
+            assert_eq!(exact.status, LpStatus::Optimal, "{shape}");
+            assert_eq!(hybrid.values, exact.values, "{shape}: same vertex");
+            assert_eq!(stats.hybrid_certified, 1, "{shape}: certified, no fallback");
+        }
     }
 }

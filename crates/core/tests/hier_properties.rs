@@ -4,7 +4,7 @@
 
 use hsched_core::approx::{two_approx, two_approx_with, TwoApproxMethod};
 use hsched_core::hier::{allocate_loads, schedule_hierarchical, shared_machines};
-use hsched_core::lst::{lst_assign, lst_binary_search};
+use hsched_core::lst::{lpt_schedule, lst_assign, lst_binary_search};
 use hsched_core::memory::{model1_lp_t_star, model1_round, MemoryModel1};
 use hsched_core::{Assignment, Instance};
 use laminar::topology;
@@ -132,10 +132,15 @@ proptest! {
                     .collect()
             })
             .collect();
-        let hi: u64 = p.iter().map(|r| r.iter().flatten().min().unwrap()).sum();
-        let Some((t_star, _)) = lst_binary_search(&p, m, 1, hi.max(1)) else {
+        let Some((t_star, _)) = lst_binary_search(&p, m) else {
             return Err(TestCaseError::fail("search must succeed"));
         };
+        // The search's upper bracket: the LPT makespan is a feasible
+        // horizon, no wider than the sequential bound Σ_j min_i p_ij.
+        let (_, lpt) = lpt_schedule(&p, m).expect("every pair is finite");
+        let sequential: u64 = p.iter().map(|r| r.iter().flatten().min().unwrap()).sum();
+        prop_assert!(lst_assign(&p, m, lpt).is_some(), "LPT makespan {lpt} is feasible");
+        prop_assert!(t_star <= lpt && lpt <= sequential, "T* {t_star} ≤ {lpt} ≤ {sequential}");
         // Any deadline ≥ t_star is feasible and rounds within 2 deadlines.
         let t = t_star + slack;
         let a = lst_assign(&p, m, t).expect("monotone feasibility");
