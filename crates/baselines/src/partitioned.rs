@@ -1,7 +1,8 @@
 //! Partitioned scheduling on unrelated machines (`R||Cmax`).
 //!
 //! Two baselines: a cheap LPT-style greedy list scheduler and the LST
-//! LP-rounding 2-approximation (reusing the core's implementation). For
+//! LP-rounding 2-approximation (reusing the core's implementation, which
+//! rounds from the LPT vertex and keeps the better of the two). For
 //! small instances the exact partitioned optimum is available through
 //! `hsched_core::exact` on a singleton family.
 
@@ -25,6 +26,8 @@ pub fn lpt_greedy(p: &[Vec<Option<u64>>], m: usize) -> Option<PartitionedResult>
 }
 
 /// The LST 2-approximation for `R||Cmax` (binary search + LP rounding).
+/// Its makespan is at most both `2·T*` and the LPT makespan: the core
+/// returns the LPT schedule when it beats the rounding.
 pub fn lst_partitioned(p: &[Vec<Option<u64>>], m: usize) -> Option<PartitionedResult> {
     let (_, rounding) = lst_binary_search(p, m)?;
     let makespan = rounding.makespan(p, m);

@@ -9,12 +9,13 @@ use std::time::{Duration, Instant};
 
 use baselines::greedy::greedy_hierarchical;
 use baselines::mcnaughton::mcnaughton;
-use baselines::partitioned::{lpt_greedy, lst_partitioned};
+use baselines::partitioned::lpt_greedy;
 use baselines::semi::semi_first_fit;
 use hsched_core::approx::{
     eight_approx, singleton_times, two_approx, two_approx_with, GeneralInstance, TwoApproxMethod,
 };
 use hsched_core::exact::{solve_exact, ExactError, ExactOptions};
+use hsched_core::lst::{lpt_schedule, lst_assign, lst_binary_search};
 use hsched_core::memory::{model1_lp_t_star, model1_round, model2_lp_t_star, model2_round};
 use hsched_core::semi::schedule_semi_partitioned;
 use hsched_core::Assignment;
@@ -91,13 +92,22 @@ pub fn e3(seeds: u64) -> Report {
 pub fn e3_with(seeds: u64, budget: Duration) -> Report {
     let start = Instant::now();
     let opts = ExactOptions { node_limit: E3_NODE_LIMIT, ..Default::default() };
-    let mut t =
-        Table::new(&["topology", "n", "mean ratio", "max ratio", "T*≤OPT", "runs", "skipped"]);
+    let mut t = Table::new(&[
+        "topology",
+        "n",
+        "mean ratio",
+        "max ratio",
+        "LST-only mean",
+        "T*≤OPT",
+        "runs",
+        "skipped",
+    ]);
     let mut global_max = 0.0f64;
     let mut truncated = false;
     'sweep: for (name, fam) in fixtures::e3_topologies() {
         for n in E3_SIZES {
             let mut ratios = Vec::new();
+            let mut lst_ratios = Vec::new();
             let mut skipped = 0usize;
             let mut tstar_ok = true;
             for seed in 0..seeds {
@@ -121,24 +131,43 @@ pub fn e3_with(seeds: u64, budget: Duration) -> Report {
                 );
                 tstar_ok &= approx.t_star <= exact.t;
                 ratios.push(ratio);
+                // The paper's algorithm alone: the LST rounding before the
+                // better-of choice with the LPT schedule.
+                let p = singleton_times(&approx.instance);
+                let lst_only = lst_assign(&p, approx.instance.num_machines(), approx.t_star)
+                    .expect("T* is feasible")
+                    .lst_makespan;
+                assert!(
+                    lst_only <= 2 * exact.t,
+                    "LST guarantee violated: {name} n={n} seed={seed}"
+                );
+                lst_ratios.push(lst_only as f64 / exact.t as f64);
             }
             if ratios.is_empty() && skipped == 0 {
                 continue;
             }
             // All probes skipped: no proven optima, so no ratio to report.
-            let (mean_cell, max_cell, tstar_cell) = if ratios.is_empty() {
-                ("n/a".to_string(), "n/a".to_string(), "n/a".to_string())
+            let (mean_cell, max_cell, lst_cell, tstar_cell) = if ratios.is_empty() {
+                let na = || "n/a".to_string();
+                (na(), na(), na(), na())
             } else {
                 let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
                 let max = ratios.iter().cloned().fold(0.0, f64::max);
+                let lst_mean = lst_ratios.iter().sum::<f64>() / lst_ratios.len() as f64;
                 global_max = global_max.max(max);
-                (format!("{mean:.4}"), format!("{max:.4}"), tstar_ok.to_string())
+                (
+                    format!("{mean:.4}"),
+                    format!("{max:.4}"),
+                    format!("{lst_mean:.4}"),
+                    tstar_ok.to_string(),
+                )
             };
             t.row(vec![
                 name.to_string(),
                 n.to_string(),
                 mean_cell,
                 max_cell,
+                lst_cell,
                 tstar_cell,
                 ratios.len().to_string(),
                 skipped.to_string(),
@@ -154,7 +183,11 @@ pub fn e3_with(seeds: u64, budget: Duration) -> Report {
         "seed = k*97 + n for k in 0..{seeds}, n in {:?}; node budget {} per exact probe, wall budget {:?}",
         E3_SIZES, E3_NODE_LIMIT, budget
     ))
-    .note(format!("max ratio observed {global_max:.4} ≤ 2 (theorem holds)"));
+    .note(format!("max ratio observed {global_max:.4} ≤ 2 (theorem holds)"))
+    .note(
+        "'LST-only' is the LST rounding's own makespan (also asserted ≤ 2·OPT);\n\
+         two_approx returns the better of it and the LPT schedule.",
+    );
     if truncated {
         r = r.note(format!(
             "NOTE: sweep truncated at the {budget:?} wall-clock budget after {:?}",
@@ -254,7 +287,11 @@ pub fn e5(seeds: u64) -> Report {
             let completed = inst.with_singletons();
             let p = singleton_times(&completed);
             let lpt = lpt_greedy(&p, m).expect("feasible").makespan as f64;
-            let lst = lst_partitioned(&p, m).expect("feasible").makespan as f64;
+            // The LST rounding's own makespan, not the better-of-LPT choice
+            // that `lst_partitioned` returns, which would repeat the LPT
+            // column.
+            let (_, rounding) = lst_binary_search(&p, m).expect("feasible");
+            let lst = rounding.lst_makespan as f64;
             let global_ps: Vec<u64> =
                 (0..inst.num_jobs()).map(|j| inst.ptime(j, 0).expect("root finite")).collect();
             let mcn = mcnaughton(&global_ps, m).t.to_f64();
@@ -290,7 +327,9 @@ pub fn e5(seeds: u64) -> Report {
         .note(
             "shape: at 0% overhead migration is free (global/semi win); as overhead\n\
              grows the no-migration policies catch up and the hierarchy-aware\n\
-             algorithms track the better of the two. T* lower-bounds everything.",
+             algorithms track the better of the two. T* lower-bounds everything.\n\
+             'partitioned LST' is the LST rounding's own makespan; 2-approx returns\n\
+             the better of its rounding and the LPT schedule.",
         )
 }
 
@@ -474,11 +513,14 @@ pub fn e9(seeds: u64) -> Report {
 /// E10 — runtime scaling of the 2-approximation pipeline.
 pub fn e10() -> Report {
     let mut t = Table::new(&["n", "m", "|A|", "T*", "makespan", "time"]);
-    for (n, m) in [(8usize, 3usize), (16, 4), (24, 6), (32, 8), (48, 12), (50, 20)] {
+    let mut closed = 0usize;
+    let sizes = [(8usize, 3usize), (16, 4), (24, 6), (32, 8), (48, 12), (50, 20)];
+    for (n, m) in sizes {
         let inst = fixtures::e10_instance(n, m, 7);
         let start = Instant::now();
         let res = two_approx(&inst);
         let dt = start.elapsed();
+        closed += usize::from(lpt_makespan(&res.instance) == res.t_star);
         t.row(vec![
             n.to_string(),
             m.to_string(),
@@ -490,11 +532,20 @@ pub fn e10() -> Report {
     }
     Report::new("e10", "Runtime scaling of the 2-approximation (wall clock)", t)
         .seeds("seed = 7 for every size")
-        .note(
-            "polynomial growth, mostly LP time: the one cold hybrid rounding\n\
-             solve at T* and the 0-2 warm hybrid probes inside the\n\
-             LPT-witnessed bracket.",
-        )
+        .note(format!(
+            "polynomial growth. {closed} of {} brackets close (T* = LPT makespan): no LP\n\
+             is solved and the LPT schedule is returned. An open bracket costs the warm\n\
+             hybrid probes inside [LB, LPT), the first started from the LPT basis, and\n\
+             one hybrid rounding solve started from the LPT basis.",
+            sizes.len()
+        ))
+}
+
+/// The LPT makespan of a singleton-completed instance: the upper end of
+/// the `T*` bracket, equal to `T*` exactly when the bracket closes.
+fn lpt_makespan(completed: &hsched_core::Instance) -> u64 {
+    let p = singleton_times(completed);
+    lpt_schedule(&p, completed.num_machines()).expect("completed instances are schedulable").1
 }
 
 /// Default wall-clock budget for a full E11 run.
@@ -502,6 +553,10 @@ pub const E11_DEFAULT_BUDGET: Duration = Duration::from_secs(60);
 
 /// (n, m) of E11's large-m `two_approx` operating point.
 pub const E11_TWO_APPROX_SIZE: (usize, usize) = (64, 1024);
+
+/// (n, m) of E11's open-bracket `two_approx` row, whose `T*` lies below
+/// the LPT makespan, so the search and the rounding solve LPs.
+pub const E11_OPEN_BRACKET_SIZE: (usize, usize) = (512, 128);
 
 /// E11 — the scale axis (default budget): the m = 1024 `two_approx`
 /// operating point and the warm-vs-cold branch-and-bound ablation on the
@@ -517,21 +572,33 @@ pub fn e11_with(budget: Duration) -> Report {
     let mut t = Table::new(&["case", "n", "m", "baseline", "new", "speedup"]);
     let mut truncated = false;
 
-    // --- two_approx at the large-m operating point. ---------------------
-    if start.elapsed() > budget {
-        truncated = true;
-    } else {
-        let (n, m) = E11_TWO_APPROX_SIZE;
-        let inst = fixtures::e10_instance(n, m, 7);
+    // --- two_approx at the large-m point and on an open bracket. --------
+    let (n, m) = E11_TWO_APPROX_SIZE;
+    let (n_open, m_open) = E11_OPEN_BRACKET_SIZE;
+    let two_approx_rows = [
+        ("two_approx (revised+flat)", n, m, fixtures::e10_instance(n, m, 7)),
+        (
+            "two_approx (open bracket)",
+            n_open,
+            m_open,
+            fixtures::open_bracket_instance(n_open, m_open, 1),
+        ),
+    ];
+    for (case, n, m, inst) in two_approx_rows {
+        if start.elapsed() > budget {
+            truncated = true;
+            break;
+        }
         let t0 = Instant::now();
         let res = two_approx(&inst);
         let d = t0.elapsed();
         assert!(
             res.makespan <= Q::from(2 * res.t_star),
-            "2-approximation guarantee violated at m={m}"
+            "2-approximation guarantee violated at n={n} m={m}"
         );
+        let bracket = if lpt_makespan(&res.instance) == res.t_star { "closed" } else { "open" };
         t.row(vec![
-            "two_approx (revised+flat)".into(),
+            format!("{case}, {bracket}"),
             n.to_string(),
             m.to_string(),
             "—".into(),
@@ -592,9 +659,10 @@ pub fn e11_with(budget: Duration) -> Report {
         t,
     )
     .seeds(format!(
-        "two_approx: e10_instance seed 7 at (n,m) = {:?}; B&B: e3 seed = k*97 + n for k in 0..2, \
-         n = {}, node budget {}",
+        "two_approx: e10_instance seed 7 at (n,m) = {:?}, open_bracket_instance seed 1 at \
+         (n,m) = {:?}; B&B: e3 seed = k*97 + n for k in 0..2, n = {}, node budget {}",
         E11_TWO_APPROX_SIZE,
+        E11_OPEN_BRACKET_SIZE,
         E3_SIZES.last().expect("nonempty"),
         E3_NODE_LIMIT
     ))

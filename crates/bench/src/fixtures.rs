@@ -36,6 +36,13 @@ pub fn e10_instance(n: usize, m: usize, seed: u64) -> Instance {
     random::overhead_instance(topology::semi_partitioned(m), n, 1, 20, 1, 4, &mut rng(seed))
 }
 
+/// E11's open-bracket instance: semi-partitioned with base demands 5–60,
+/// the offline benchmark's model. At n = 4m its `T*` lies below the LPT
+/// makespan, so `two_approx` probes and solves its rounding LP.
+pub fn open_bracket_instance(n: usize, m: usize, seed: u64) -> Instance {
+    random::overhead_instance(topology::semi_partitioned(m), n, 5, 60, 1, 4, &mut rng(seed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

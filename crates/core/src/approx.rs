@@ -6,12 +6,17 @@
 //!   list schedule (a feasible horizon that needs no LP probe), turn
 //!   the fractional solution into an unrelated-machines one (Lemma V.1
 //!   push-down — or, equivalently, solve the singleton LP directly), and
-//!   round with Lenstra–Shmoys–Tardos. The integral assignment uses only
-//!   singleton masks and has makespan ≤ `2·T* ≤ 2·OPT`.
+//!   round with Lenstra–Shmoys–Tardos from the LPT vertex
+//!   ([`crate::lst::lst_assign`]): no LP at all when the bracket closes,
+//!   and the better of the rounding and the LPT schedule otherwise. The
+//!   integral assignment uses only singleton masks and has makespan
+//!   ≤ `2·T* ≤ 2·OPT`.
 //! * [`eight_approx`] — Section II: for *general* (non-laminar) affinity
 //!   families, collapse each job's options to its best per-machine time
 //!   and run LST; the chain preemptive-LB ≤ OPT, non-preemptive ≤ 4 ×
-//!   preemptive, LST ≤ 2 × non-preemptive-OPT yields factor 8.
+//!   preemptive, LST ≤ 2 × non-preemptive-OPT yields factor 8. The
+//!   preemptive bound is searched between the volume bound and the LPT
+//!   makespan, both valid for the preemptive LP.
 
 use laminar::MachineSet;
 use lp::{LinearProgram, LpStatus, Relation};
@@ -21,7 +26,7 @@ use crate::assignment::Assignment;
 use crate::formulations::Ip3Probe;
 use crate::hier::schedule_hierarchical;
 use crate::instance::Instance;
-use crate::lst::{least_feasible, lst_assign, lst_binary_search, lst_bracket};
+use crate::lst::{least_feasible, lpt_schedule, lst_assign, lst_binary_search, lst_bracket};
 use crate::pushdown::{is_fractionally_feasible, push_down_all, supported_on_singletons};
 use crate::schedule::Schedule;
 
@@ -201,15 +206,17 @@ pub struct EightApproxResult {
 /// Fractional (preemptive-style) feasibility of the unrelated instance at
 /// horizon `t`: `Σ_i x_ij = 1`, machine loads ≤ `t`, `p_ij x_ij ≤ t`.
 fn preemptive_feasible(p: &[Vec<Option<u64>>], m: usize, t: u64) -> bool {
+    let mut var_of = vec![vec![usize::MAX; m]; p.len()];
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for (j, row) in p.iter().enumerate() {
         for i in 0..m {
             if row[i].is_some() {
+                var_of[j][i] = pairs.len();
                 pairs.push((j, i));
             }
         }
     }
-    let var = |j: usize, i: usize| pairs.iter().position(|&q| q == (j, i));
+    let var = |j: usize, i: usize| Some(var_of[j][i]).filter(|&v| v != usize::MAX);
     let mut lp = LinearProgram::new(pairs.len());
     for j in 0..p.len() {
         let coeffs: Vec<(usize, Q)> =
@@ -255,13 +262,14 @@ pub fn eight_approx(gi: &GeneralInstance) -> Option<EightApproxResult> {
     let (t_star, rounding) = lst_binary_search(&p, m)?;
     let makespan = rounding.makespan(&p, m);
 
-    // Preemptive LP lower bound by binary search.
-    let mut hi: u64 =
-        p.iter().map(|row| row.iter().flatten().min().copied().unwrap_or(0)).sum::<u64>().max(1);
-    while !preemptive_feasible(&p, m, hi) {
-        hi = hi.saturating_mul(2);
-    }
-    let preemptive_lb = least_feasible(1, hi, |t| preemptive_feasible(&p, m, t));
+    // Preemptive LP lower bound by binary search. The volume bound holds
+    // for this LP (the bottleneck bound does not: jobs may split), and
+    // the LPT schedule is feasible at its makespan: its loads are at most
+    // that, and so is each assigned p_ij.
+    let volume = p.iter().filter_map(|row| row.iter().flatten().min()).sum::<u64>();
+    let lo = volume.div_ceil(m as u64).max(1);
+    let (_, lpt_makespan) = lpt_schedule(&p, m)?;
+    let preemptive_lb = least_feasible(lo, lpt_makespan.max(lo), |t| preemptive_feasible(&p, m, t));
 
     Some(EightApproxResult { machine_of: rounding.machine_of, makespan, t_star, preemptive_lb })
 }

@@ -8,6 +8,16 @@
 //! put; the fractional jobs admit a perfect matching into machines, and
 //! each machine receives at most one matched job of size ≤ `T`, so the
 //! rounded makespan is at most `(machine load ≤ T) + T = 2T`.
+//!
+//! The bound holds for *any* vertex, so every LP here starts from the
+//! LPT list schedule ([`lpt_schedule`]; Graham, SIAM J. Appl. Math.
+//! 1969). Its columns `x_{j,LPT(j)}` and the capacity slacks form a
+//! block-triangular, nonsingular basis. When the LPT makespan is at most
+//! `T` that basis is feasible: the 0/1 point is a vertex, LST rounds it
+//! to itself, and no LP is solved at all. Otherwise the dual simplex
+//! starts there and only repairs the over-full machines. [`lst_assign`]
+//! then returns the better of its rounding and the LPT schedule, so the
+//! makespan is at most both `2T` and the LPT makespan.
 
 use lp::{LinearProgram, LpStatus, Relation, Solver};
 use numeric::Q;
@@ -20,9 +30,12 @@ pub struct LstAssignment {
     /// True if the theory-guaranteed matching failed and a largest-
     /// fraction fallback was used (never observed; kept for honesty).
     pub fallback_used: bool,
-    /// The fractional vertex solution that was rounded, for diagnostics:
+    /// The vertex solution that was rounded, for diagnostics:
     /// `fractional[j]` lists `(machine, weight)` pairs.
     pub fractional: Vec<Vec<(usize, Q)>>,
+    /// Makespan of the LST rounding itself, at most `2t`. `machine_of`
+    /// holds the LPT schedule instead when that is strictly shorter.
+    pub lst_makespan: u64,
 }
 
 impl LstAssignment {
@@ -83,55 +96,59 @@ fn pruned_lp(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<(LinearProgram,
     Some((lp, var_of))
 }
 
-/// Solve the pruned unrelated-machines LP at horizon `t` and round it.
-///
-/// `p[j][i]` is the processing time of job `j` on machine `i` (`None` =
-/// inadmissible). Returns `None` when the LP is infeasible at `t` (or
-/// some job has no machine with `p_ij ≤ t`).
-///
-/// The LP runs under [`lp::Solver::Hybrid`]: a float simplex proposes a
-/// basis, one exact factorization certifies it, and any failure falls
-/// back to the exact solver, so feasibility is decided exactly. The
-/// objective is zero, so the vertex is wherever phase 1 stops; the float
-/// proposer mirrors Bland's rule, and on the instance families tested
-/// (`hybrid_rounding_lp_returns_the_exact_vertex`) the certified vertex
-/// is the exact solver's.
-pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
-    let n = p.len();
-    if n == 0 {
-        return Some(LstAssignment {
-            machine_of: Vec::new(),
-            fallback_used: false,
-            fractional: Vec::new(),
-        });
-    }
+/// The pruned LP at `t` solved under [`lp::Solver::Hybrid`] from the LPT
+/// basis: each surviving column `x_{j,lpt[j]}` plus every capacity slack
+/// (a job whose LPT pair is pruned leaves its row to the crash). Returns
+/// the vertex's support, `support[j]` = job `j`'s positive `(machine,
+/// weight)` pairs, and the cache holding the solve's counters; `None`
+/// when the LP is infeasible.
+fn seeded_vertex(
+    p: &[Vec<Option<u64>>],
+    m: usize,
+    t: u64,
+    lpt: &[usize],
+) -> Option<(Vec<Vec<(usize, Q)>>, lp::WarmCache)> {
     let (lp, var_of) = pruned_lp(p, m, t)?;
-    let (sol, _) = lp.solve_with(Solver::Hybrid.into());
+    let num_vars = lp.num_vars();
+    let mut hint: Vec<usize> =
+        lpt.iter().zip(&var_of).map(|(&i, vars)| vars[i]).filter(|&v| v != usize::MAX).collect();
+    hint.extend(num_vars..num_vars + lp.num_constraints() - p.len());
+    let mut cache = lp::WarmCache::with_options(Solver::Hybrid.into());
+    cache.set_hint(hint);
+    let sol = lp.solve_warm_cached(&mut cache);
     if sol.status != LpStatus::Optimal {
         return None;
     }
+    let support = var_of
+        .iter()
+        .map(|vars| {
+            vars.iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != usize::MAX && sol.values[v].is_positive())
+                .map(|(i, &v)| (i, sol.values[v].clone()))
+                .collect()
+        })
+        .collect();
+    Some((support, cache))
+}
 
-    // Split jobs into integral and fractional at the vertex.
+/// LST rounding of a vertex's support: integral jobs stay put, and the
+/// fractional ones are matched to machines along fractional edges
+/// (Kuhn's augmenting paths). At a vertex the fractional graph is a
+/// pseudoforest, which always admits a job-perfect matching. Returns
+/// `machine_of` and whether the largest-fraction fallback fired.
+fn round_vertex(fractional: &[Vec<(usize, Q)>], m: usize) -> (Vec<usize>, bool) {
+    let n = fractional.len();
     let mut machine_of = vec![usize::MAX; n];
-    let mut fractional: Vec<Vec<(usize, Q)>> = vec![Vec::new(); n];
     let mut frac_jobs: Vec<usize> = Vec::new();
-    for j in 0..n {
-        let support: Vec<(usize, Q)> = (0..m)
-            .filter(|&i| var_of[j][i] != usize::MAX)
-            .map(|i| (i, sol.values[var_of[j][i]].clone()))
-            .filter(|(_, w)| w.is_positive())
-            .collect();
+    for (j, support) in fractional.iter().enumerate() {
         if support.len() == 1 && support[0].1 == Q::one() {
             machine_of[j] = support[0].0;
         } else {
             frac_jobs.push(j);
         }
-        fractional[j] = support;
     }
 
-    // Match fractional jobs to machines along fractional edges (Kuhn's
-    // augmenting paths). At a vertex the fractional graph is a
-    // pseudoforest, which always admits a job-perfect matching.
     let mut matched_job_of_machine: Vec<Option<usize>> = vec![None; m];
     let mut fallback_used = false;
 
@@ -160,7 +177,7 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
 
     for &j in &frac_jobs {
         let mut visited = vec![false; m];
-        if !try_augment(j, &fractional, &mut matched_job_of_machine, &mut visited) {
+        if !try_augment(j, fractional, &mut matched_job_of_machine, &mut visited) {
             fallback_used = true;
         }
     }
@@ -180,8 +197,43 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
             machine_of[j] = best.0;
         }
     }
+    (machine_of, fallback_used)
+}
 
-    Some(LstAssignment { machine_of, fallback_used, fractional })
+/// An LST assignment at horizon `t`: a vertex of the pruned LP, rounded,
+/// with makespan at most `2t` and at most the LPT makespan.
+///
+/// `p[j][i]` is the processing time of job `j` on machine `i` (`None` =
+/// inadmissible). Returns `None` when the LP is infeasible at `t` (or
+/// some job has no machine with `p_ij ≤ t`).
+///
+/// The vertex comes from [`lpt_schedule`]. When the LPT makespan is at
+/// most `t`, its assignment is a 0/1 feasible point, hence a vertex that
+/// LST rounds to itself: it is returned and no LP is solved. Otherwise
+/// the LP runs under [`lp::Solver::Hybrid`] from the LPT basis (a float
+/// dual simplex repairs the over-full machines, one exact factorization
+/// certifies the vertex, and any failure falls back to the exact solver,
+/// so feasibility is decided exactly), that vertex is LST-rounded, and
+/// the LPT schedule replaces the rounding when it is strictly shorter.
+/// [`LstAssignment::lst_makespan`] keeps the rounding's own makespan.
+pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
+    let (lpt, lpt_makespan) = lpt_schedule(p, m)?;
+    if lpt_makespan <= t {
+        return Some(LstAssignment {
+            fractional: lpt.iter().map(|&i| vec![(i, Q::one())]).collect(),
+            machine_of: lpt,
+            fallback_used: false,
+            lst_makespan: lpt_makespan,
+        });
+    }
+    let (fractional, _) = seeded_vertex(p, m, t, &lpt)?;
+    let (machine_of, fallback_used) = round_vertex(&fractional, m);
+    let mut rounding = LstAssignment { machine_of, fallback_used, fractional, lst_makespan: 0 };
+    rounding.lst_makespan = rounding.makespan(p, m);
+    if lpt_makespan < rounding.lst_makespan {
+        rounding.machine_of = lpt;
+    }
+    Some(rounding)
 }
 
 /// Warm-started feasibility oracle for the pruned unrelated-machines LP
@@ -190,12 +242,15 @@ pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignm
 /// The variable layout is *fixed*: one variable per finite `(job,
 /// machine)` pair, with pairs pruned at a given `t` simply omitted from
 /// that probe's constraints (feasibility-equivalent to the pruned LP of
-/// [`lst_assign`]). Consecutive probes re-solve from the previous
-/// optimal basis via [`lp::WarmCache`], reusing the parent basis
-/// factorization whenever the basic columns survive the horizon change,
-/// so a binary search re-solves incrementally instead of from scratch.
-/// Probes run in [`lp::Solver::Hybrid`] mode (float proposal + exact
-/// certification, exact fallback), so the answers stay exact.
+/// [`lst_assign`]). The first probe starts from the LPT basis (each
+/// column of `(j, LPT(j))` plus the slack of every capacity row), so
+/// below the LPT makespan the dual simplex only repairs the over-full
+/// machines instead of running a cold phase 1. Later probes re-solve
+/// from the previous optimal basis via [`lp::WarmCache`], reusing the
+/// parent basis factorization whenever the basic columns survive the
+/// horizon change. Probes run in [`lp::Solver::Hybrid`] mode (float
+/// proposal + exact certification, exact fallback), so the answers stay
+/// exact.
 pub struct LstProbe<'a> {
     p: &'a [Vec<Option<u64>>],
     m: usize,
@@ -204,18 +259,28 @@ pub struct LstProbe<'a> {
 }
 
 impl<'a> LstProbe<'a> {
-    /// A probe over `p` (`n × m`, `None` = inadmissible pair).
+    /// A probe over `p` (`n × m`, `None` = inadmissible pair), seeded
+    /// with the LPT basis.
     pub fn new(p: &'a [Vec<Option<u64>>], m: usize) -> Self {
+        let lpt = lpt_schedule(p, m).map(|(machine_of, _)| machine_of);
         let mut pairs = Vec::new();
+        let mut hint = Vec::new();
         for (j, row) in p.iter().enumerate() {
             assert_eq!(row.len(), m, "p must be n × m");
             for (i, time) in row.iter().enumerate() {
                 if time.is_some() {
+                    if lpt.as_ref().is_some_and(|lpt| lpt[j] == i) {
+                        hint.push(pairs.len());
+                    }
                     pairs.push((j, i));
                 }
             }
         }
-        let cache = lp::WarmCache::with_options(lp::Solver::Hybrid.into());
+        let mut cache = lp::WarmCache::with_options(lp::Solver::Hybrid.into());
+        if lpt.is_some() {
+            hint.extend(pairs.len()..pairs.len() + m);
+            cache.set_hint(hint);
+        }
         LstProbe { p, m, pairs, cache }
     }
 
@@ -322,10 +387,11 @@ pub(crate) fn least_feasible(
 ///
 /// The search brackets `T*` itself — a volume and bottleneck lower bound,
 /// and the makespan of [`lpt_schedule`] as a feasible upper bound — and
-/// probes only inside `[lo, hi)` through the warm-started [`LstProbe`].
-/// Only the final rounding at `T*` solves cold, so the returned vertex —
-/// and hence the rounded assignment — is identical to the unsearched
-/// `lst_assign(p, m, T*)`.
+/// probes only inside `[lo, hi)` through the LPT-seeded [`LstProbe`],
+/// then rounds with `lst_assign(p, m, T*)`. When the bracket closes,
+/// `T*` is the LPT makespan, so neither the search nor the rounding
+/// solves an LP, and the LPT schedule, of makespan `T* ≤ OPT`, is
+/// returned.
 pub fn lst_binary_search(p: &[Vec<Option<u64>>], m: usize) -> Option<(u64, LstAssignment)> {
     let (lo, hi) = lst_bracket(p, m)?;
     let mut probe = LstProbe::new(p, m);
@@ -419,11 +485,9 @@ mod tests {
         assert_eq!((t_star, a.machine_of), (1000, vec![0]));
     }
 
-    #[test]
-    fn hybrid_rounding_lp_returns_the_exact_vertex() {
-        // The perfbench offline shapes at their T*: the zero-objective
-        // LST LP has one vertex Bland's phase 1 reaches, and the hybrid
-        // must certify exactly that vertex.
+    /// The perfbench offline shapes, `(p, m, label)`: semi-partitioned,
+    /// clustered and SMP-CMP families at n 20/34/48, m 8–24.
+    fn perfbench_shapes() -> Vec<(Vec<Vec<Option<u64>>>, usize, String)> {
         use laminar::topology;
         let mut rng = workloads::rng(15);
         let families = [
@@ -434,25 +498,101 @@ mod tests {
             topology::smp_cmp(&[2, 2, 2]),
             topology::smp_cmp(&[3, 2, 4]),
         ];
-        for (family, n) in families.iter().flat_map(|f| [20, 34, 48].map(|n| (f, n))) {
-            let inst =
-                workloads::random::overhead_instance(family.clone(), n, 5, 60, 1, 4, &mut rng);
-            let completed = inst.with_singletons();
-            let m = completed.num_machines();
-            // `approx::singleton_times` by hand: `workloads` builds the
-            // library's `Instance`, not this test build's.
-            let singles = completed.singleton_index();
-            let p: Vec<Vec<Option<u64>>> = (0..n)
-                .map(|j| (0..m).map(|i| singles[i].and_then(|a| completed.ptime(j, a))).collect())
-                .collect();
+        families
+            .iter()
+            .flat_map(|f| [20, 34, 48].map(|n| (f, n)))
+            .map(|(family, n)| {
+                let inst =
+                    workloads::random::overhead_instance(family.clone(), n, 5, 60, 1, 4, &mut rng);
+                let completed = inst.with_singletons();
+                let m = completed.num_machines();
+                // `approx::singleton_times` by hand: `workloads` builds the
+                // library's `Instance`, not this test build's.
+                let singles = completed.singleton_index();
+                let p = (0..n)
+                    .map(|j| {
+                        (0..m).map(|i| singles[i].and_then(|a| completed.ptime(j, a))).collect()
+                    })
+                    .collect();
+                (p, m, format!("n {n}, m {m}, |A| {}", completed.family().len()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hybrid_rounding_lp_returns_the_exact_vertex() {
+        // The perfbench offline shapes at their T*: the zero-objective
+        // LST LP has one vertex Bland's phase 1 reaches, and the cold
+        // hybrid must certify exactly that vertex.
+        for (p, m, shape) in perfbench_shapes() {
             let (t_star, _) = lst_binary_search(&p, m).unwrap();
             let (lp, _) = pruned_lp(&p, m, t_star).unwrap();
             let (exact, _) = lp.solve_with(Solver::Revised.into());
             let (hybrid, stats) = lp.solve_with(Solver::Hybrid.into());
-            let shape = format!("n {n}, m {m}, |A| {}, T* {t_star}", completed.family().len());
+            let shape = format!("{shape}, T* {t_star}");
             assert_eq!(exact.status, LpStatus::Optimal, "{shape}");
             assert_eq!(hybrid.values, exact.values, "{shape}: same vertex");
             assert_eq!(stats.hybrid_certified, 1, "{shape}: certified, no fallback");
+        }
+    }
+
+    #[test]
+    fn lpt_schedule_is_returned_at_or_above_its_makespan() {
+        // An integral feasible point is a vertex that LST rounds to
+        // itself, so no LP is solved and the LPT schedule comes back.
+        let cycle = vec![
+            vec![Some(2), Some(2), None],
+            vec![None, Some(2), Some(2)],
+            vec![Some(2), None, Some(2)],
+        ];
+        let cases = perfbench_shapes().into_iter().map(|(p, m, _)| (p, m)).chain([(cycle, 3)]);
+        for (p, m) in cases {
+            let (lpt, makespan) = lpt_schedule(&p, m).unwrap();
+            for t in makespan..makespan + 3 {
+                let a = lst_assign(&p, m, t).unwrap();
+                assert_eq!(a.machine_of, lpt, "t = {t}");
+                assert_eq!(a.lst_makespan, makespan, "t = {t}");
+                assert!(!a.fallback_used);
+            }
+        }
+    }
+
+    #[test]
+    fn lpt_seeded_rounding_is_certified_at_t_star() {
+        // At T* the pruned LP solved from the LPT basis is certified by
+        // the hybrid with no fallback of either kind, and the better-of
+        // choice is within every bound it promises.
+        for (p, m, shape) in perfbench_shapes() {
+            let (t_star, a) = lst_binary_search(&p, m).unwrap();
+            let (lpt, lpt_makespan) = lpt_schedule(&p, m).unwrap();
+            let (_, cache) = seeded_vertex(&p, m, t_star, &lpt).unwrap();
+            let shape = format!("{shape}, T* {t_star}, LPT {lpt_makespan}");
+            assert_eq!(cache.hybrid_certified(), 1, "{shape}: certified");
+            assert_eq!(cache.hybrid_fallbacks(), 0, "{shape}: no exact fallback");
+            assert_eq!(cache.warm_fallbacks(), 0, "{shape}: no stale-hint fallback");
+            assert!(a.lst_makespan <= 2 * t_star, "{shape}: LST bound");
+            let bound = (2 * t_star).min(lpt_makespan).min(a.lst_makespan);
+            assert!(a.makespan(&p, m) <= bound, "{shape}: {} > {bound}", a.makespan(&p, m));
+            assert!(lst_assign(&p, m, t_star - 1).is_none(), "{shape}: T* is minimal");
+        }
+    }
+
+    #[test]
+    fn seeded_probe_matches_cold_exact_status() {
+        // A fresh probe's first solve starts from the LPT basis, which
+        // the hybrid must take without a fallback of either kind; its
+        // answer must be the cold exact solver's on both sides of T*.
+        for (p, m, shape) in perfbench_shapes() {
+            let (lo, hi) = lst_bracket(&p, m).unwrap();
+            for t in lo - 1..=hi {
+                let cold = pruned_lp(&p, m, t).is_some_and(|(lp, _)| {
+                    lp.solve_with(Solver::Revised.into()).0.status == LpStatus::Optimal
+                });
+                let mut probe = LstProbe::new(&p, m);
+                assert_eq!(probe.feasible(t), cold, "{shape}, t = {t}");
+                let fallbacks = probe.cache().warm_fallbacks() + probe.cache().hybrid_fallbacks();
+                assert_eq!(fallbacks, 0, "{shape}, t = {t}");
+            }
         }
     }
 }

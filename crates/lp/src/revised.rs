@@ -345,6 +345,22 @@ impl WarmCache {
         self.reuse = None;
     }
 
+    /// Seed the next solve with a caller-built starting basis, dropping
+    /// any cached factorization so that exactly this basis is crashed.
+    ///
+    /// `hint` lists columns in the program's layout: structural
+    /// variables `0..num_vars`, then one slack per inequality row in row
+    /// order. A nonsingular basis whose point is primal feasible needs
+    /// no repair; an infeasible one is repaired by the dual simplex; a
+    /// rank-deficient one is completed by further columns. A hint with
+    /// out-of-range or duplicate columns takes the counted stale-hint
+    /// fallback ([`WarmCache::warm_fallbacks`]). The answer is exact
+    /// whatever the hint; only the pivot path depends on it.
+    pub fn set_hint(&mut self, hint: Vec<usize>) {
+        self.hint = hint;
+        self.reuse = None;
+    }
+
     /// Fault-injection hook: corrupt the cached warm state so the next
     /// warm solve sees a stale hint. The poisoned hint fails the sanity
     /// screen (out-of-range columns), so the solve takes the *counted*
@@ -1929,6 +1945,37 @@ mod tests {
         let sol = lp.solve_budgeted(&mut cache, &SolveBudget::pivots(1_000)).unwrap();
         assert_eq!(cache.warm_fallbacks(), 2);
         assert_eq!(sol.objective_value, first.objective_value);
+    }
+
+    /// A cache seeded through `set_hint` solves from that basis under
+    /// either solver and returns the cold status and objective; a seed
+    /// with out-of-range or duplicate columns takes the counted
+    /// stale-hint fallback and is still exact.
+    #[test]
+    fn seeded_cache_matches_cold() {
+        for solver in [Solver::Revised, Solver::Hybrid] {
+            for lp in reference_programs() {
+                let cold = lp.solve();
+                let mut seeds = vec![cold.basis.clone(), vec![0]];
+                seeds.retain(|s| !s.is_empty());
+                for seed in seeds {
+                    let mut cache = WarmCache::with_options(solver.into());
+                    cache.set_hint(seed.clone());
+                    let sol = lp.solve_warm_cached(&mut cache);
+                    assert_eq!(sol.status, cold.status, "{solver:?} seed {seed:?}");
+                    assert_eq!(sol.objective_value, cold.objective_value, "{solver:?}");
+                    assert_eq!(cache.warm_fallbacks(), 0, "{solver:?} seed {seed:?}");
+                }
+                for garbage in [vec![usize::MAX, 0], vec![0, 0]] {
+                    let mut cache = WarmCache::with_options(solver.into());
+                    cache.set_hint(garbage);
+                    let sol = lp.solve_warm_cached(&mut cache);
+                    assert_eq!(cache.warm_fallbacks(), 1, "{solver:?}: garbage seed is counted");
+                    assert_eq!(sol.status, cold.status);
+                    assert_eq!(sol.objective_value, cold.objective_value);
+                }
+            }
+        }
     }
 
     /// `reset_warm_state` drops hint + factorization but keeps counters:

@@ -145,11 +145,13 @@ fn both_schedulers_realize_same_pairs() {
 
 /// Golden regression for the exact LP core rebuild: both 2-approx
 /// oracles return bit-identical `t_star` and makespan on fixed-seed
-/// SMP-CMP workloads (values captured from the seed dense-solver
-/// implementation before the sparse/warm swap).
+/// SMP-CMP workloads (`T*` captured from the seed dense-solver
+/// implementation before the sparse/warm swap; the makespans re-captured
+/// when LST started from the LPT vertex and returned the better of its
+/// rounding and the LPT schedule).
 #[test]
 fn golden_two_approx_smp_cmp_unchanged() {
-    for (seed, want_t, want_mk) in [(17u64, 13u64, 20i64), (29, 10, 18)] {
+    for (seed, want_t, want_mk) in [(17u64, 13u64, 14i64), (29, 10, 10)] {
         let inst = random::smp_cmp_instance(&[2, 2], 10, 1, 10, 25, &mut rng(seed));
         let a = two_approx_with(&inst, TwoApproxMethod::DirectSingleton);
         let b = two_approx_with(&inst, TwoApproxMethod::PushDown);
