@@ -61,7 +61,7 @@ fn bench_ip3_lp(c: &mut Criterion) {
                 ("partial", Pricing::PartialCandidate),
                 ("devex", Pricing::Devex),
             ] {
-                let opts = SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 };
+                let opts = SolveOptions { solver: Solver::Hybrid, pricing };
                 g.bench_with_input(
                     BenchmarkId::from_parameter(format!("hybrid_{tag}_n{n}_m{m}_vars{}", vm.len())),
                     &lp,

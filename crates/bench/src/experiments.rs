@@ -620,10 +620,8 @@ pub fn e11_with(budget: Duration) -> Report {
             }
             let n = *E3_SIZES.last().expect("nonempty");
             let inst = fixtures::e3_instance(fam.clone(), n, seed * 97 + n as u64);
-            let cold_opts =
-                ExactOptions { node_limit: E3_NODE_LIMIT, warm_start: false, ..Default::default() };
-            let warm_opts =
-                ExactOptions { node_limit: E3_NODE_LIMIT, warm_start: true, ..Default::default() };
+            let cold_opts = ExactOptions { node_limit: E3_NODE_LIMIT, warm_start: false };
+            let warm_opts = ExactOptions { node_limit: E3_NODE_LIMIT, warm_start: true };
             let t0 = Instant::now();
             let cold = solve_exact(&inst, &cold_opts);
             let d_cold = t0.elapsed();
@@ -898,7 +896,7 @@ pub fn e13_with(budget: Duration) -> Report {
             }
             let t0 = Instant::now();
             let (sol, stats) =
-                lp.solve_with(lp::SolveOptions { solver: lp::Solver::Hybrid, pricing, threads: 0 });
+                lp.solve_with(lp::SolveOptions { solver: lp::Solver::Hybrid, pricing });
             let d = t0.elapsed();
             match &reference {
                 None => reference = Some((sol.status, sol.objective_value.clone())),
@@ -1406,6 +1404,35 @@ mod tests {
         let r = e12_with(Duration::ZERO);
         assert!(start.elapsed() < Duration::from_secs(30), "budget not enforced");
         assert!(r.render_text().contains("truncated"), "truncation must be recorded");
+    }
+
+    /// The pricing counters are a pure function of the program: pinned
+    /// on E12's smallest relaxation (1 050 variables, a size that
+    /// separates all three rules in both cores) for every solver and
+    /// pricing rule, whatever `HSCHED_THREADS` says.
+    #[test]
+    fn pricing_counters_are_pinned() {
+        let inst = fixtures::e10_instance(50, 20, 7);
+        let horizon = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
+        let (lp, vm) = hsched_core::formulations::build_ip3(&inst, horizon).expect("has variables");
+        assert_eq!(vm.len(), 1_050);
+        let pricings = [lp::Pricing::Bland, lp::Pricing::PartialCandidate, lp::Pricing::Devex];
+        // (columns_priced, candidate_refills, devex_resets) per pricing.
+        let golden = [
+            (lp::Solver::Revised, [(66_394, 0, 0), (10_098, 26, 0), (9_014, 23, 1)]),
+            (lp::Solver::Hybrid, [(66_394, 0, 0), (7_794, 24, 0), (8_762, 25, 1)]),
+        ];
+        for (solver, counters) in golden {
+            for (pricing, want) in pricings.into_iter().zip(counters) {
+                let (sol, stats) = lp.solve_with(lp::SolveOptions { solver, pricing });
+                assert_eq!(sol.status, lp::LpStatus::Optimal, "{solver:?}/{pricing:?}");
+                let got = (stats.columns_priced, stats.candidate_refills, stats.devex_resets);
+                assert_eq!(got, want, "{solver:?}/{pricing:?}");
+                if solver == lp::Solver::Hybrid {
+                    assert_eq!(stats.hybrid_certified, 1, "{pricing:?} must certify");
+                }
+            }
+        }
     }
 
     /// E13 must stay inside the regime that keeps `harness all`

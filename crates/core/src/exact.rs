@@ -26,16 +26,11 @@ pub struct ExactOptions {
     /// parent's optimal basis (on by default; the E3 ablation measures
     /// the delta against cold node solves).
     pub warm_start: bool,
-    /// Branch-and-bound subtree workers per probe (`0` = the
-    /// `HSCHED_THREADS` env default, `1` = serial). The computed
-    /// makespan, assignment, and schedule are bit-identical for every
-    /// value; only probe node counts vary.
-    pub threads: usize,
 }
 
 impl Default for ExactOptions {
     fn default() -> Self {
-        ExactOptions { node_limit: 200_000, warm_start: true, threads: 0 }
+        ExactOptions { node_limit: 200_000, warm_start: true }
     }
 }
 
@@ -90,7 +85,7 @@ fn probe(
             first_feasible: true,
             node_limit: opts.node_limit,
             warm_start: opts.warm_start,
-            threads: opts.threads,
+            ..BnbOptions::default()
         },
     );
     *nodes += milp.nodes;

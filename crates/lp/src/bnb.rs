@@ -272,10 +272,9 @@ fn solve_parallel(
         Condvar::new(),
     );
     let counts: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-    // Every worker is a pool task (the caller only joins): a worker's
-    // nested pricing scans then land on its own deque, where its joins
-    // drain them itself — an idle sibling blocked on the condvar here
-    // can never strand them.
+    // Every worker is a pool task (the caller only joins). A caller
+    // that is itself a pool worker helps run the queued workers while
+    // it joins, so the search completes even on a single-worker pool.
     hpool::ThreadPool::global().scope(|s| {
         for w in 0..threads {
             let (shared, counts) = (&shared, &counts);

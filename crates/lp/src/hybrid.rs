@@ -62,16 +62,6 @@ const EPS_INFEAS: f64 = 1e-7;
 /// this many float eta updates.
 const REFRESH_INTERVAL: usize = 64;
 
-/// Minimum column count before the float pricing scans split across the
-/// pool. Float reduced costs are ~ns each (vs µs for the exact core's),
-/// so the break-even span is much larger than the exact solver's
-/// [`crate::revised`] threshold.
-const FPAR_MIN_COLS: usize = 4096;
-
-/// Minimum row count before the certifier's exact `ρᵀA` accumulation
-/// splits across the pool.
-const PAR_MIN_ROWS: usize = 64;
-
 // ---------------------------------------------------------------------
 // f64 mirror of factor.rs: product-form basis inverse.
 // ---------------------------------------------------------------------
@@ -305,22 +295,6 @@ struct FloatCore<'a> {
     price: PriceState,
     /// Pricing counters, merged into the solve's [`RevisedStats`].
     stats: &'a mut RevisedStats,
-    /// Resolved worker count (≥ 1) for the whole-column pricing scans.
-    threads: usize,
-}
-
-/// Float reduced cost `c_j − yᵀA_j` as a free function, shareable across
-/// pricing chunks (the core itself holds `&mut` stats and cannot cross
-/// threads).
-#[inline]
-fn f_reduced_cost(a_cols: &FMat, cost: &[f64], y: &[f64], j: usize) -> f64 {
-    let mut r = cost[j];
-    for &(i, v) in a_cols.col(j) {
-        if y[i] != 0.0 {
-            r -= v * y[i];
-        }
-    }
-    r
 }
 
 impl<'a> FloatCore<'a> {
@@ -344,10 +318,6 @@ impl<'a> FloatCore<'a> {
             self.factor.btran_inplace(&mut y);
         }
         y
-    }
-
-    fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
-        f_reduced_cost(self.a_cols, cost, y, j)
     }
 
     fn transformed_entry(&self, rho: &[f64], j: usize) -> f64 {
@@ -473,232 +443,31 @@ impl<'a> FloatCore<'a> {
         }
     }
 
-    /// Entering column under the configured strategy; `Ok(None)` = phase
-    /// optimal, `Err` = a non-finite reduced cost surfaced (give up and
-    /// let the exact solver take over).
+    /// Entering column under the configured strategy (the exact core's
+    /// selection, with reduced costs below `-EPS` counting as negative);
+    /// `Ok(None)` = phase optimal, `Err` = a non-finite reduced cost
+    /// surfaced (give up and let the exact solver take over).
     fn price_enter(
         &mut self,
         cost: &[f64],
         y: &[f64],
         allowed: Allowed,
     ) -> Result<Option<usize>, ()> {
-        if self.price.pricing == Pricing::Bland || self.price.bland_mode {
-            return self.bland_enter(cost, y, allowed);
-        }
-        let mut list = std::mem::take(&mut self.price.candidates);
-        let mut enter = self.select_candidates(&mut list, cost, y, allowed)?;
-        if enter.is_none() {
-            self.stats.candidate_refills += 1;
-            self.refill_candidates(&mut list, cost, y, allowed)?;
-            enter = self.select_candidates(&mut list, cost, y, allowed)?;
-        }
-        self.price.candidates = list;
-        Ok(enter)
-    }
-
-    /// Bland's rule: smallest allowed column with reduced cost below
-    /// `-EPS` — the historical float scan, split into contiguous chunks
-    /// on wide programs. Each chunk stops at its first event (hit or
-    /// non-finite value) and the merge takes the first event in chunk
-    /// order, which is exactly the serial scan's first event.
-    fn bland_enter(
-        &mut self,
-        cost: &[f64],
-        y: &[f64],
-        allowed: Allowed,
-    ) -> Result<Option<usize>, ()> {
-        let cols = self.a_cols.cols();
-        let parts = if self.threads > 1 && cols >= FPAR_MIN_COLS { self.threads } else { 1 };
-        if parts > 1 {
-            let chunk = cols.div_ceil(parts);
-            let (a_cols, in_basis) = (self.a_cols, &self.in_basis);
-            let scans = hpool::ThreadPool::global().run_parts(parts, |p| {
-                let lo = p * chunk;
-                let hi = cols.min(lo + chunk);
-                let mut priced = 0usize;
-                let mut event: Result<Option<usize>, ()> = Ok(None);
-                for j in lo..hi {
-                    if !allowed(j) || in_basis[j] {
-                        continue;
-                    }
-                    priced += 1;
-                    let rc = f_reduced_cost(a_cols, cost, y, j);
-                    if !rc.is_finite() {
-                        event = Err(());
-                        break;
-                    }
-                    if rc < -EPS {
-                        event = Ok(Some(j));
-                        break;
-                    }
-                }
-                (priced, event)
-            });
-            let mut out: Result<Option<usize>, ()> = Ok(None);
-            for (priced, event) in scans {
-                self.stats.columns_priced += priced;
-                if matches!(out, Ok(None)) {
-                    out = event;
+        let FloatCore { a_cols, in_basis, price, stats, .. } = self;
+        let negative = |j: usize| {
+            let mut rc = cost[j];
+            for &(i, v) in a_cols.col(j) {
+                if y[i] != 0.0 {
+                    rc -= v * y[i];
                 }
             }
-            return out;
-        }
-        for j in 0..cols {
-            if !allowed(j) || self.in_basis[j] {
-                continue;
-            }
-            self.stats.columns_priced += 1;
-            let rc = self.reduced_cost(cost, y, j);
-            if !rc.is_finite() {
-                return Err(());
-            }
-            if rc < -EPS {
-                return Ok(Some(j));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Float mirror of the exact core's candidate re-pricing/selection:
-    /// drop entries whose reduced cost rose above `-EPS`, pick the most
-    /// negative (or max `rc²/γ_j` under devex), ties to the smaller
-    /// column.
-    // (Candidate lists are capped at ~sqrt(cols) ≤ 512 entries and float
-    // reduced costs are nanoseconds each, so re-pricing the list stays
-    // serial — only the whole-column scans above and below parallelize.)
-    fn select_candidates(
-        &mut self,
-        list: &mut Vec<usize>,
-        cost: &[f64],
-        y: &[f64],
-        allowed: Allowed,
-    ) -> Result<Option<usize>, ()> {
-        let devex = self.price.pricing == Pricing::Devex;
-        let mut best: Option<(usize, f64)> = None;
-        let mut kept = 0;
-        for idx in 0..list.len() {
-            let j = list[idx];
-            if !allowed(j) || self.in_basis[j] {
-                continue;
-            }
-            self.stats.columns_priced += 1;
-            let rc = self.reduced_cost(cost, y, j);
-            if !rc.is_finite() {
-                return Err(());
-            }
-            if rc >= -EPS {
-                continue;
-            }
-            // Selection key: larger is better for both rules.
-            let score = if devex {
-                let w = self.price.weights[j].max(f64::MIN_POSITIVE);
-                let s = rc * rc / w;
-                if s.is_finite() {
-                    s
-                } else {
-                    f64::MAX
-                }
+            if rc.is_finite() {
+                Ok((rc < -EPS).then_some(rc))
             } else {
-                -rc
-            };
-            let better = match &best {
-                None => true,
-                Some((bj, bscore)) => score > *bscore || (score == *bscore && j < *bj),
-            };
-            if better {
-                best = Some((j, score));
+                Err(())
             }
-            list[kept] = j;
-            kept += 1;
-        }
-        list.truncate(kept);
-        Ok(best.map(|(j, _)| j))
-    }
-
-    /// Rotating refill, mirroring the exact core (a full wrap collecting
-    /// nothing leaves the list empty = phase optimal).
-    fn refill_candidates(
-        &mut self,
-        list: &mut Vec<usize>,
-        cost: &[f64],
-        y: &[f64],
-        allowed: Allowed,
-    ) -> Result<(), ()> {
-        let cols = self.a_cols.cols();
-        if cols == 0 {
-            return Ok(());
-        }
-        let cap = PriceState::list_cap(cols);
-        let start = self.price.cursor % cols;
-        let parts = if self.threads > 1 && cols >= FPAR_MIN_COLS { self.threads } else { 1 };
-        if parts > 1 {
-            // Ring chunks merged in chunk order = the serial ring walk;
-            // a chunk's pre-error hits precede its error, so the merge
-            // sees every event in exactly the serial order.
-            let chunk = cols.div_ceil(parts);
-            let (a_cols, in_basis) = (self.a_cols, &self.in_basis);
-            let found = hpool::ThreadPool::global().run_parts(parts, |p| {
-                let lo = p * chunk;
-                let hi = cols.min(lo + chunk);
-                let mut hits = Vec::new();
-                let mut priced = 0usize;
-                let mut erred = false;
-                for step in lo..hi {
-                    let j = (start + step) % cols;
-                    if !allowed(j) || in_basis[j] {
-                        continue;
-                    }
-                    priced += 1;
-                    let rc = f_reduced_cost(a_cols, cost, y, j);
-                    if !rc.is_finite() {
-                        erred = true;
-                        break;
-                    }
-                    if rc < -EPS {
-                        hits.push(j);
-                        if hits.len() >= cap {
-                            break;
-                        }
-                    }
-                }
-                (priced, hits, erred)
-            });
-            for (priced, hits, erred) in found {
-                self.stats.columns_priced += priced;
-                for j in hits {
-                    list.push(j);
-                    if list.len() >= cap {
-                        self.price.cursor = (j + 1) % cols;
-                        return Ok(());
-                    }
-                }
-                if erred {
-                    return Err(());
-                }
-            }
-            self.price.cursor = start;
-            return Ok(());
-        }
-        for step in 0..cols {
-            let j = (start + step) % cols;
-            if !allowed(j) || self.in_basis[j] {
-                continue;
-            }
-            self.stats.columns_priced += 1;
-            let rc = self.reduced_cost(cost, y, j);
-            if !rc.is_finite() {
-                return Err(());
-            }
-            if rc < -EPS {
-                list.push(j);
-                if list.len() >= cap {
-                    self.price.cursor = (j + 1) % cols;
-                    return Ok(());
-                }
-            }
-        }
-        self.price.cursor = start;
-        Ok(())
+        };
+        price.price_enter(a_cols.cols(), in_basis, allowed, stats, negative)
     }
 
     /// Degenerate-streak Bland escape, as in the exact core. The float
@@ -789,7 +558,6 @@ enum FloatProposal {
 /// Float mirror of the cold two-phase `solve_revised`: identity
 /// slack/artificial start, phase 1 on the artificial sum, drive-out,
 /// phase 2 on the real objective.
-#[allow(clippy::too_many_arguments)] // internal mirror of the exact path's parameter list
 fn float_cold(
     a_cols: &FMat,
     rhs: &[f64],
@@ -798,7 +566,6 @@ fn float_cold(
     art_start: usize,
     pricing: Pricing,
     stats: &mut RevisedStats,
-    threads: usize,
 ) -> FloatProposal {
     let m = rhs.len();
     let cols = a_cols.cols();
@@ -819,7 +586,6 @@ fn float_cold(
         pivot_cap: 64 * (m + cols) + 1024,
         price: PriceState::new(pricing, cols),
         stats,
-        threads,
     };
 
     if cols > art_start {
@@ -884,7 +650,6 @@ fn float_warm(
     hint: &[usize],
     pricing: Pricing,
     stats: &mut RevisedStats,
-    threads: usize,
 ) -> FloatProposal {
     let m = rhs.len();
     let cols = a_cols.cols();
@@ -953,7 +718,6 @@ fn float_warm(
         pivot_cap: 64 * (m + cols) + 1024,
         price: PriceState::new(pricing, cols),
         stats,
-        threads,
     };
 
     // Dual-simplex repair of b ≥ 0, Bland row choice as in the exact
@@ -1023,13 +787,9 @@ struct Assembled {
     f_cols: FMat,
     f_rhs: Vec<f64>,
     f_cost: Vec<f64>,
-    /// Resolved worker count (≥ 1) for the certifier's exact dot
-    /// products; exact addition is associative, so any value produces
-    /// bit-identical certificates.
-    threads: usize,
 }
 
-fn assemble_hybrid(lp: &LinearProgram, threads: usize) -> Assembled {
+fn assemble_hybrid(lp: &LinearProgram) -> Assembled {
     let n = lp.num_vars();
     let m = lp.constraints.len();
     let mut neg = Vec::with_capacity(m);
@@ -1126,7 +886,7 @@ fn assemble_hybrid(lp: &LinearProgram, threads: usize) -> Assembled {
     for (j, c) in lp.objective.iter().enumerate() {
         f_cost[j] = c.to_f64();
     }
-    Assembled { n, m, cols, neg, rels, rhs, slack, f_cols, f_rhs, f_cost, threads }
+    Assembled { n, m, cols, neg, rels, rhs, slack, f_cols, f_rhs, f_cost }
 }
 
 impl Assembled {
@@ -1168,42 +928,6 @@ impl Assembled {
     /// no normalization pass is needed); only rows with `ρ_i ≠ 0` cost
     /// exact arithmetic.
     fn dots(&self, lp: &LinearProgram, rho: &[Q]) -> Vec<Q> {
-        let parts = if self.threads > 1 && self.m >= PAR_MIN_ROWS { self.threads } else { 1 };
-        if parts > 1 {
-            // Row chunks accumulate into private partial vectors which
-            // are then summed in chunk order. Exact rational addition is
-            // associative and commutative, so the result is bit-identical
-            // to the serial row-major pass at any thread count.
-            let chunk = self.m.div_ceil(parts);
-            let partials = hpool::ThreadPool::global().run_parts(parts, |p| {
-                let lo = p * chunk;
-                let hi = self.m.min(lo + chunk);
-                let mut dots = vec![Q::zero(); self.n];
-                for i in lo..hi {
-                    let c = &lp.constraints[i];
-                    if rho[i].is_zero() {
-                        continue;
-                    }
-                    let r = if self.neg[i] { -rho[i].clone() } else { rho[i].clone() };
-                    for (idx, coef) in &c.coeffs {
-                        if !coef.is_zero() {
-                            dots[*idx] += coef.clone() * r.clone();
-                        }
-                    }
-                }
-                dots
-            });
-            let mut iter = partials.into_iter();
-            let mut dots = iter.next().expect("parts >= 2");
-            for part in iter {
-                for (d, v) in dots.iter_mut().zip(part) {
-                    if !v.is_zero() {
-                        *d += v;
-                    }
-                }
-            }
-            return dots;
-        }
         let mut dots = vec![Q::zero(); self.n];
         for (i, c) in lp.constraints.iter().enumerate() {
             if rho[i].is_zero() {
@@ -1564,8 +1288,7 @@ impl LinearProgram {
         opts: SolveOptions,
         cache: Option<&mut WarmCache>,
     ) -> (LpSolution, RevisedStats) {
-        let threads = hpool::resolve_threads(opts.threads);
-        let mut asm = assemble_hybrid(self, threads);
+        let mut asm = assemble_hybrid(self);
 
         // Cold float layout appends artificial columns, mirroring the
         // exact cold solver's structural | slack | artificial order.
@@ -1596,7 +1319,7 @@ impl LinearProgram {
         }
         asm.f_cost.resize(next_art, 0.0);
 
-        let mut stats = RevisedStats { threads, ..RevisedStats::default() };
+        let mut stats = RevisedStats::default();
         let proposal = float_cold(
             &asm.f_cols,
             &asm.f_rhs,
@@ -1605,7 +1328,6 @@ impl LinearProgram {
             art_start,
             opts.pricing,
             &mut stats,
-            threads,
         );
         asm.f_cols.truncate_cols(art_start);
         asm.f_cost.truncate(art_start);
@@ -1648,9 +1370,8 @@ impl LinearProgram {
         mut cache: Option<&mut WarmCache>,
         limit: Option<usize>,
     ) -> Result<(LpSolution, RevisedStats), BudgetError> {
-        let threads = hpool::resolve_threads(opts.threads);
-        let asm = assemble_hybrid(self, threads);
-        let mut stats = RevisedStats { threads, ..RevisedStats::default() };
+        let asm = assemble_hybrid(self);
+        let mut stats = RevisedStats::default();
 
         // Injected fault: behave exactly as if certification failed —
         // skip the float proposal entirely and take the exact fallback.
@@ -1712,15 +1433,8 @@ impl LinearProgram {
             }
         }
 
-        let proposal = float_warm(
-            &asm.f_cols,
-            &asm.f_rhs,
-            &asm.f_cost,
-            hint,
-            opts.pricing,
-            &mut stats,
-            threads,
-        );
+        let proposal =
+            float_warm(&asm.f_cols, &asm.f_rhs, &asm.f_cost, hint, opts.pricing, &mut stats);
 
         let reuse = match (&proposal, cache.as_deref_mut()) {
             // Only lift the cached state out for a clean full-rank

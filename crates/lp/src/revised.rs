@@ -34,6 +34,8 @@
 //! reuses the *parent factorization* wholesale whenever the hinted basis
 //! columns are unchanged in the new program, skipping even the crash.
 
+use std::convert::Infallible;
+
 use numeric::Q;
 
 use crate::factor::{Factorization, SVec};
@@ -94,8 +96,7 @@ pub enum Pricing {
 /// How to solve: the one configuration of every solve entry point
 /// ([`LinearProgram::solve_with`], [`LinearProgram::solve_warm_with`],
 /// [`WarmCache::with_options`]). The default — exact revised simplex,
-/// Bland's rule, env-driven threads — is what [`LinearProgram::solve`]
-/// runs.
+/// Bland's rule — is what [`LinearProgram::solve`] runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SolveOptions {
     /// Which production solver runs.
@@ -105,16 +106,6 @@ pub struct SolveOptions {
     /// pivot *path* (and possibly which optimal vertex is returned) but
     /// never the status or objective.
     pub pricing: Pricing,
-    /// Pricing-scan parallelism: the number of chunks the reduced-cost
-    /// scans are split into, executed on [`hpool::ThreadPool::global`].
-    /// `0` (the default) means [`hpool::default_threads`] — serial
-    /// unless `HSCHED_THREADS` opts the process in; `1` forces serial.
-    /// Any value yields the **same pivot path**: chunk results are
-    /// reduced in column order, so Bland's entering column (and the
-    /// candidate list under the other strategies) is identical to the
-    /// serial scan — only [`RevisedStats::columns_priced`] may differ
-    /// (chunks past the winning one scan speculatively).
-    pub threads: usize,
 }
 
 impl From<Solver> for SolveOptions {
@@ -160,10 +151,6 @@ pub struct RevisedStats {
     pub candidate_refills: usize,
     /// Devex reference-weight resets on refactorization.
     pub devex_resets: usize,
-    /// Resolved pricing-scan thread count this solve ran with (1 =
-    /// serial). Results are identical for every value; `columns_priced`
-    /// is the only counter that may vary with it.
-    pub threads: usize,
 }
 
 impl RevisedStats {
@@ -177,7 +164,6 @@ impl RevisedStats {
         self.columns_priced += other.columns_priced;
         self.candidate_refills += other.candidate_refills;
         self.devex_resets += other.devex_resets;
-        self.threads = self.threads.max(other.threads);
     }
 }
 
@@ -236,10 +222,9 @@ impl WarmCache {
 
     /// An empty cache whose solves all run under `opts` — the solver
     /// ([`Solver::Hybrid`] is the intended non-default choice: float
-    /// proposal + exact certification), the entering-column strategy,
-    /// and the pricing-scan parallelism. Under [`Solver::Hybrid`] the
-    /// exact certification holds regardless of the path the float
-    /// proposer took.
+    /// proposal + exact certification) and the entering-column strategy.
+    /// Under [`Solver::Hybrid`] the exact certification holds regardless
+    /// of the path the float proposer took.
     pub fn with_options(opts: SolveOptions) -> Self {
         WarmCache { opts, ..WarmCache::default() }
     }
@@ -481,42 +466,40 @@ impl std::fmt::Display for BudgetError {
 
 impl std::error::Error for BudgetError {}
 
-/// Column-filter callback for the pricing scans. `Sync` so chunked
-/// parallel scans can share it across workers.
-pub(crate) type Allowed<'f> = &'f (dyn Fn(usize) -> bool + Sync);
+/// Column-filter callback for the pricing scans.
+pub(crate) type Allowed<'f> = &'f dyn Fn(usize) -> bool;
 
-/// Below this many columns a full-scan chunk split costs more in task
-/// dispatch than it saves; the scans stay serial regardless of the
-/// `threads` option. (Exact rational reduced costs are ~µs each, task
-/// dispatch ~10 µs.)
-pub(crate) const PAR_MIN_COLS: usize = 256;
-
-/// Candidate-list re-pricing parallelizes above this list length (each
-/// entry is a full sparse exact dot product, so the threshold is lower
-/// than for the cheap-per-column full scans).
-pub(crate) const PAR_MIN_LIST: usize = 64;
-
-/// Reduced cost of column `j` under multipliers `y` — free function so
-/// parallel chunk closures can share it without borrowing a whole core.
-#[inline]
-pub(crate) fn reduced_cost_in(a_cols: &[SVec], cost: &[Q], y: &[Q], j: usize) -> Q {
-    let mut r = cost[j].clone();
-    for (i, v) in &a_cols[j] {
-        if !y[*i].is_zero() {
-            r -= v.clone() * y[*i].clone();
-        }
-    }
-    r
+/// A reduced cost as the shared pricing loops see it: ordered (the
+/// partial-candidate rule picks the most negative) and with an `f64`
+/// view for the devex score. Implemented by the exact core's `Q` and the
+/// float core's `f64`.
+pub(crate) trait ReducedCost: PartialOrd {
+    fn as_f64(&self) -> f64;
 }
 
-/// Mutable pricing state carried across the pivots of one solve.
-/// Shared with the hybrid float proposer — selection state (cursor,
-/// candidate list, devex weights) is plain bookkeeping either way; only
-/// the reduced-cost arithmetic differs between the two cores.
+impl ReducedCost for Q {
+    fn as_f64(&self) -> f64 {
+        self.to_f64()
+    }
+}
+
+impl ReducedCost for f64 {
+    fn as_f64(&self) -> f64 {
+        *self
+    }
+}
+
+/// Mutable pricing state carried across the pivots of one solve, and
+/// the one implementation of entering-column selection both cores run.
+/// Selection (Bland scan, candidate list, rotating refill, devex
+/// weights) is plain bookkeeping either way; each core supplies only its
+/// reduced-cost arithmetic, as a closure `negative(j)` returning
+/// `Some(rc)` when column `j` prices negative and `Err` when the core
+/// must give up.
 pub(crate) struct PriceState {
     pub(crate) pricing: Pricing,
     /// Where the next rotating refill scan starts.
-    pub(crate) cursor: usize,
+    cursor: usize,
     /// Nonbasic columns last seen with negative reduced cost, re-priced
     /// lazily under each new set of multipliers.
     pub(crate) candidates: Vec<usize>,
@@ -547,7 +530,7 @@ impl PriceState {
 
     /// Candidate-list capacity: ~√cols keeps both the refill scans and
     /// the per-pivot re-pricing sublinear in the column count.
-    pub(crate) fn list_cap(cols: usize) -> usize {
+    fn list_cap(cols: usize) -> usize {
         ((cols as f64).sqrt() as usize).clamp(16, 512)
     }
 
@@ -556,6 +539,145 @@ impl PriceState {
     /// cycling vertex escapes quickly.
     pub(crate) fn degen_threshold(m: usize) -> usize {
         8 * (m + 16)
+    }
+
+    /// Entering column under the configured strategy among the `cols`
+    /// columns; `Ok(None)` = no allowed nonbasic column prices negative
+    /// (the phase is optimal). Every reduced cost evaluated is counted
+    /// in `stats.columns_priced`.
+    pub(crate) fn price_enter<R: ReducedCost, E>(
+        &mut self,
+        cols: usize,
+        in_basis: &[bool],
+        allowed: Allowed,
+        stats: &mut RevisedStats,
+        mut negative: impl FnMut(usize) -> Result<Option<R>, E>,
+    ) -> Result<Option<usize>, E> {
+        if self.pricing == Pricing::Bland || self.bland_mode {
+            return Self::bland_enter(cols, in_basis, allowed, stats, &mut negative);
+        }
+        let mut enter = self.select_candidates(in_basis, allowed, stats, &mut negative)?;
+        if enter.is_none() {
+            // List exhausted: refill by a rotating scan. The refill
+            // prices every column when nothing is negative, so an empty
+            // refill proves optimality under the current multipliers.
+            stats.candidate_refills += 1;
+            self.refill_candidates(cols, in_basis, allowed, stats, &mut negative)?;
+            enter = self.select_candidates(in_basis, allowed, stats, &mut negative)?;
+        }
+        Ok(enter)
+    }
+
+    /// Bland's rule: the smallest allowed nonbasic column with negative
+    /// reduced cost, in column order with early exit.
+    fn bland_enter<R, E>(
+        cols: usize,
+        in_basis: &[bool],
+        allowed: Allowed,
+        stats: &mut RevisedStats,
+        negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
+    ) -> Result<Option<usize>, E> {
+        for j in 0..cols {
+            if !allowed(j) || in_basis[j] {
+                continue;
+            }
+            stats.columns_priced += 1;
+            if negative(j)?.is_some() {
+                return Ok(Some(j));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Re-price the candidate list under the current multipliers,
+    /// dropping entries that went basic, disallowed, or nonnegative, and
+    /// return the best survivor by the strategy's selection rule (most
+    /// negative reduced cost for [`Pricing::PartialCandidate`]; max
+    /// `rc²/γ_j` for [`Pricing::Devex`]; ties to the smaller column).
+    fn select_candidates<R: ReducedCost, E>(
+        &mut self,
+        in_basis: &[bool],
+        allowed: Allowed,
+        stats: &mut RevisedStats,
+        negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
+    ) -> Result<Option<usize>, E> {
+        let devex = self.pricing == Pricing::Devex;
+        let mut best: Option<(usize, R, f64)> = None;
+        let mut kept = 0;
+        for idx in 0..self.candidates.len() {
+            let j = self.candidates[idx];
+            if !allowed(j) || in_basis[j] {
+                continue;
+            }
+            stats.columns_priced += 1;
+            let Some(rc) = negative(j)? else {
+                continue;
+            };
+            let score = if devex {
+                let rcf = rc.as_f64();
+                let w = self.weights[j].max(f64::MIN_POSITIVE);
+                let s = rcf * rcf / w;
+                if s.is_finite() {
+                    s
+                } else {
+                    f64::MAX
+                }
+            } else {
+                0.0
+            };
+            let better = match &best {
+                None => true,
+                Some((bj, brc, bscore)) => {
+                    if devex {
+                        score > *bscore || (score == *bscore && j < *bj)
+                    } else {
+                        rc < *brc || (rc == *brc && j < *bj)
+                    }
+                }
+            };
+            if better {
+                best = Some((j, rc, score));
+            }
+            self.candidates[kept] = j;
+            kept += 1;
+        }
+        self.candidates.truncate(kept);
+        Ok(best.map(|(j, _, _)| j))
+    }
+
+    /// Rotating refill: price columns from the cursor, wrapping once
+    /// around the ring, collecting up to the list cap of
+    /// negative-reduced-cost columns. A full wrap collecting nothing
+    /// leaves the list empty, which the caller reads as phase-optimal.
+    fn refill_candidates<R, E>(
+        &mut self,
+        cols: usize,
+        in_basis: &[bool],
+        allowed: Allowed,
+        stats: &mut RevisedStats,
+        negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
+    ) -> Result<(), E> {
+        if cols == 0 {
+            return Ok(());
+        }
+        let cap = Self::list_cap(cols);
+        let start = self.cursor % cols;
+        for step in 0..cols {
+            let j = (start + step) % cols;
+            if !allowed(j) || in_basis[j] {
+                continue;
+            }
+            stats.columns_priced += 1;
+            if negative(j)?.is_some() {
+                self.candidates.push(j);
+                if self.candidates.len() >= cap {
+                    self.cursor = (j + 1) % cols;
+                    return Ok(());
+                }
+            }
+        }
+        self.cursor = start;
+        Ok(())
     }
 }
 
@@ -577,9 +699,6 @@ struct Core<'a> {
     /// Scratch for FTRAN results.
     u: Vec<Q>,
     price: PriceState,
-    /// Resolved pricing-scan parallelism (≥ 1; from
-    /// [`SolveOptions::threads`] via [`hpool::resolve_threads`]).
-    threads: usize,
 }
 
 impl<'a> Core<'a> {
@@ -605,21 +724,6 @@ impl<'a> Core<'a> {
             self.factor.btran_inplace(&mut y);
         }
         y
-    }
-
-    /// Reduced cost of column `j` under multipliers `y`.
-    fn reduced_cost(&self, cost: &[Q], y: &[Q], j: usize) -> Q {
-        reduced_cost_in(self.a_cols, cost, y, j)
-    }
-
-    /// Chunk count for a scan over `span` columns: the configured
-    /// parallelism, unless the span is too small to amortize dispatch.
-    fn scan_parts(&self, span: usize, min: usize) -> usize {
-        if self.threads > 1 && span >= min {
-            self.threads
-        } else {
-            1
-        }
     }
 
     /// Entry `(B⁻¹ A_j)[slot]` given the unit BTRAN `rho` of `slot`.
@@ -759,234 +863,21 @@ impl<'a> Core<'a> {
     }
 
     /// Entering column under the configured strategy; `None` = no
-    /// allowed nonbasic column has negative reduced cost (the phase is
-    /// optimal).
+    /// allowed nonbasic column has negative reduced cost `c_j − y·A_j`
+    /// (the phase is optimal).
     fn price_enter(&mut self, cost: &[Q], y: &[Q], allowed: Allowed) -> Option<usize> {
-        if self.price.pricing == Pricing::Bland || self.price.bland_mode {
-            return self.bland_enter(cost, y, allowed);
-        }
-        let mut list = std::mem::take(&mut self.price.candidates);
-        let mut enter = self.select_candidates(&mut list, cost, y, allowed);
-        if enter.is_none() {
-            // List exhausted: refill by a rotating scan. The refill
-            // prices every column when nothing is negative, so an empty
-            // refill proves optimality under the current multipliers.
-            self.stats.candidate_refills += 1;
-            self.refill_candidates(&mut list, cost, y, allowed);
-            enter = self.select_candidates(&mut list, cost, y, allowed);
-        }
-        self.price.candidates = list;
-        enter
-    }
-
-    /// Bland's rule: the smallest allowed nonbasic column with negative
-    /// reduced cost — scan order and early exit verbatim the historical
-    /// loop, so the default pivot path is bit-identical. The parallel
-    /// variant splits the scan into contiguous chunks (each with its own
-    /// early exit) and takes the hit from the *earliest* chunk, which is
-    /// exactly the serial entering column; only `columns_priced` differs
-    /// (later chunks scan speculatively).
-    fn bland_enter(&mut self, cost: &[Q], y: &[Q], allowed: Allowed) -> Option<usize> {
-        let cols = self.a_cols.len();
-        let parts = self.scan_parts(cols, PAR_MIN_COLS);
-        if parts <= 1 {
-            for j in 0..cols {
-                if !allowed(j) || self.in_basis[j] {
-                    continue;
-                }
-                self.stats.columns_priced += 1;
-                if self.reduced_cost(cost, y, j).is_negative() {
-                    return Some(j);
+        let Core { a_cols, in_basis, price, stats, .. } = self;
+        let negative = |j: usize| {
+            let mut rc = cost[j].clone();
+            for (i, v) in &a_cols[j] {
+                if !y[*i].is_zero() {
+                    rc -= v.clone() * y[*i].clone();
                 }
             }
-            return None;
-        }
-        let chunk = cols.div_ceil(parts);
-        let (a_cols, in_basis) = (self.a_cols, &self.in_basis);
-        let results = hpool::ThreadPool::global().run_parts(parts, |p| {
-            let lo = p * chunk;
-            let hi = cols.min(lo + chunk);
-            let mut priced = 0usize;
-            for j in lo..hi {
-                if !allowed(j) || in_basis[j] {
-                    continue;
-                }
-                priced += 1;
-                if reduced_cost_in(a_cols, cost, y, j).is_negative() {
-                    return (priced, Some(j));
-                }
-            }
-            (priced, None)
-        });
-        let mut enter = None;
-        for (priced, hit) in results {
-            self.stats.columns_priced += priced;
-            if enter.is_none() {
-                enter = hit;
-            }
-        }
-        enter
-    }
-
-    /// Re-price `list` under the current multipliers, dropping entries
-    /// whose reduced cost went nonnegative, and return the best survivor
-    /// by the strategy's selection rule (most negative reduced cost for
-    /// [`Pricing::PartialCandidate`]; max `rc²/γ_j` for
-    /// [`Pricing::Devex`]; ties to the smaller column).
-    fn select_candidates(
-        &mut self,
-        list: &mut Vec<usize>,
-        cost: &[Q],
-        y: &[Q],
-        allowed: Allowed,
-    ) -> Option<usize> {
-        let devex = self.price.pricing == Pricing::Devex;
-        // Pre-price a long list in parallel chunks. Entries are then
-        // consumed in list order, so selection, tie-breaks, and the
-        // compaction are identical to the serial path — and both paths
-        // price exactly the non-skipped entries, so `columns_priced`
-        // matches the serial count too.
-        let parts = self.scan_parts(list.len(), PAR_MIN_LIST);
-        let mut pre: Option<Vec<Option<Q>>> = if parts > 1 {
-            let chunk = list.len().div_ceil(parts);
-            let (a_cols, in_basis, items) = (self.a_cols, &self.in_basis, &*list);
-            let chunks = hpool::ThreadPool::global().run_parts(parts, |p| {
-                let lo = p * chunk;
-                let hi = items.len().min(lo + chunk);
-                items[lo..hi]
-                    .iter()
-                    .map(|&j| {
-                        (allowed(j) && !in_basis[j]).then(|| reduced_cost_in(a_cols, cost, y, j))
-                    })
-                    .collect::<Vec<_>>()
-            });
-            Some(chunks.into_iter().flatten().collect())
-        } else {
-            None
+            Ok::<_, Infallible>(rc.is_negative().then_some(rc))
         };
-        let mut best: Option<(usize, Q, f64)> = None;
-        let mut kept = 0;
-        for idx in 0..list.len() {
-            let j = list[idx];
-            let rc = match &mut pre {
-                Some(v) => match v[idx].take() {
-                    None => continue,
-                    Some(rc) => rc,
-                },
-                None => {
-                    if !allowed(j) || self.in_basis[j] {
-                        continue;
-                    }
-                    self.reduced_cost(cost, y, j)
-                }
-            };
-            self.stats.columns_priced += 1;
-            if !rc.is_negative() {
-                continue;
-            }
-            let score = if devex {
-                let rcf = rc.to_f64();
-                let w = self.price.weights[j].max(f64::MIN_POSITIVE);
-                let s = rcf * rcf / w;
-                if s.is_finite() {
-                    s
-                } else {
-                    f64::MAX
-                }
-            } else {
-                0.0
-            };
-            let better = match &best {
-                None => true,
-                Some((bj, brc, bscore)) => {
-                    if devex {
-                        score > *bscore || (score == *bscore && j < *bj)
-                    } else {
-                        rc < *brc || (rc == *brc && j < *bj)
-                    }
-                }
-            };
-            if better {
-                best = Some((j, rc, score));
-            }
-            list[kept] = j;
-            kept += 1;
-        }
-        list.truncate(kept);
-        best.map(|(j, _, _)| j)
-    }
-
-    /// Rotating refill: price columns from the cursor, wrapping once
-    /// around the ring, collecting up to the list cap of
-    /// negative-reduced-cost columns. A full wrap collecting nothing
-    /// leaves the list empty, which the caller reads as phase-optimal.
-    fn refill_candidates(&mut self, list: &mut Vec<usize>, cost: &[Q], y: &[Q], allowed: Allowed) {
-        let cols = self.a_cols.len();
-        if cols == 0 {
-            return;
-        }
-        let cap = PriceState::list_cap(cols);
-        let start = self.price.cursor % cols;
-        let parts = self.scan_parts(cols, PAR_MIN_COLS);
-        if parts > 1 {
-            // Split the ring walk into contiguous step ranges; merging the
-            // per-chunk hits in chunk order reproduces the serial ring order
-            // exactly, so the refilled list — and hence every subsequent
-            // candidate selection — is identical at any thread count. Each
-            // chunk stops after `cap` hits (no prefix ever needs more).
-            let chunk = cols.div_ceil(parts);
-            let (a_cols, in_basis) = (self.a_cols, &self.in_basis);
-            let found = hpool::ThreadPool::global().run_parts(parts, |p| {
-                let lo = p * chunk;
-                let hi = cols.min(lo + chunk);
-                let mut hits = Vec::new();
-                let mut priced = 0usize;
-                for step in lo..hi {
-                    let j = (start + step) % cols;
-                    if !allowed(j) || in_basis[j] {
-                        continue;
-                    }
-                    priced += 1;
-                    if reduced_cost_in(a_cols, cost, y, j).is_negative() {
-                        hits.push(j);
-                        if hits.len() >= cap {
-                            break;
-                        }
-                    }
-                }
-                (priced, hits)
-            });
-            for (priced, hits) in found {
-                self.stats.columns_priced += priced;
-                for j in hits {
-                    if list.len() >= cap {
-                        break;
-                    }
-                    list.push(j);
-                    if list.len() >= cap {
-                        self.price.cursor = (j + 1) % cols;
-                        return;
-                    }
-                }
-            }
-            self.price.cursor = start;
-            return;
-        }
-        for step in 0..cols {
-            let j = (start + step) % cols;
-            if !allowed(j) || self.in_basis[j] {
-                continue;
-            }
-            self.stats.columns_priced += 1;
-            if self.reduced_cost(cost, y, j).is_negative() {
-                list.push(j);
-                if list.len() >= cap {
-                    self.price.cursor = (j + 1) % cols;
-                    return;
-                }
-            }
-        }
-        self.price.cursor = start;
+        let Ok(enter) = price.price_enter(a_cols.len(), in_basis, allowed, stats, negative);
+        enter
     }
 
     /// Track degenerate-pivot streaks for the non-Bland strategies: a
@@ -1126,9 +1017,7 @@ impl LinearProgram {
             stats: RevisedStats::default(),
             u: Vec::new(),
             price: PriceState::new(opts.pricing, cols),
-            threads: hpool::resolve_threads(opts.threads),
         };
-        core.stats.threads = core.threads;
         let mut dead = vec![false; m];
 
         // --- Phase 1: minimize the sum of artificials. -------------------
@@ -1381,7 +1270,6 @@ impl LinearProgram {
             }
         }
 
-        let threads = hpool::resolve_threads(opts.threads);
         let mut core = Core {
             m,
             a_cols: &a_cols,
@@ -1393,9 +1281,7 @@ impl LinearProgram {
             stats: RevisedStats::default(),
             u: Vec::new(),
             price: PriceState::new(opts.pricing, cols),
-            threads,
         };
-        core.stats.threads = threads;
 
         // --- Dual-simplex repair of b ≥ 0 (zero objective: any basis is
         // dual-feasible; Bland selections are the classic anti-cycling
@@ -2006,7 +1892,7 @@ mod tests {
     #[test]
     fn revised_cache_cold_solve_uses_cache_options() {
         let lp = dead_prefix_lp();
-        let opts = SolveOptions { pricing: Pricing::Devex, threads: 1, ..SolveOptions::default() };
+        let opts = SolveOptions { pricing: Pricing::Devex, ..SolveOptions::default() };
         let (direct, stats) = lp.solve_with(opts);
         assert!(stats.columns_priced > 0);
         let mut cache = WarmCache::with_options(opts);

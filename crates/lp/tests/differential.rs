@@ -10,46 +10,12 @@
 //! agreement: same status, same optimal objective, feasible vertex,
 //! vertex support bound.
 
+mod common;
+
+use common::{q, random_lp, wide_lp};
 use lp::{LinearProgram, LpStatus, Pricing, Relation, SolveOptions, Solver, WarmCache};
 use numeric::Q;
 use proptest::prelude::*;
-
-fn q(v: i64) -> Q {
-    Q::from_int(v)
-}
-
-/// Build a random LP from flat integer streams: `nv` variables, one
-/// constraint per chunk of `coefs`, relation and rhs cycled from `rels`
-/// and `rhss`, objective from `objs`.
-fn random_lp(
-    nv: usize,
-    objs: &[i64],
-    coefs: &[i64],
-    rels: &[u8],
-    rhss: &[i64],
-    n_cons: usize,
-) -> LinearProgram {
-    let mut lp = LinearProgram::new(nv);
-    for v in 0..nv {
-        lp.set_objective(v, q(objs[v % objs.len()]));
-    }
-    for c in 0..n_cons {
-        let coeffs: Vec<(usize, Q)> = (0..nv)
-            .map(|v| (v, q(coefs[(c * nv + v) % coefs.len()])))
-            .filter(|(_, w)| !w.is_zero())
-            .collect();
-        if coeffs.is_empty() {
-            continue;
-        }
-        let rel = match rels[c % rels.len()] % 3 {
-            0 => Relation::Le,
-            1 => Relation::Ge,
-            _ => Relation::Eq,
-        };
-        lp.add_constraint(coeffs, rel, q(rhss[c % rhss.len()]));
-    }
-    lp
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -212,7 +178,7 @@ proptest! {
             }
             // The hybrid under the same strategy must stay certified-or-
             // fallback exact as well.
-            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 });
+            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
             prop_assert_eq!(bland.status, hyb.status, "hybrid {:?}", pricing);
             prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
             if bland.status == LpStatus::Optimal {
@@ -245,7 +211,7 @@ proptest! {
         };
         for solver in [Solver::Revised, Solver::Hybrid] {
             for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-                let mut cache = WarmCache::with_options(SolveOptions { solver, pricing, threads: 0 });
+                let mut cache = WarmCache::with_options(SolveOptions { solver, pricing });
                 for shift in [0i64, delta, delta.saturating_sub(1)] {
                     let lp = build(shift);
                     let cached = lp.solve_warm_cached(&mut cache);
@@ -304,7 +270,7 @@ proptest! {
                 prop_assert_eq!(&exact.objective_value, &sol.objective_value, "{:?} k = {}", pricing, k);
                 prop_assert!(lp.is_feasible_point(&sol.values));
             }
-            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing, threads: 0 });
+            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
             prop_assert_eq!(exact.status, hyb.status, "hybrid {:?} k = {}", pricing, k);
             prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
             if exact.status == LpStatus::Optimal {
@@ -359,5 +325,35 @@ proptest! {
             prop_assert_eq!(&exact.values, &hybrid.values, "k = {}", k);
             prop_assert!(lp.is_feasible_point(&hybrid.values));
         }
+    }
+}
+
+/// The candidate strategies on a program wide enough to fill their
+/// list: `wide_lp(300, _)` has 601 columns against a list cap of 24, so
+/// the rotating refill stops at the cap and resumes from its cursor —
+/// the small random programs above never get there. Revised Bland is
+/// the reference; every strategy under both solvers matches its status
+/// and objective at a feasible point, and the hybrid under Bland returns
+/// its vertex.
+#[test]
+fn pricing_strategies_match_bland_on_a_wide_program() {
+    for seed in [3, 11] {
+        let lp = wide_lp(300, seed);
+        let bland = lp.solve();
+        assert_eq!(bland.status, LpStatus::Optimal, "seed {seed}");
+        for solver in [Solver::Revised, Solver::Hybrid] {
+            for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
+                let (sol, _) = lp.solve_with(SolveOptions { solver, pricing });
+                assert_eq!(sol.status, bland.status, "seed {seed} {solver:?}/{pricing:?}");
+                assert_eq!(
+                    sol.objective_value, bland.objective_value,
+                    "seed {seed} {solver:?}/{pricing:?}"
+                );
+                assert!(lp.is_feasible_point(&sol.values), "seed {seed} {solver:?}/{pricing:?}");
+            }
+        }
+        let (hybrid, _) = lp.solve_with(Solver::Hybrid.into());
+        assert_eq!(hybrid.status, bland.status, "seed {seed}");
+        assert_eq!(hybrid.values, bland.values, "seed {seed}: hybrid Bland vertex");
     }
 }

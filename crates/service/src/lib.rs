@@ -212,8 +212,9 @@ impl std::fmt::Debug for LatencyStats {
 /// Cumulative, thread-count-invariant counters for a service run. Every
 /// field except the identity-free [`LatencyStats`] is integral and
 /// deterministic for a fixed event stream + fault plan, so goldens can
-/// pin the whole struct bit-for-bit. (The one thread-variant solver
-/// statistic, `columns_priced`, is deliberately not included.)
+/// pin the whole struct bit-for-bit. (The solver's pricing counters,
+/// `columns_priced` among them, are not carried: adding a field would
+/// change the checkpoint format and every pinned report.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceReport {
     /// Events processed.
@@ -416,11 +417,8 @@ impl Scheduler {
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(cfg.ovh_den > 0, "overhead denominator must be positive");
         let m = cfg.family.num_machines();
-        let cache = WarmCache::with_options(SolveOptions {
-            solver: Solver::Hybrid,
-            pricing: cfg.pricing,
-            threads: 0,
-        });
+        let cache =
+            WarmCache::with_options(SolveOptions { solver: Solver::Hybrid, pricing: cfg.pricing });
         Scheduler {
             cfg,
             active: Vec::new(),
