@@ -790,11 +790,18 @@ pub fn e12_with(budget: Duration) -> Report {
             format!("{:.1}×", d_exact.as_secs_f64() / d_hybrid.as_secs_f64().max(1e-9)),
             format!("{}/{}", cache_hybrid.hybrid_certified(), E12_WARM_PROBES),
         ]);
+        let why = cache_hybrid.fallback_reasons();
         warm_note = Some(format!(
-            "warm cache counters at ({n},{m}): {} certified, {} exact fallbacks, {} anti-cycling \
-             cap fallbacks, {} factorization reuses",
+            "warm cache counters at ({n},{m}): {} certified, {} exact fallbacks (float gave up \
+             {}, singular basis {}, certificate rejected {}, injected {}), {} warm give-ups \
+             rescued by the cold retry, {} anti-cycling cap fallbacks, {} factorization reuses",
             cache_hybrid.hybrid_certified(),
             cache_hybrid.hybrid_fallbacks(),
+            why.float_gave_up,
+            why.singular_basis,
+            why.certificate_rejected,
+            why.injected,
+            cache_hybrid.cold_rescues(),
             cache_hybrid.warm_fallbacks(),
             cache_hybrid.factor_reuses(),
         ));
@@ -1121,10 +1128,13 @@ pub fn e15_with(budget: Duration) -> Report {
             let events = service::event_stream(&family, &cfg, &mut rng(1500 + row_id));
             let plan = service::FaultPlan::seeded(E15_EVENTS, rate, &mut rng(1600 + row_id));
             let t0 = Instant::now();
-            let report =
-                service::run(service::ServiceConfig::semi_partitioned(E15_M), &events, &plan)
+            let mut svc = service::Scheduler::new(service::ServiceConfig::semi_partitioned(E15_M));
+            for (i, ev) in events.iter().enumerate() {
+                svc.apply(ev, plan.fault_at(i))
                     .unwrap_or_else(|e| panic!("invariant violation in E15 row {row_id}: {e}"));
+            }
             let elapsed = t0.elapsed();
+            let (report, why) = (svc.report(), svc.fallback_reasons());
             if (arrive, depart, fail) == (45, 25, 20) {
                 // The acceptance criterion: a fault-heavy run with
                 // enough events and real machine failures, absorbed
@@ -1141,6 +1151,12 @@ pub fn e15_with(budget: Duration) -> Report {
                 report.epochs_tier3 >= report.deadline_faults,
                 "every deadline overrun degraded gracefully"
             );
+            assert_eq!(
+                report.hybrid_fallbacks,
+                report.cert_faults - report.cert_faults_pending,
+                "E15 row {row_id}: every T* probe certifies; the only hybrid fallbacks are the \
+                 injected ones ({why:?})"
+            );
             t.row(vec![
                 format!("{arrive}/{depart}/{fail}"),
                 rate.to_string(),
@@ -1148,8 +1164,14 @@ pub fn e15_with(budget: Duration) -> Report {
                 report.faults_injected.to_string(),
                 format!("{}/{}/{}", report.epochs_tier1, report.epochs_tier2, report.epochs_tier3),
                 format!(
-                    "{}w {}h {}b",
-                    report.warm_fallbacks, report.hybrid_fallbacks, report.budget_exhaustions
+                    "{}w {}h[{}/{}/{}/{}] {}b",
+                    report.warm_fallbacks,
+                    report.hybrid_fallbacks,
+                    why.float_gave_up,
+                    why.singular_basis,
+                    why.certificate_rejected,
+                    why.injected,
+                    report.budget_exhaustions
                 ),
                 report.reassignments.to_string(),
                 report.max_arrival_moves.max(report.max_departure_moves).to_string(),
@@ -1178,7 +1200,9 @@ pub fn e15_with(budget: Duration) -> Report {
          under a pivot budget (warm hybrid → cold exact → LP-free greedy ladder), is validated, \
          simulated, and checked against the ≤ m−1 / ≤ 2m−2 per-event disruption bounds — a \
          violation aborts the harness. fallbacks column: warm-hint (w), hybrid-certification \
-         (h), budget/deadline (b). max move is the largest per-event reassignment count",
+         (h, split [float gave up/singular basis/certificate rejected/injected]), \
+         budget/deadline (b); every row asserts that the injected certification faults are \
+         the only hybrid fallbacks. max move is the largest per-event reassignment count",
     )
     .note(
         "injected faults (poisoned warm hints, forced certification failures, deadline \

@@ -19,11 +19,20 @@
 //!
 //! On success the exact vertex/objective is read off that single
 //! factorization — the answer is exact even though no exact pivot ever
-//! ran. On *any* failure (singular proposed basis, a float sign error,
-//! the float cycle cap) the hybrid silently falls back to the exact
-//! [`crate::Solver::Revised`] path and records the fallback in
-//! [`RevisedStats`] — wrong answers are impossible, only wasted float
-//! work.
+//! ran. The certifier checks the float's *own* final basis, in the manner
+//! of Applegate, Cook, Dash and Espinoza ("Exact solutions to linear
+//! programming problems", Oper. Res. Lett. 2007): an infeasibility claim
+//! from phase 1 names the rows whose artificials stayed basic, and the
+//! exact basis is completed with exactly those unit columns, so the
+//! phase-1 duals it checks are the ones phase 1 ended with.
+//!
+//! When a warm float crash/repair gives up, the float two-phase proposes
+//! again from scratch before any exact pivot runs. On *any* remaining
+//! failure (the float gave up, the proposed basis is singular, or the
+//! exact check rejects a float sign error) the hybrid silently falls
+//! back to the exact [`crate::Solver::Revised`] path and records the
+//! fallback, by reason, in [`RevisedStats`] — wrong answers are
+//! impossible, only wasted float work.
 //!
 //! The zero-objective feasibility probes that dominate the binary
 //! searches certify especially cheaply: the dual system is trivial
@@ -37,8 +46,8 @@ use numeric::Q;
 use crate::factor::{Factorization, SVec};
 use crate::problem::{LinearProgram, Relation};
 use crate::revised::{
-    Allowed, BudgetError, PriceState, Pricing, Refactor, ReuseState, RevisedStats, SolveOptions,
-    WarmCache, WarmMode, VIRTUAL,
+    Allowed, BudgetError, Fallback, PriceState, Pricing, Refactor, ReuseState, RevisedStats,
+    SolveOptions, WarmCache, WarmMode, VIRTUAL,
 };
 use crate::simplex::{LpSolution, LpStatus};
 
@@ -532,9 +541,11 @@ enum Witness {
     /// The basic column of the stuck dual-repair row; its exact row
     /// functional is the Farkas vector.
     Column(usize),
-    /// Phase-1 terminated with positive artificials: the phase-1 duals
-    /// (of the certifier's unit-completed basis) are the Farkas vector.
-    PhaseOneDuals,
+    /// Phase 1 terminated with positive artificials, still basic on
+    /// `art_rows`: the phase-1 duals of the float's own final phase-1
+    /// basis — its real columns plus exactly the unit columns of those
+    /// rows — are the Farkas vector.
+    PhaseOneDuals { art_rows: Vec<usize> },
 }
 
 enum FloatProposal {
@@ -610,9 +621,17 @@ fn float_cold(
             return FloatProposal::GaveUp;
         }
         if infeas > EPS_INFEAS {
+            // Artificial column `art_start + k` is the unit column of the
+            // row it was pushed for.
+            let art_rows = core
+                .basis
+                .iter()
+                .filter(|&&b| b >= art_start)
+                .map(|&b| a_cols.col(b)[0].0)
+                .collect();
             return FloatProposal::Infeasible {
                 cols: core.real_basis(art_start),
-                witness: Witness::PhaseOneDuals,
+                witness: Witness::PhaseOneDuals { art_rows },
             };
         }
         // Drive remaining zero-level artificials out (or leave them: the
@@ -955,14 +974,16 @@ impl Assembled {
 }
 
 /// Factorize the proposed real column set exactly, completing missing
-/// rows with unit (virtual) columns. Returns the factorization, the
-/// per-slot basis ([`VIRTUAL`] = unit column), and the extracted exact
-/// columns (parallel to `proposal`), or `None` when the proposal is
-/// singular under exact arithmetic.
+/// rows with unit (virtual) columns: first those of `unit_rows` (the
+/// proposer's own basic unit columns), then any row still unpivoted.
+/// Returns the factorization, the per-slot basis ([`VIRTUAL`] = unit
+/// column), and the extracted exact columns (parallel to `proposal`),
+/// or `None` when the proposed basis is singular under exact arithmetic.
 fn build_exact_basis(
     lp: &LinearProgram,
     asm: &Assembled,
     proposal: &[usize],
+    unit_rows: &[usize],
 ) -> Option<(Factorization, Vec<usize>, Vec<SVec>)> {
     let m = asm.m;
     if proposal.len() > m {
@@ -980,6 +1001,14 @@ fn build_exact_basis(
         let slot = factor.eliminate(&ex[p], &pivoted, &mut scratch)?;
         pivoted[slot] = true;
         basis[slot] = proposal[p];
+    }
+    // Unit columns on the proposer's rows, not wherever this
+    // elimination left rows open: a phase-1 dual vector is a Farkas
+    // vector only for the basis phase 1 actually ended in.
+    for &row in unit_rows {
+        let unit: SVec = vec![(row, Q::one())];
+        let slot = factor.eliminate(&unit, &pivoted, &mut scratch)?;
+        pivoted[slot] = true;
     }
     for p in 0..m {
         if pivoted[p] {
@@ -1114,9 +1143,11 @@ fn certify_infeasible(
             let slot = basis.iter().position(|&b| b == *w)?;
             rho[slot] = Q::one();
         }
-        Witness::PhaseOneDuals => {
-            // ρ = −y where y are the phase-1 duals of the unit-completed
-            // basis (unit slots carry phase-1 cost 1, real slots 0).
+        Witness::PhaseOneDuals { .. } => {
+            // ρ = −y where y are the phase-1 duals of the float's final
+            // phase-1 basis, which `build_exact_basis` rebuilt with the
+            // witness rows' unit columns (unit slots carry phase-1 cost
+            // 1, real slots 0).
             let mut any = false;
             for (slot, &b) in basis.iter().enumerate() {
                 if b == VIRTUAL {
@@ -1212,20 +1243,24 @@ fn certify_unbounded(
 // Orchestration.
 // ---------------------------------------------------------------------
 
-/// Certify a float proposal; `None` = fall back to the exact solver.
-/// `reuse` optionally carries a previously certified factorization whose
-/// basis/columns are revalidated here before being trusted.
+/// Certify a float proposal; `Err` = fall back to the exact solver, for
+/// the reason given. `reuse` optionally carries a previously certified
+/// factorization whose basis/columns are revalidated here before being
+/// trusted.
 fn certify(
     lp: &LinearProgram,
     asm: &Assembled,
     proposal: &FloatProposal,
     reuse: Option<ReuseState>,
-) -> Option<(LpSolution, Option<ReuseState>, bool)> {
-    let cols_prop: &[usize] = match proposal {
+) -> Result<(LpSolution, Option<ReuseState>, bool), Fallback> {
+    let (cols_prop, unit_rows): (&[usize], &[usize]) = match proposal {
+        FloatProposal::Infeasible { cols, witness: Witness::PhaseOneDuals { art_rows } } => {
+            (cols, art_rows)
+        }
         FloatProposal::Optimal { cols }
         | FloatProposal::Infeasible { cols, .. }
-        | FloatProposal::Unbounded { cols, .. } => cols,
-        FloatProposal::GaveUp => return None,
+        | FloatProposal::Unbounded { cols, .. } => (cols, &[]),
+        FloatProposal::GaveUp => return Err(Fallback::GaveUp),
     };
 
     // Wholesale factorization reuse, the exact warm solver's trick: same
@@ -1245,19 +1280,20 @@ fn certify(
                 }
             }
         }
-        build_exact_basis(lp, asm, cols_prop)?
+        build_exact_basis(lp, asm, cols_prop, unit_rows).ok_or(Fallback::Singular)?
     };
 
     let sol = match proposal {
-        FloatProposal::Optimal { .. } => certify_optimal(lp, asm, &factor, &basis)?,
+        FloatProposal::Optimal { .. } => certify_optimal(lp, asm, &factor, &basis),
         FloatProposal::Infeasible { witness, .. } => {
-            certify_infeasible(lp, asm, &factor, &basis, witness)?
+            certify_infeasible(lp, asm, &factor, &basis, witness)
         }
         FloatProposal::Unbounded { enter, .. } => {
-            certify_unbounded(lp, asm, &factor, &basis, *enter)?
+            certify_unbounded(lp, asm, &factor, &basis, *enter)
         }
         FloatProposal::GaveUp => unreachable!("handled above"),
-    };
+    }
+    .ok_or(Fallback::Rejected)?;
 
     // Offer the certified factorization for reuse only when the basis is
     // clean (no virtual slots) — the exact warm cache's policy.
@@ -1273,76 +1309,74 @@ fn certify(
         ReuseState { m: asm.m, cols: asm.cols, basis, factor, snapshot }
     });
     let reused = reused_snapshot_used;
-    Some((sol, reuse_out, reused))
+    Ok((sol, reuse_out, reused))
+}
+
+/// The float two-phase proposal. The cold float layout appends one
+/// artificial column per `≥`/`=` row, mirroring the exact cold solver's
+/// structural | slack | artificial order. They live only in the float
+/// view and are stripped again here; an infeasibility witness names the
+/// rows whose artificials stayed basic, and the certifier rebuilds
+/// exactly those as unit columns.
+fn propose_cold(asm: &mut Assembled, pricing: Pricing, stats: &mut RevisedStats) -> FloatProposal {
+    let art_start = asm.cols;
+    let mut basis0 = vec![VIRTUAL; asm.m];
+    let mut next_slack = asm.n;
+    let mut next_art = art_start;
+    for (i, rel) in asm.rels.iter().enumerate() {
+        match rel {
+            Relation::Le => {
+                basis0[i] = next_slack;
+                next_slack += 1;
+            }
+            Relation::Ge => {
+                next_slack += 1;
+                asm.f_cols.push_unit(i);
+                basis0[i] = next_art;
+                next_art += 1;
+            }
+            Relation::Eq => {
+                asm.f_cols.push_unit(i);
+                basis0[i] = next_art;
+                next_art += 1;
+            }
+        }
+    }
+    asm.f_cost.resize(next_art, 0.0);
+    let proposal =
+        float_cold(&asm.f_cols, &asm.f_rhs, &asm.f_cost, basis0, art_start, pricing, stats);
+    asm.f_cols.truncate_cols(art_start);
+    asm.f_cost.truncate(art_start);
+    proposal
 }
 
 impl LinearProgram {
     /// Cold hybrid solve: float two-phase proposal + exact certification,
     /// falling back to the exact revised solver on any certification
     /// failure. The stats report whether this solve was certified or fell
-    /// back (plus the exact solver's counters when it ran). With a cache,
-    /// a certified solve seeds the reusable factorization so the *next*
-    /// (warm) probe can try hint-first certification.
+    /// back, and why (plus the exact solver's counters when it ran). With
+    /// a cache, a certified solve seeds the reusable factorization so the
+    /// *next* (warm) probe can try hint-first certification.
     pub(crate) fn solve_hybrid_cold(
         &self,
         opts: SolveOptions,
         cache: Option<&mut WarmCache>,
     ) -> (LpSolution, RevisedStats) {
         let mut asm = assemble_hybrid(self);
-
-        // Cold float layout appends artificial columns, mirroring the
-        // exact cold solver's structural | slack | artificial order.
-        // They live only in the float view; the certifier treats any
-        // surviving artificial slot as a unit column.
-        let art_start = asm.cols;
-        let mut basis0 = vec![VIRTUAL; asm.m];
-        let mut next_slack = asm.n;
-        let mut next_art = art_start;
-        for (i, rel) in asm.rels.iter().enumerate() {
-            match rel {
-                Relation::Le => {
-                    basis0[i] = next_slack;
-                    next_slack += 1;
-                }
-                Relation::Ge => {
-                    next_slack += 1;
-                    asm.f_cols.push_unit(i);
-                    basis0[i] = next_art;
-                    next_art += 1;
-                }
-                Relation::Eq => {
-                    asm.f_cols.push_unit(i);
-                    basis0[i] = next_art;
-                    next_art += 1;
-                }
-            }
-        }
-        asm.f_cost.resize(next_art, 0.0);
-
         let mut stats = RevisedStats::default();
-        let proposal = float_cold(
-            &asm.f_cols,
-            &asm.f_rhs,
-            &asm.f_cost,
-            basis0,
-            art_start,
-            opts.pricing,
-            &mut stats,
-        );
-        asm.f_cols.truncate_cols(art_start);
-        asm.f_cost.truncate(art_start);
+        let proposal = propose_cold(&mut asm, opts.pricing, &mut stats);
         match certify(self, &asm, &proposal, None) {
-            Some((sol, reuse_out, _)) => {
+            Ok((sol, reuse_out, _)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;
                 }
                 stats.hybrid_certified = 1;
                 (sol, stats)
             }
-            None => {
+            Err(why) => {
                 let (sol, s) = self.solve_revised(opts, Refactor::default());
                 stats.absorb(&s);
-                stats.hybrid_fallbacks = 1;
+                stats.note_fallback(why);
                 (sol, stats)
             }
         }
@@ -1359,10 +1393,17 @@ impl LinearProgram {
     /// same cache, so its own reuse and cap-fallback counters keep
     /// working.
     ///
+    /// When the float crash/repair gives up (its dual repair passes its
+    /// cap, or a pivot goes numerically bad), the float two-phase
+    /// proposes again from scratch and that proposal is certified; only
+    /// when it fails too does the exact warm solver run. The retry is
+    /// counted in [`RevisedStats::cold_rescues`] when it certifies.
+    ///
     /// `limit` is an exact-pivot budget for the fallback paths (see
     /// [`SolveBudget`](crate::SolveBudget)): `None` never errors, `Some`
     /// may abort with [`BudgetError::PivotCapExhausted`]. The float
-    /// proposer and the cold dispatch stay uncapped either way.
+    /// proposers (the cold retry included) and the cold dispatch stay
+    /// uncapped either way.
     pub(crate) fn solve_hybrid_warm(
         &self,
         hint: &[usize],
@@ -1370,7 +1411,7 @@ impl LinearProgram {
         mut cache: Option<&mut WarmCache>,
         limit: Option<usize>,
     ) -> Result<(LpSolution, RevisedStats), BudgetError> {
-        let asm = assemble_hybrid(self);
+        let mut asm = assemble_hybrid(self);
         let mut stats = RevisedStats::default();
 
         // Injected fault: behave exactly as if certification failed —
@@ -1381,7 +1422,7 @@ impl LinearProgram {
         // cacheless callers.
         if let Some(c) = cache.as_deref_mut() {
             if c.take_forced_cert_failure() {
-                c.hybrid_fallbacks += 1;
+                c.fallback_reasons.count(Fallback::Injected);
                 let sol =
                     self.solve_warm_revised(hint, opts, cache, WarmMode::from_limit(limit))?;
                 return Ok((sol, stats));
@@ -1433,8 +1474,14 @@ impl LinearProgram {
             }
         }
 
-        let proposal =
+        let mut proposal =
             float_warm(&asm.f_cols, &asm.f_rhs, &asm.f_cost, hint, opts.pricing, &mut stats);
+        // A warm give-up says more about the crash basis than about the
+        // program: propose again cold before paying for exact pivots.
+        let retried = matches!(proposal, FloatProposal::GaveUp);
+        if retried {
+            proposal = propose_cold(&mut asm, opts.pricing, &mut stats);
+        }
 
         let reuse = match (&proposal, cache.as_deref_mut()) {
             // Only lift the cached state out for a clean full-rank
@@ -1443,7 +1490,7 @@ impl LinearProgram {
             _ => None,
         };
         match certify(self, &asm, &proposal, reuse) {
-            Some((sol, reuse_out, reused)) => {
+            Ok((sol, reuse_out, reused)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;
                     if reused {
@@ -1451,10 +1498,11 @@ impl LinearProgram {
                     }
                 }
                 stats.hybrid_certified = 1;
+                stats.cold_rescues = usize::from(retried);
                 Ok((sol, stats))
             }
-            None => {
-                stats.hybrid_fallbacks = 1;
+            Err(why) => {
+                stats.note_fallback(why);
                 let sol =
                     self.solve_warm_revised(hint, opts, cache, WarmMode::from_limit(limit))?;
                 Ok((sol, stats))
@@ -1558,6 +1606,7 @@ mod tests {
         lp.add_constraint(vec![(0, Q::ratio(1, 1i64 << 40))], R::Ge, q(1));
         let (sol, stats) = solve_hybrid(&lp);
         assert_eq!(stats.hybrid_fallbacks, 1, "certification must fail");
+        assert_eq!(stats.fallback_reasons.certificate_rejected, 1, "{stats:?}");
         assert_eq!(stats.hybrid_certified, 0);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values[0], Q::from(1u64 << 40));
@@ -1688,6 +1737,7 @@ mod tests {
         let sol = lp.solve_warm_cached(&mut cache);
         assert_eq!(cache.pending_forced_cert_failures(), 0);
         assert_eq!(cache.hybrid_fallbacks(), 1, "injected fault must be a counted fallback");
+        assert_eq!(cache.fallback_reasons().injected, 1);
         assert_eq!(sol.status, reference.status);
         assert_eq!(sol.objective_value, reference.objective_value);
 
@@ -1700,6 +1750,24 @@ mod tests {
         let sol = lp.solve_warm_cached(&mut cache);
         assert_eq!(cache.hybrid_fallbacks(), 1);
         assert_eq!(sol.objective_value, reference.objective_value);
+    }
+
+    /// A warm crash that leaves a unit slot far from zero (here: an
+    /// inconsistent redundant row no column can cover) gives up; the cold
+    /// two-phase retry then proposes a phase-1 witness that certifies, so
+    /// no exact pivot runs and the rescue is counted.
+    #[test]
+    fn warm_give_up_is_rescued_by_the_cold_retry() {
+        let mut lp = LinearProgram::new(2);
+        lp.add_constraint(vec![(0, q(1)), (1, q(1))], R::Eq, q(2));
+        lp.add_constraint(vec![(0, q(2)), (1, q(2))], R::Eq, q(5));
+        let mut cache = WarmCache::with_options(Solver::Hybrid.into());
+        cache.set_hint(vec![0]);
+        let sol = lp.solve_warm_cached(&mut cache);
+        assert_eq!(sol.status, LpStatus::Infeasible);
+        assert_eq!(cache.hybrid_certified(), 1);
+        assert_eq!(cache.cold_rescues(), 1);
+        assert_eq!(cache.hybrid_fallbacks(), 0, "{:?}", cache.fallback_reasons());
     }
 
     /// An injected fault whose exact fallback then blows the pivot

@@ -42,7 +42,8 @@ mod simplex;
 pub use bnb::{solve_binary, BnbOptions, MilpSolution, MilpStatus};
 pub use problem::{Constraint, LinearProgram, Relation};
 pub use revised::{
-    BudgetError, Pricing, RevisedStats, SolveBudget, SolveOptions, Solver, WarmCache,
+    BudgetError, FallbackReasons, Pricing, RevisedStats, SolveBudget, SolveOptions, Solver,
+    WarmCache,
 };
 pub use simplex::{LpSolution, LpStatus};
 

@@ -143,6 +143,11 @@ pub struct RevisedStats {
     /// Hybrid solves that failed certification and fell back to the
     /// exact revised solver.
     pub hybrid_fallbacks: usize,
+    /// The same fallbacks, counted by reason.
+    pub fallback_reasons: FallbackReasons,
+    /// Warm hybrid solves whose float proposer gave up but whose cold
+    /// retry certified, so no exact pivot ran.
+    pub cold_rescues: usize,
     /// Reduced costs evaluated while selecting entering columns (both
     /// the exact phases and the hybrid float proposer) — the scan work
     /// the non-Bland pricing strategies exist to reduce.
@@ -161,9 +166,65 @@ impl RevisedStats {
         self.refactorizations += other.refactorizations;
         self.hybrid_certified += other.hybrid_certified;
         self.hybrid_fallbacks += other.hybrid_fallbacks;
+        self.fallback_reasons.absorb(&other.fallback_reasons);
+        self.cold_rescues += other.cold_rescues;
         self.columns_priced += other.columns_priced;
         self.candidate_refills += other.candidate_refills;
         self.devex_resets += other.devex_resets;
+    }
+
+    /// Count one hybrid fallback to the exact solver.
+    pub(crate) fn note_fallback(&mut self, why: Fallback) {
+        self.hybrid_fallbacks += 1;
+        self.fallback_reasons.count(why);
+    }
+}
+
+/// Why a hybrid solve fell back to the exact solver.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fallback {
+    GaveUp,
+    Singular,
+    Rejected,
+    Injected,
+}
+
+/// Hybrid fallbacks to the exact solver, counted by reason. The
+/// counters sum to the fallback total ([`FallbackReasons::total`]).
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct FallbackReasons {
+    /// The float proposer gave up: its pivot cap, numerical trouble, or
+    /// a warm dual repair past its cap. A warm solve counts here only
+    /// when its cold retry gave up too.
+    pub float_gave_up: usize,
+    /// The proposed basis is singular in exact arithmetic.
+    pub singular_basis: usize,
+    /// The exact optimality, Farkas or ray check rejected the proposal.
+    pub certificate_rejected: usize,
+    /// Injected by [`WarmCache::force_certification_failures`].
+    pub injected: usize,
+}
+
+impl FallbackReasons {
+    /// All fallbacks, whatever the reason.
+    pub fn total(&self) -> usize {
+        self.float_gave_up + self.singular_basis + self.certificate_rejected + self.injected
+    }
+
+    pub(crate) fn count(&mut self, why: Fallback) {
+        *match why {
+            Fallback::GaveUp => &mut self.float_gave_up,
+            Fallback::Singular => &mut self.singular_basis,
+            Fallback::Rejected => &mut self.certificate_rejected,
+            Fallback::Injected => &mut self.injected,
+        } += 1;
+    }
+
+    fn absorb(&mut self, other: &FallbackReasons) {
+        self.float_gave_up += other.float_gave_up;
+        self.singular_basis += other.singular_basis;
+        self.certificate_rejected += other.certificate_rejected;
+        self.injected += other.injected;
     }
 }
 
@@ -183,9 +244,12 @@ pub struct WarmCache {
     pub(crate) opts: SolveOptions,
     /// Warm solves that tripped the anti-cycling cap and restarted cold.
     pub(crate) warm_fallbacks: usize,
-    /// Hybrid solves certified exactly / fallen back (hybrid caches only).
+    /// Hybrid solves certified exactly / fallen back, by reason (hybrid
+    /// caches only).
     pub(crate) hybrid_certified: usize,
-    pub(crate) hybrid_fallbacks: usize,
+    pub(crate) fallback_reasons: FallbackReasons,
+    /// Warm float give-ups certified by their cold retry.
+    pub(crate) cold_rescues: usize,
     /// Pricing work accumulated across all solves through this cache.
     pub(crate) columns_priced: usize,
     pub(crate) candidate_refills: usize,
@@ -253,7 +317,8 @@ impl WarmCache {
     /// cache totals.
     pub(crate) fn absorb(&mut self, stats: &RevisedStats) {
         self.hybrid_certified += stats.hybrid_certified;
-        self.hybrid_fallbacks += stats.hybrid_fallbacks;
+        self.fallback_reasons.absorb(&stats.fallback_reasons);
+        self.cold_rescues += stats.cold_rescues;
         self.columns_priced += stats.columns_priced;
         self.candidate_refills += stats.candidate_refills;
         self.devex_resets += stats.devex_resets;
@@ -286,7 +351,18 @@ impl WarmCache {
     /// Hybrid solves that failed certification and fell back to the
     /// exact solver (hybrid caches only; zero otherwise).
     pub fn hybrid_fallbacks(&self) -> usize {
-        self.hybrid_fallbacks
+        self.fallback_reasons.total()
+    }
+
+    /// [`WarmCache::hybrid_fallbacks`] split by reason.
+    pub fn fallback_reasons(&self) -> FallbackReasons {
+        self.fallback_reasons
+    }
+
+    /// Warm hybrid solves whose float proposer gave up but whose cold
+    /// float retry certified — give-ups that cost no exact pivot.
+    pub fn cold_rescues(&self) -> usize {
+        self.cold_rescues
     }
 
     /// Fold a worker's cache into this aggregate: all counters are
@@ -298,11 +374,12 @@ impl WarmCache {
         self.factor_reuses += worker.factor_reuses;
         self.warm_fallbacks += worker.warm_fallbacks;
         self.hybrid_certified += worker.hybrid_certified;
-        self.hybrid_fallbacks += worker.hybrid_fallbacks;
+        self.fallback_reasons.absorb(&worker.fallback_reasons);
+        self.cold_rescues += worker.cold_rescues;
         self.columns_priced += worker.columns_priced;
         self.candidate_refills += worker.candidate_refills;
         self.devex_resets += worker.devex_resets;
-        self.per_worker_fallbacks.push(worker.warm_fallbacks + worker.hybrid_fallbacks);
+        self.per_worker_fallbacks.push(worker.warm_fallbacks + worker.hybrid_fallbacks());
     }
 
     /// Per-worker fallback counts recorded by [`WarmCache::absorb_worker`]
@@ -416,9 +493,11 @@ impl WarmMode {
 /// A per-solve resource budget for [`LinearProgram::solve_budgeted`].
 ///
 /// `max_pivots` caps the *exact* simplex pivots of the warm re-solve
-/// paths (dual repair + primal phase). The hybrid float proposer and a
-/// cold first solve of a fresh cache are not pivot-capped: the former is
-/// cheap f64 work, the latter is already bounded by the anti-cycling
+/// paths (dual repair + primal phase), including the exact fallback
+/// after a failed hybrid certification. The hybrid's float work — the
+/// warm crash/repair and its cold two-phase retry after a give-up — and
+/// a cold first solve of a fresh cache are not pivot-capped: the former
+/// is cheap f64 work, the latter is already bounded by the anti-cycling
 /// cap and happens once per cache. `deadline` is checked once at entry
 /// — callers running sequences of budgeted solves (binary searches)
 /// get a deadline check per probe, which is the intended granularity.

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{random_lp, wide_lp};
-use lp::{solve_binary, BnbOptions, LpStatus, WarmCache};
+use lp::{solve_binary, BnbOptions, LpStatus, Solver, WarmCache};
 use proptest::prelude::*;
 
 /// The worker counts every invariance assertion sweeps.
@@ -67,4 +67,13 @@ fn warm_cache_absorbs_worker_counters() {
     );
     let again = lp.solve_warm_cached(&mut shared);
     assert_eq!(again.status, LpStatus::Optimal);
+
+    // A hybrid worker's fallback reasons fold with its total.
+    let mut hybrid = WarmCache::with_options(Solver::Hybrid.into());
+    hybrid.force_certification_failures(1);
+    let _ = lp.solve_warm_cached(&mut hybrid);
+    shared.absorb_worker(&hybrid);
+    assert_eq!(shared.hybrid_fallbacks(), 1);
+    assert_eq!(shared.fallback_reasons().injected, 1);
+    assert_eq!(shared.per_worker_fallbacks().last(), Some(&1));
 }

@@ -505,6 +505,15 @@ impl Scheduler {
         r
     }
 
+    /// The hybrid certification fallbacks of every epoch this object ran,
+    /// by reason; they sum to the [`ServiceReport::hybrid_fallbacks`]
+    /// those epochs added. Diagnostics only: neither the report nor a
+    /// checkpoint carries the split, so a restored service counts from
+    /// zero.
+    pub fn fallback_reasons(&self) -> lp::FallbackReasons {
+        self.cache.fallback_reasons()
+    }
+
     fn quarantine(&mut self, spec: JobSpec) {
         self.quarantined.push(spec);
         self.report.quarantine_entries += 1;
