@@ -1,5 +1,6 @@
-//! E10/E3 runtime: the Theorem V.2 pipeline (binary search + LP + LST
-//! rounding + Algorithms 2+3) as instance size grows.
+//! E10/E3 runtime: the Theorem V.2 pipeline (`T*`, here McNaughton's
+//! bound since the overhead model's singletons are identical machines,
+//! then the LST rounding LP and Algorithms 2+3) as instance size grows.
 //!
 //! Set `HSCHED_BENCH_LARGE=1` for the scale-axis rows (E11) at
 //! m ∈ {100, 256, 1024}; the defaults keep the CI smoke job fast.

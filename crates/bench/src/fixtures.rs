@@ -20,6 +20,13 @@ pub fn e3_instance(fam: LaminarFamily, n: usize, seed: u64) -> Instance {
     random::overhead_instance(fam, n, 1, 9, 1, 4, &mut rng(seed))
 }
 
+/// E9's heterogeneous-speed instance: works 5–60 (the offline
+/// benchmark's base demands) on machines of speed 1–4, so a job's
+/// singleton time depends on its machine.
+pub fn e9_heterogeneous_instance(fam: LaminarFamily, n: usize, seed: u64) -> Instance {
+    random::heterogeneous_instance(fam, n, 5, 60, 4, &mut rng(seed))
+}
+
 /// E4 stress instance: everything migratory-capable on `m` machines.
 pub fn e4_instance(m: usize, n: usize, seed: u64) -> Instance {
     random::semi_uniform(m, n, 2, 10, &mut rng(seed))
@@ -38,7 +45,9 @@ pub fn e10_instance(n: usize, m: usize, seed: u64) -> Instance {
 
 /// E11's open-bracket instance: semi-partitioned with base demands 5–60,
 /// the offline benchmark's model. At n = 4m its `T*` lies below the LPT
-/// makespan, so `two_approx` probes and solves its rounding LP.
+/// makespan, so `two_approx` solves its rounding LP. The singleton times
+/// are identical machines, so `T*` is the bracket's lower bound and no
+/// probe runs.
 pub fn open_bracket_instance(n: usize, m: usize, seed: u64) -> Instance {
     random::overhead_instance(topology::semi_partitioned(m), n, 5, 60, 1, 4, &mut rng(seed))
 }

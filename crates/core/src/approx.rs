@@ -1,16 +1,20 @@
 //! The polynomial-time approximation algorithms.
 //!
-//! * [`two_approx`] — Theorem V.2: binary-search the minimal integral `T`
-//!   at which the LP relaxation of (IP-3) is feasible (`T* ≤ OPT`),
-//!   between a volume/bottleneck lower bound and the makespan of an LPT
-//!   list schedule (a feasible horizon that needs no LP probe), turn
-//!   the fractional solution into an unrelated-machines one (Lemma V.1
+//! * [`two_approx`] — Theorem V.2: find the minimal integral `T` at
+//!   which the LP relaxation of (IP-3) is feasible (`T* ≤ OPT`), between
+//!   a volume/bottleneck lower bound and the makespan of an LPT list
+//!   schedule (a feasible horizon that needs no LP probe), turn the
+//!   fractional solution into an unrelated-machines one (Lemma V.1
 //!   push-down — or, equivalently, solve the singleton LP directly), and
 //!   round with Lenstra–Shmoys–Tardos from the LPT vertex
 //!   ([`crate::lst::lst_assign`]): no LP at all when the bracket closes,
 //!   and the better of the rounding and the LPT schedule otherwise. The
-//!   integral assignment uses only singleton masks and has makespan
-//!   ≤ `2·T* ≤ 2·OPT`.
+//!   direct search binary-searches only on non-identical machines: when
+//!   every job takes one time on every singleton, as under the paper's
+//!   migration-overhead model, McNaughton's bound is `T*`
+//!   ([`crate::lst::lst_binary_search`]) and only the rounding LP is
+//!   solved. The integral assignment uses only singleton masks and has
+//!   makespan ≤ `2·T* ≤ 2·OPT`.
 //! * [`eight_approx`] — Section II: for *general* (non-laminar) affinity
 //!   families, collapse each job's options to its best per-machine time
 //!   and run LST; the chain preemptive-LB ≤ OPT, non-preemptive ≤ 4 ×
@@ -94,8 +98,11 @@ pub fn two_approx_with(instance: &Instance, method: TwoApproxMethod) -> TwoAppro
 
     // Both searches share `lst_bracket`: the LPT schedule's makespan is
     // feasible for the singleton LP and, as a singleton assignment, for
-    // (IP-3). The direct search ends with the LST rounding at T*; the
-    // push-down search rounds once after its own search.
+    // (IP-3). On identical singleton times the direct search takes the
+    // bracket's lower bound (McNaughton's bound, feasible there) without
+    // a probe, and otherwise bisects; it ends with the LST rounding at
+    // T*. The push-down search always bisects, so the E9 ablation keeps
+    // checking Lemma V.1, and rounds once after its own search.
     let (t_star, rounding) = match method {
         TwoApproxMethod::DirectSingleton => {
             lst_binary_search(&p, m).expect("completed instances have a machine for every job")

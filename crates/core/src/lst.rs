@@ -18,6 +18,16 @@
 //! starts there and only repairs the over-full machines. [`lst_assign`]
 //! then returns the better of its rounding and the LPT schedule, so the
 //! makespan is at most both `2T` and the LPT makespan.
+//!
+//! [`lst_binary_search`] finds the least feasible `T` (the deadline
+//! `T*`) by bisection between a volume/bottleneck bound and the LPT
+//! makespan, except on identical machines: when every job takes the
+//! same finite time on every machine, as on the singletons of the
+//! paper's migration-overhead model, McNaughton's wrap-around rule
+//! (Management Science, 1959) fills the machines to that lower bound,
+//! `max(p_max, ⌈Σ_j p_j / m⌉)`, without overlap. Its fractions are a
+//! feasible point of the LP there, so the bound is `T*`, no probe runs,
+//! and only the rounding LP is solved.
 
 use lp::{LinearProgram, LpStatus, Relation, Solver};
 use numeric::Q;
@@ -218,6 +228,17 @@ fn round_vertex(fractional: &[Vec<(usize, Q)>], m: usize) -> (Vec<usize>, bool) 
 /// [`LstAssignment::lst_makespan`] keeps the rounding's own makespan.
 pub fn lst_assign(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<LstAssignment> {
     let (lpt, lpt_makespan) = lpt_schedule(p, m)?;
+    assign_from_lpt(p, m, t, lpt, lpt_makespan)
+}
+
+/// [`lst_assign`] given the [`lpt_schedule`] of `p`.
+fn assign_from_lpt(
+    p: &[Vec<Option<u64>>],
+    m: usize,
+    t: u64,
+    lpt: Vec<usize>,
+    lpt_makespan: u64,
+) -> Option<LstAssignment> {
     if lpt_makespan <= t {
         return Some(LstAssignment {
             fractional: lpt.iter().map(|&i| vec![(i, Q::one())]).collect(),
@@ -263,13 +284,18 @@ impl<'a> LstProbe<'a> {
     /// with the LPT basis.
     pub fn new(p: &'a [Vec<Option<u64>>], m: usize) -> Self {
         let lpt = lpt_schedule(p, m).map(|(machine_of, _)| machine_of);
+        Self::seeded(p, m, lpt.as_deref())
+    }
+
+    /// A probe seeded with the given LPT assignment (`None`: cold).
+    fn seeded(p: &'a [Vec<Option<u64>>], m: usize, lpt: Option<&[usize]>) -> Self {
         let mut pairs = Vec::new();
         let mut hint = Vec::new();
         for (j, row) in p.iter().enumerate() {
             assert_eq!(row.len(), m, "p must be n × m");
             for (i, time) in row.iter().enumerate() {
                 if time.is_some() {
-                    if lpt.as_ref().is_some_and(|lpt| lpt[j] == i) {
+                    if lpt.is_some_and(|lpt| lpt[j] == i) {
                         hint.push(pairs.len());
                     }
                     pairs.push((j, i));
@@ -357,10 +383,23 @@ pub fn lpt_schedule(p: &[Vec<Option<u64>>], m: usize) -> Option<(Vec<usize>, u64
 /// `min_i p_ij` above the makespan so far, `hi ≤ Σ_j min_i p_ij`.
 pub(crate) fn lst_bracket(p: &[Vec<Option<u64>>], m: usize) -> Option<(u64, u64)> {
     let (_, makespan) = lpt_schedule(p, m)?;
+    Some(bracket(p, m, makespan))
+}
+
+/// [`lst_bracket`] given the LPT makespan of `p`.
+fn bracket(p: &[Vec<Option<u64>>], m: usize, lpt_makespan: u64) -> (u64, u64) {
     let best: Vec<u64> = p.iter().filter_map(|row| row.iter().flatten().min().copied()).collect();
     let volume = best.iter().sum::<u64>().div_ceil(m.max(1) as u64);
     let lo = best.into_iter().max().unwrap_or(0).max(volume).max(1);
-    Some((lo, makespan.max(lo)))
+    (lo, lpt_makespan.max(lo))
+}
+
+/// Does every job take one finite time on every machine? Then the LP is
+/// over identical machines and the lower end of [`lst_bracket`] is `T*`.
+fn identical_machines(p: &[Vec<Option<u64>>]) -> bool {
+    p.iter().all(|row| {
+        row.first().is_some_and(|&first| first.is_some() && row.iter().all(|&time| time == first))
+    })
 }
 
 /// The least `t` in `[lo, hi]` with `feasible(t)`, for a monotone
@@ -385,18 +424,34 @@ pub(crate) fn least_feasible(
 /// LST deadline `T*`) and its rounding, or `None` if some job has no
 /// admissible machine.
 ///
-/// The search brackets `T*` itself — a volume and bottleneck lower bound,
-/// and the makespan of [`lpt_schedule`] as a feasible upper bound — and
-/// probes only inside `[lo, hi)` through the LPT-seeded [`LstProbe`],
-/// then rounds with `lst_assign(p, m, T*)`. When the bracket closes,
-/// `T*` is the LPT makespan, so neither the search nor the rounding
-/// solves an LP, and the LPT schedule, of makespan `T* ≤ OPT`, is
-/// returned.
+/// The search brackets `T*` itself — a volume and bottleneck lower bound
+/// `lo`, and the makespan of [`lpt_schedule`] as a feasible upper bound
+/// `hi` — then rounds with `lst_assign(p, m, T*)`. No search runs in two
+/// cases:
+///
+/// * the bracket closes (`lo = hi`): `T*` is the LPT makespan, neither
+///   the search nor the rounding solves an LP, and the LPT schedule, of
+///   makespan `T* ≤ OPT`, is returned;
+/// * every job takes the same finite time `p_j` on every machine: then
+///   `lo ≥ p_max` prunes no pair and `m·lo ≥ Σ_j p_j`, so McNaughton's
+///   wrap-around rule (Management Science, 1959) lays the jobs out
+///   within `lo` on the `m` machines, a feasible point of the LP at
+///   `lo`, and `T* = lo` with only the rounding LP solved.
+///
+/// Otherwise the LPT-seeded [`LstProbe`] bisects `[lo, hi)`. Skipping
+/// it changes no answer: feasibility is monotone in `t`, so the
+/// bisection returns `lo` whenever `lo` is feasible, and the rounding
+/// at the same `T*` is the same computation.
 pub fn lst_binary_search(p: &[Vec<Option<u64>>], m: usize) -> Option<(u64, LstAssignment)> {
-    let (lo, hi) = lst_bracket(p, m)?;
-    let mut probe = LstProbe::new(p, m);
-    let t_star = least_feasible(lo, hi, |t| probe.feasible(t));
-    lst_assign(p, m, t_star).map(|a| (t_star, a))
+    let (lpt, lpt_makespan) = lpt_schedule(p, m)?;
+    let (lo, hi) = bracket(p, m, lpt_makespan);
+    let t_star = if lo == hi || identical_machines(p) {
+        lo
+    } else {
+        let mut probe = LstProbe::seeded(p, m, Some(&lpt));
+        least_feasible(lo, hi, |t| probe.feasible(t))
+    };
+    assign_from_lpt(p, m, t_star, lpt, lpt_makespan).map(|a| (t_star, a))
 }
 
 #[cfg(test)]
@@ -486,9 +541,22 @@ mod tests {
     }
 
     /// The perfbench offline shapes, `(p, m, label)`: semi-partitioned,
-    /// clustered and SMP-CMP families at n 20/34/48, m 8–24.
+    /// clustered and SMP-CMP families at n 20/34/48, m 8–24. Their times
+    /// follow the migration-overhead model, so the rows are identical
+    /// machines.
     fn perfbench_shapes() -> Vec<(Vec<Vec<Option<u64>>>, usize, String)> {
+        shapes(false)
+    }
+
+    /// The same families and sizes with machine speeds 1–4: a job's time
+    /// depends on its machine, so the search bisects.
+    fn heterogeneous_shapes() -> Vec<(Vec<Vec<Option<u64>>>, usize, String)> {
+        shapes(true)
+    }
+
+    fn shapes(heterogeneous: bool) -> Vec<(Vec<Vec<Option<u64>>>, usize, String)> {
         use laminar::topology;
+        use workloads::random::{heterogeneous_instance, overhead_instance};
         let mut rng = workloads::rng(15);
         let families = [
             topology::semi_partitioned(8),
@@ -502,8 +570,11 @@ mod tests {
             .iter()
             .flat_map(|f| [20, 34, 48].map(|n| (f, n)))
             .map(|(family, n)| {
-                let inst =
-                    workloads::random::overhead_instance(family.clone(), n, 5, 60, 1, 4, &mut rng);
+                let inst = if heterogeneous {
+                    heterogeneous_instance(family.clone(), n, 5, 60, 4, &mut rng)
+                } else {
+                    overhead_instance(family.clone(), n, 5, 60, 1, 4, &mut rng)
+                };
                 let completed = inst.with_singletons();
                 let m = completed.num_machines();
                 // `approx::singleton_times` by hand: `workloads` builds the
@@ -514,9 +585,55 @@ mod tests {
                         (0..m).map(|i| singles[i].and_then(|a| completed.ptime(j, a))).collect()
                     })
                     .collect();
-                (p, m, format!("n {n}, m {m}, |A| {}", completed.family().len()))
+                let model = if heterogeneous { "speeds 1-4" } else { "overhead" };
+                (p, m, format!("{model}, n {n}, m {m}, |A| {}", completed.family().len()))
             })
             .collect()
+    }
+
+    /// `lst_binary_search` without its shortcuts: one LPT-seeded probe
+    /// bisects the whole bracket, then the rounding at `T*`.
+    fn bisection(p: &[Vec<Option<u64>>], m: usize) -> (u64, LstAssignment) {
+        let (lo, hi) = lst_bracket(p, m).unwrap();
+        let mut probe = LstProbe::new(p, m);
+        let t_star = least_feasible(lo, hi, |t| probe.feasible(t));
+        (t_star, lst_assign(p, m, t_star).unwrap())
+    }
+
+    #[test]
+    fn search_matches_bisection_on_identical_and_heterogeneous_rows() {
+        let mut above_lo = 0;
+        for (p, m, shape) in perfbench_shapes().into_iter().chain(heterogeneous_shapes()) {
+            let (want_t, want) = bisection(&p, m);
+            let (t_star, a) = lst_binary_search(&p, m)
+                .unwrap_or_else(|| panic!("{shape}: no rounding, bisection T* {want_t}"));
+            assert_eq!(t_star, want_t, "{shape}");
+            assert_eq!(a.machine_of, want.machine_of, "{shape}, T* {t_star}");
+            assert_eq!(a.lst_makespan, want.lst_makespan, "{shape}, T* {t_star}");
+            assert_eq!(a.fractional, want.fractional, "{shape}, T* {t_star}");
+            above_lo += usize::from(t_star > lst_bracket(&p, m).unwrap().0);
+        }
+        assert!(above_lo > 0, "some heterogeneous row has T* above the lower bound");
+    }
+
+    #[test]
+    fn mcnaughton_bound_is_t_star_on_identical_rows() {
+        // The shortcut's premise, checked with the LP itself: on identical
+        // machines the lower end of the bracket is feasible and one less
+        // is not.
+        for (p, m, shape) in perfbench_shapes() {
+            assert!(identical_machines(&p), "{shape}");
+            let (lo, _) = lst_bracket(&p, m).unwrap();
+            let times: Vec<u64> = p.iter().map(|row| row[0].unwrap()).collect();
+            let volume = times.iter().sum::<u64>().div_ceil(m as u64);
+            assert_eq!(lo, volume.max(*times.iter().max().unwrap()), "{shape}");
+            assert!(LstProbe::new(&p, m).feasible(lo), "{shape}: feasible at {lo}");
+            assert!(lst_assign(&p, m, lo - 1).is_none(), "{shape}: infeasible below {lo}");
+        }
+        // A pinned job or a second time on any row leaves the bisection on.
+        assert!(identical_machines(&[vec![Some(4), Some(4)], vec![Some(2), Some(2)]]));
+        assert!(!identical_machines(&[vec![Some(4), None]]));
+        assert!(!identical_machines(&[vec![Some(4), Some(4)], vec![Some(2), Some(3)]]));
     }
 
     #[test]

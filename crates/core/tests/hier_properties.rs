@@ -157,6 +157,25 @@ proptest! {
         }
     }
 
+    /// On identical machines the LST deadline is McNaughton's bound,
+    /// `T* = max(p_max, ⌈Σp/m⌉)`: the LP is feasible there and not one
+    /// below.
+    #[test]
+    fn identical_machines_t_star_is_mcnaughton_bound(
+        times in proptest::collection::vec(1u64..=9, 1..7),
+        m in 2usize..5,
+    ) {
+        let p: Vec<Vec<Option<u64>>> = times.iter().map(|&time| vec![Some(time); m]).collect();
+        let volume = times.iter().sum::<u64>().div_ceil(m as u64);
+        let bound = volume.max(*times.iter().max().expect("n ≥ 1"));
+        let Some((t_star, _)) = lst_binary_search(&p, m) else {
+            return Err(TestCaseError::fail("search must succeed"));
+        };
+        prop_assert_eq!(t_star, bound);
+        prop_assert!(lst_assign(&p, m, bound).is_some(), "LP feasible at {bound}");
+        prop_assert!(lst_assign(&p, m, bound - 1).is_none(), "LP infeasible below {bound}");
+    }
+
     /// Theorem V.2 over clustered topologies (not just semi-partitioned).
     #[test]
     fn two_approx_on_clusters((inst, _) in clustered_case()) {
