@@ -3,11 +3,11 @@
 //! The revised simplex ([`revised`](crate::revised)) never maintains a
 //! transformed tableau. Instead it keeps the basis inverse `B⁻¹` in
 //! *product form*: a sequence of elementary eta matrices produced by a
-//! sparsity-ordered Gaussian elimination of the basis columns (the
-//! (re)factorization — the exact-arithmetic analogue of an LU factor),
-//! followed by one eta per simplex pivot since the last refactorization
-//! (the Bartels–Golub/Forrest–Tomlin-style update file). Solves against
-//! the basis are
+//! Gaussian elimination of the basis columns (the (re)factorization —
+//! the exact-arithmetic analogue of an LU factor), followed by one eta
+//! per simplex pivot since the last refactorization (the
+//! Bartels–Golub/Forrest–Tomlin-style update file). Solves against the
+//! basis are
 //!
 //! * **FTRAN** — `x = B⁻¹ a` (the transformed entering column / the
 //!   transformed right-hand side), applying the etas in order, and
@@ -15,11 +15,25 @@
 //!   and unit rows for the artificial-cleanup and dual-ratio scans),
 //!   applying the transposed etas in reverse.
 //!
+//! Every whole-basis factorization — the simplex's refactorization and
+//! the hybrid certifier's — eliminates in one order,
+//! [`Factorization::eliminate_basis`]: the triangular part of the basis
+//! first, found by peeling row singletons (Suhl & Suhl, "Computing sparse
+//! LU factorizations for large-scale linear programming bases", ORSA J.
+//! Computing 1990), then the remaining nucleus sparsest-first. A peeled
+//! column meets no earlier pivot row, so its eta is the column itself:
+//! the assignment-shaped bases of the paper's LPs, whose fractional part
+//! is a forest, factorize with no fill at all.
+//!
 //! Everything is exact `Q` arithmetic: a factorization is *only* a
 //! change of representation, so refactorizing at any point cannot change
-//! any value the simplex ever compares — the pivot path is independent
-//! of the refactorization schedule (a unit test in `revised.rs` pins
-//! this).
+//! any exact value the simplex compares — under Bland and partial
+//! pricing the pivot path is independent of the refactorization schedule
+//! (a unit test in `revised.rs` pins this). Devex is the exception: it
+//! resets its float reference weights at every refactorization, and the
+//! fill trigger reads the size of this factor file, so under Devex the
+//! elimination order can move a reset and with it the entering columns
+//! and the optimal vertex returned, never the status or objective.
 
 use numeric::Q;
 
@@ -175,10 +189,10 @@ impl Factorization {
 
     /// Rebuild `F`/`P` from scratch out of the given basis columns
     /// (`cols[slot]` = the original-space column basic in `slot`) and
-    /// clear the update file. Columns are eliminated sparsest-first with
-    /// free row-pivot choice (unit pivots preferred) — the sparsity
-    /// heuristic of an LU refactorization. Panics if the columns are
-    /// singular, which a legal pivot sequence can never produce.
+    /// clear the update file. The columns are eliminated in
+    /// [`eliminate_basis`](Self::eliminate_basis)'s order. Panics if the
+    /// columns are singular, which a legal pivot sequence can never
+    /// produce.
     pub(crate) fn refactor(&mut self, cols: &[&SVec]) {
         assert_eq!(cols.len(), self.m, "one basis column per row slot");
         self.factor.clear();
@@ -186,27 +200,79 @@ impl Factorization {
         self.perm = None;
         self.factor_nnz = 0;
         self.update_nnz = 0;
-        let mut perm = vec![usize::MAX; self.m];
-        let mut pivoted = vec![false; self.m];
-        let mut order: Vec<usize> = (0..self.m).collect();
-        order.sort_by_key(|&s| (cols[s].len(), s));
-        let mut x: Vec<Q> = Vec::new();
-        for slot in order {
-            let pos = self
-                .eliminate(cols[slot], &pivoted, &mut x)
-                .expect("basis columns of a legal pivot sequence are independent");
-            perm[slot] = pos;
-            pivoted[pos] = true;
-        }
+        let perm = self
+            .eliminate_basis(cols)
+            .expect("basis columns of a legal pivot sequence are independent");
         self.perm = Some(perm);
     }
 
-    /// One elimination step shared by [`refactor`](Self::refactor) and
-    /// the warm-start crash: apply the factor etas built so far to `col`,
-    /// pick a pivot position among the still-unpivoted slots (unit
-    /// pivots preferred, then smallest index), append the eta, and
-    /// return the chosen position — or `None` if the column is dependent
-    /// on the already-eliminated ones.
+    /// Eliminate a set of basis columns into the still-empty factor file
+    /// and return each column's pivot position, or `None` if the columns
+    /// are dependent. Shared by [`refactor`](Self::refactor) and the
+    /// hybrid certifier, which completes a partial set with unit columns
+    /// afterwards.
+    ///
+    /// The order finds the triangular part of the basis first (Suhl &
+    /// Suhl, ORSA J. Computing 1990): while some row is touched by
+    /// exactly one column not yet eliminated, that column pivots on that
+    /// row. Every column eliminated later is zero on that row, so the
+    /// peeled column's eta transforms no later column, and no earlier
+    /// eta transformed it: it is stored as its own eta, with no
+    /// arithmetic. The remaining nucleus (zero on every peeled row) is
+    /// then eliminated sparsest-first with
+    /// [`eliminate`](Self::eliminate)'s pivot rule; only it can fill.
+    pub(crate) fn eliminate_basis(&mut self, cols: &[&SVec]) -> Option<Vec<usize>> {
+        debug_assert!(self.factor.is_empty() && self.perm.is_none() && self.updates.is_empty());
+        let m = self.m;
+        // Per row: how many uneliminated columns touch it, and the sum of
+        // their indices, which is the column itself once the count is 1.
+        let mut count = vec![0usize; m];
+        let mut sum = vec![0usize; m];
+        for (c, col) in cols.iter().enumerate() {
+            for (i, v) in col.iter() {
+                if !v.is_zero() {
+                    count[*i] += 1;
+                    sum[*i] += c;
+                }
+            }
+        }
+        let mut pos = vec![usize::MAX; cols.len()];
+        let mut pivoted = vec![false; m];
+        let mut singletons: Vec<usize> = (0..m).filter(|&r| count[r] == 1).collect();
+        while let Some(r) = singletons.pop() {
+            if count[r] != 1 {
+                continue;
+            }
+            let c = sum[r];
+            let col: SVec = cols[c].iter().filter(|(_, v)| !v.is_zero()).cloned().collect();
+            for (i, _) in &col {
+                count[*i] -= 1;
+                sum[*i] -= c;
+                if count[*i] == 1 {
+                    singletons.push(*i);
+                }
+            }
+            self.push_eta(r, col);
+            pos[c] = r;
+            pivoted[r] = true;
+        }
+        let mut nucleus: Vec<usize> = (0..cols.len()).filter(|&c| pos[c] == usize::MAX).collect();
+        nucleus.sort_by_key(|&c| (cols[c].len(), c));
+        let mut x: Vec<Q> = Vec::new();
+        for c in nucleus {
+            let p = self.eliminate(cols[c], &pivoted, &mut x)?;
+            pos[c] = p;
+            pivoted[p] = true;
+        }
+        Some(pos)
+    }
+
+    /// One elimination step shared by [`eliminate_basis`](Self::eliminate_basis)
+    /// and the warm-start crash: apply the factor etas built so far to
+    /// `col`, pick a pivot position among the still-unpivoted slots (unit
+    /// pivots preferred, then smallest index), append the eta, and return
+    /// the chosen position — or `None` if the column is dependent on the
+    /// already-eliminated ones.
     pub(crate) fn eliminate(
         &mut self,
         col: &SVec,
@@ -242,9 +308,14 @@ impl Factorization {
             .filter(|(_, v)| !v.is_zero())
             .map(|(i, v)| (i, v.clone()))
             .collect();
-        self.factor_nnz += eta_col.len();
-        self.factor.push(Eta { pivot: pos, col: eta_col });
+        self.push_eta(pos, eta_col);
         Some(pos)
+    }
+
+    fn push_eta(&mut self, pivot: usize, col: SVec) {
+        debug_assert!(col.windows(2).all(|w| w[0].0 < w[1].0), "eta slots ascend");
+        self.factor_nnz += col.len();
+        self.factor.push(Eta { pivot, col });
     }
 }
 
@@ -302,6 +373,176 @@ mod tests {
         assert_eq!(x, vec![Q::zero(), Q::one()]);
         f.ftran_sparse(&cols[0], &mut x);
         assert_eq!(x, vec![Q::one(), Q::zero()]);
+    }
+
+    /// The order [`Factorization::eliminate_basis`] replaced, kept as the
+    /// fill oracle: every column sparsest-first with free pivot choice.
+    fn sparsest_first(m: usize, cols: &[SVec]) -> Factorization {
+        let mut f = Factorization::identity(m);
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        order.sort_by_key(|&s| (cols[s].len(), s));
+        let mut pivoted = vec![false; m];
+        let mut x = Vec::new();
+        for s in order {
+            let p = f.eliminate(&cols[s], &pivoted, &mut x).expect("nonsingular");
+            pivoted[p] = true;
+        }
+        f
+    }
+
+    fn nnz(cols: &[SVec]) -> usize {
+        cols.iter().map(Vec::len).sum()
+    }
+
+    /// `B⁻¹B = I` column by column, and `Bᵀ(B⁻ᵀc) = c`, exactly.
+    fn assert_round_trips(f: &Factorization, cols: &[SVec]) {
+        let mut x = Vec::new();
+        for (k, c) in cols.iter().enumerate() {
+            f.ftran_sparse(c, &mut x);
+            for (i, v) in x.iter().enumerate() {
+                assert_eq!(*v, if i == k { Q::one() } else { Q::zero() }, "col {k} slot {i}");
+            }
+        }
+        let c: Vec<Q> = (0..cols.len()).map(|k| Q::ratio(k as i64 * 7 - 20, 3)).collect();
+        let mut y = c.clone();
+        f.btran_inplace(&mut y);
+        for (k, col) in cols.iter().enumerate() {
+            let dot = Q::sum(col.iter().map(|(i, v)| v.clone() * y[*i].clone()));
+            assert_eq!(dot, c[k], "col {k}");
+        }
+    }
+
+    /// An assignment-LP basis over 9 job rows (`0..9`, entries 1) and 6
+    /// machine rows (`9..15`, processing times 5–60), slots scrambled.
+    /// Machines 0–2 hold a fractional path (jobs 2 and 3 split) with one
+    /// slack, machine 5 two integral jobs and its slack. Jobs 5 and 6 on
+    /// machines 3 and 4 form a path with machine 4's slack, or with
+    /// `cycle` a fractional cycle (both jobs split over both machines).
+    fn assignment_basis(cycle: bool) -> Vec<SVec> {
+        let x = |j: usize, i: usize, p: i64| vec![(j, Q::one()), (9 + i, q(p))];
+        let slack = |i: usize| vec![(9 + i, Q::one())];
+        let mut cols = vec![
+            x(3, 2, 55),
+            slack(5),
+            x(0, 0, 17),
+            x(8, 5, 5),
+            x(2, 1, 31),
+            x(4, 2, 12),
+            slack(2),
+            x(1, 1, 42),
+            x(7, 5, 60),
+            x(3, 1, 8),
+            x(2, 0, 23),
+        ];
+        if cycle {
+            cols.extend([x(5, 3, 19), x(6, 4, 9), x(5, 4, 44), x(6, 3, 26)]);
+        } else {
+            cols.extend([x(5, 3, 19), x(6, 4, 9), slack(4), x(6, 3, 26)]);
+        }
+        cols
+    }
+
+    /// The paper's LPs have assignment-shaped bases: a basis whose
+    /// fractional part is a forest is triangular, and factorizes with
+    /// its own nonzeros as its etas (the sparsest-first order filled
+    /// it). A basis cycle is a nucleus that no product-form order can
+    /// eliminate without fill — the first cycle column eliminated
+    /// transforms its neighbour on the shared row — so there the fill
+    /// is exactly the cycle's own and everything else is still peeled.
+    #[test]
+    fn assignment_basis_factorizes_without_fill() {
+        let forest = assignment_basis(false);
+        let mut f = Factorization::identity(15);
+        f.refactor(&forest.iter().collect::<Vec<_>>());
+        assert_eq!(f.factor_nnz(), nnz(&forest), "a forest basis is triangular");
+        assert_round_trips(&f, &forest);
+        assert!(sparsest_first(15, &forest).factor_nnz() > nnz(&forest), "the oracle fills");
+
+        let cyclic = assignment_basis(true);
+        f.refactor(&cyclic.iter().collect::<Vec<_>>());
+        assert_round_trips(&f, &cyclic);
+        let cycle = &cyclic[11..];
+        let mut alone = Factorization::identity(15);
+        alone.eliminate_basis(&cycle.iter().collect::<Vec<_>>()).expect("nonsingular cycle");
+        assert!(alone.factor_nnz() > nnz(cycle), "a cycle cannot be eliminated without fill");
+        assert_eq!(
+            f.factor_nnz() - nnz(&cyclic),
+            alone.factor_nnz() - nnz(cycle),
+            "fill confined to the cycle"
+        );
+    }
+
+    /// Dense exact Gauss–Jordan solve of `M z = r` (`m[row][col]`);
+    /// `None` when `M` is singular.
+    fn gauss_jordan(m: &[Vec<Q>], r: &[Q]) -> Option<Vec<Q>> {
+        let n = r.len();
+        let mut a: Vec<Vec<Q>> = m
+            .iter()
+            .zip(r)
+            .map(|(row, v)| row.iter().cloned().chain([v.clone()]).collect())
+            .collect();
+        for col in 0..n {
+            let piv = (col..n).find(|&i| !a[i][col].is_zero())?;
+            a.swap(col, piv);
+            let inv = a[col][col].recip();
+            for v in a[col].iter_mut() {
+                *v = v.clone() * inv.clone();
+            }
+            for i in 0..n {
+                if i != col && !a[i][col].is_zero() {
+                    let f = a[i][col].clone();
+                    for k in 0..=n {
+                        let d = a[col][k].clone() * f.clone();
+                        a[i][k] -= d;
+                    }
+                }
+            }
+        }
+        Some(a.into_iter().map(|row| row[n].clone()).collect())
+    }
+
+    proptest::proptest! {
+        /// FTRAN and BTRAN of the triangular-first factorization match a
+        /// dense exact solve on random sparse integer bases: a permuted
+        /// nonzero diagonal keeps each structurally nonsingular, and the
+        /// extra entries make triangular parts, nuclei and fill.
+        #[test]
+        fn factorization_matches_dense_solve(
+            m in 1usize..=12,
+            keys in proptest::collection::vec(0u32..1_000_000, 12),
+            diag in proptest::collection::vec(-3i64..=3, 12),
+            extra in proptest::collection::vec((0usize..12, 0usize..12, -5i64..=5), 0..30),
+            rhs in proptest::collection::vec(-9i64..=9, 12),
+        ) {
+            let mut perm: Vec<usize> = (0..m).collect();
+            perm.sort_by_key(|&k| (keys[k], k));
+            let mut dense = vec![vec![0i64; m]; m];
+            for (k, &row) in perm.iter().enumerate() {
+                dense[row][k] = if diag[k] == 0 { 1 } else { diag[k] };
+            }
+            for &(r, c, v) in &extra {
+                dense[r % m][c % m] = v;
+            }
+            let qm: Vec<Vec<Q>> =
+                dense.iter().map(|row| row.iter().map(|&v| q(v)).collect()).collect();
+            let cols: Vec<SVec> = (0..m)
+                .map(|c| (0..m).filter(|&r| dense[r][c] != 0).map(|r| (r, q(dense[r][c]))).collect())
+                .collect();
+            let a: Vec<Q> = rhs[..m].iter().map(|&v| q(v)).collect();
+            let want_x = gauss_jordan(&qm, &a);
+            proptest::prop_assume!(want_x.is_some());
+            let want_x = want_x.expect("assumed nonsingular");
+            let mut f = Factorization::identity(m);
+            f.refactor(&cols.iter().collect::<Vec<_>>());
+            let mut x = a.clone();
+            f.ftran_inplace(&mut x);
+            proptest::prop_assert_eq!(&x, &want_x, "FTRAN");
+            let qt: Vec<Vec<Q>> = (0..m).map(|c| (0..m).map(|r| qm[r][c].clone()).collect()).collect();
+            let want_y = gauss_jordan(&qt, &a).expect("Bᵀ is nonsingular with B");
+            let mut y = a.clone();
+            f.btran_inplace(&mut y);
+            proptest::prop_assert_eq!(&y, &want_y, "BTRAN");
+        }
     }
 
     #[test]

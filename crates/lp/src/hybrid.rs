@@ -973,9 +973,9 @@ impl Assembled {
     }
 }
 
-/// Factorize the proposed real column set exactly, completing missing
-/// rows with unit (virtual) columns: first those of `unit_rows` (the
-/// proposer's own basic unit columns), then any row still unpivoted.
+/// Factorize the proposed real column set exactly, together with the
+/// unit (virtual) columns of `unit_rows` (the proposer's own basic unit
+/// columns), and complete any row still unpivoted with its unit column.
 /// Returns the factorization, the per-slot basis ([`VIRTUAL`] = unit
 /// column), and the extracted exact columns (parallel to `proposal`),
 /// or `None` when the proposed basis is singular under exact arithmetic.
@@ -986,30 +986,28 @@ fn build_exact_basis(
     unit_rows: &[usize],
 ) -> Option<(Factorization, Vec<usize>, Vec<SVec>)> {
     let m = asm.m;
-    if proposal.len() > m {
+    if proposal.len() + unit_rows.len() > m {
         return None;
     }
     let ex = asm.exact_cols(lp, proposal);
+    // Unit columns on the proposer's rows, not wherever the elimination
+    // leaves rows open: a phase-1 dual vector is a Farkas vector only for
+    // the basis phase 1 actually ended in.
+    let units: Vec<SVec> = unit_rows.iter().map(|&row| vec![(row, Q::one())]).collect();
+    let cols: Vec<&SVec> = ex.iter().chain(&units).collect();
+    // The triangular order of every exact factorization (Suhl & Suhl
+    // 1990): a forest-shaped assignment basis factorizes without fill.
     let mut factor = Factorization::identity(m);
+    let pos = factor.eliminate_basis(&cols)?;
     let mut pivoted = vec![false; m];
     let mut basis = vec![VIRTUAL; m];
+    for (k, &slot) in pos.iter().enumerate() {
+        pivoted[slot] = true;
+        if k < proposal.len() {
+            basis[slot] = proposal[k];
+        }
+    }
     let mut scratch = Vec::new();
-    // Sparsest-first, the exact refactorization's fill heuristic.
-    let mut order: Vec<usize> = (0..proposal.len()).collect();
-    order.sort_unstable_by_key(|&p| (ex[p].len(), proposal[p]));
-    for p in order {
-        let slot = factor.eliminate(&ex[p], &pivoted, &mut scratch)?;
-        pivoted[slot] = true;
-        basis[slot] = proposal[p];
-    }
-    // Unit columns on the proposer's rows, not wherever this
-    // elimination left rows open: a phase-1 dual vector is a Farkas
-    // vector only for the basis phase 1 actually ended in.
-    for &row in unit_rows {
-        let unit: SVec = vec![(row, Q::one())];
-        let slot = factor.eliminate(&unit, &pivoted, &mut scratch)?;
-        pivoted[slot] = true;
-    }
     for p in 0..m {
         if pivoted[p] {
             continue;
@@ -1362,7 +1360,17 @@ impl LinearProgram {
         opts: SolveOptions,
         cache: Option<&mut WarmCache>,
     ) -> (LpSolution, RevisedStats) {
-        let mut asm = assemble_hybrid(self);
+        self.solve_hybrid_cold_assembled(assemble_hybrid(self), opts, cache)
+    }
+
+    /// [`solve_hybrid_cold`](Self::solve_hybrid_cold) on this program's
+    /// already-built [`Assembled`] view.
+    fn solve_hybrid_cold_assembled(
+        &self,
+        mut asm: Assembled,
+        opts: SolveOptions,
+        cache: Option<&mut WarmCache>,
+    ) -> (LpSolution, RevisedStats) {
         let mut stats = RevisedStats::default();
         let proposal = propose_cold(&mut asm, opts.pricing, &mut stats);
         match certify(self, &asm, &proposal, None) {
@@ -1411,11 +1419,9 @@ impl LinearProgram {
         mut cache: Option<&mut WarmCache>,
         limit: Option<usize>,
     ) -> Result<(LpSolution, RevisedStats), BudgetError> {
-        let mut asm = assemble_hybrid(self);
-        let mut stats = RevisedStats::default();
-
         // Injected fault: behave exactly as if certification failed —
-        // skip the float proposal entirely and take the exact fallback.
+        // skip the assembly and the float proposal and take the exact
+        // fallback.
         // The fallback is counted on the *cache* (not `stats`) so it
         // stays recorded even when a budget aborts the exact attempt;
         // forced faults only exist on caches, so nothing is lost for the
@@ -1425,9 +1431,12 @@ impl LinearProgram {
                 c.fallback_reasons.count(Fallback::Injected);
                 let sol =
                     self.solve_warm_revised(hint, opts, cache, WarmMode::from_limit(limit))?;
-                return Ok((sol, stats));
+                return Ok((sol, RevisedStats::default()));
             }
         }
+
+        let mut asm = assemble_hybrid(self);
+        let mut stats = RevisedStats::default();
 
         // Hint-first certification: no pivots of any kind when the
         // previously certified basis is still optimal here.
@@ -1453,7 +1462,7 @@ impl LinearProgram {
         // basis (mirrors the exact cached path, which cold-solves when
         // the cache is cold).
         if hint.is_empty() {
-            return Ok(self.solve_hybrid_cold(opts, cache));
+            return Ok(self.solve_hybrid_cold_assembled(asm, opts, cache));
         }
 
         // A stale hint (out-of-range columns or duplicate slots — a
@@ -1470,7 +1479,7 @@ impl LinearProgram {
                 if let Some(c) = cache.as_deref_mut() {
                     c.warm_fallbacks += 1;
                 }
-                return Ok(self.solve_hybrid_cold(opts, cache));
+                return Ok(self.solve_hybrid_cold_assembled(asm, opts, cache));
             }
         }
 
@@ -1768,6 +1777,61 @@ mod tests {
         assert_eq!(cache.hybrid_certified(), 1);
         assert_eq!(cache.cold_rescues(), 1);
         assert_eq!(cache.hybrid_fallbacks(), 0, "{:?}", cache.fallback_reasons());
+    }
+
+    /// The certifier's triangular order on the pipeline's own LPs: the
+    /// LST relaxation (job rows `Σ_i x_ij = 1`, machine rows
+    /// `Σ_j p_j x_ij ≤ T`) on identical machines at McNaughton's horizon
+    /// `T = max(p_max, ⌈Σp/m⌉)`, solved warm from the LPT basis (each
+    /// job's LPT pair plus every slack). On identical machines a basis
+    /// has no cycle: a basis block with one has as many columns as rows,
+    /// hence no slack, and on it the sum of its machine rows minus its
+    /// job rows weighted by `p_j` vanishes, so it would be singular.
+    /// Every certified basis is therefore triangular, and its
+    /// factorization holds exactly the basis' own nonzeros.
+    #[test]
+    fn certified_lst_bases_factorize_without_fill() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |lo: u64, hi: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            lo + (state >> 33) % (hi - lo + 1)
+        };
+        let mut fractional = 0;
+        for _ in 0..12 {
+            let (n, m) = (next(20, 48) as usize, next(8, 24) as usize);
+            let p: Vec<u64> = (0..n).map(|_| next(5, 60)).collect();
+            let t =
+                p.iter().copied().max().unwrap_or(0).max(p.iter().sum::<u64>().div_ceil(m as u64));
+            let mut lp = LinearProgram::new(n * m);
+            for j in 0..n {
+                lp.add_constraint((0..m).map(|i| (j * m + i, Q::one())).collect(), R::Eq, Q::one());
+            }
+            for i in 0..m {
+                let coeffs = (0..n).map(|j| (j * m + i, Q::from(p[j]))).collect();
+                lp.add_constraint(coeffs, R::Le, Q::from(t));
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&j| (std::cmp::Reverse(p[j]), j));
+            let mut load = vec![0u64; m];
+            let mut hint: Vec<usize> = (n * m..n * m + m).collect();
+            for j in order {
+                let i = (0..m).min_by_key(|&i| (load[i], i)).expect("m ≥ 1");
+                load[i] += p[j];
+                hint.push(j * m + i);
+            }
+            let mut cache = WarmCache::with_options(Solver::Hybrid.into());
+            cache.set_hint(hint);
+            let sol = lp.solve_warm_cached(&mut cache);
+            assert_eq!(sol.status, LpStatus::Optimal, "n {n} m {m}");
+            assert_eq!(cache.hybrid_certified(), 1, "n {n} m {m}");
+            fractional += usize::from(sol.values.iter().any(|v| !v.is_integer()));
+            let reuse = cache.reuse.as_ref().expect("a clean certified basis is kept for reuse");
+            let own: usize = reuse.snapshot.iter().map(Vec::len).sum();
+            assert_eq!(reuse.factor.factor_nnz(), own, "n {n} m {m}: the certifier added fill");
+        }
+        assert!(fractional >= 6, "most horizons need the LP: {fractional} of 12 fractional");
     }
 
     /// An injected fault whose exact fallback then blows the pivot

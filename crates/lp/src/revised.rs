@@ -7,9 +7,10 @@
 //! LPs the rows fill in rapidly once the basis outgrows a few hundred
 //! rows. The revised method never materializes the tableau. It keeps the
 //! original constraint matrix in sparse column form, represents `B⁻¹` as
-//! a [`Factorization`] (a sparsity-ordered exact elimination of the basis
-//! columns, refactorized on a fill/pivot-count trigger, plus one eta per
-//! pivot since), and derives everything the simplex compares on demand:
+//! a [`Factorization`] (an exact elimination of the basis columns,
+//! triangular part first, refactorized on a fill/pivot-count trigger,
+//! plus one eta per pivot since), and derives everything the simplex
+//! compares on demand:
 //!
 //! * **pricing** — one BTRAN for the multipliers `y = B⁻ᵀ c_B`, then
 //!   reduced costs `c_j − y·A_j` column by column in Bland order with

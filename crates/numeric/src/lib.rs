@@ -14,11 +14,15 @@
 //! * [`Rational`] — normalized fraction of two [`BigInt`]s (the workhorse
 //!   type; the rest of the workspace uses the alias `Q = Rational`).
 //!
-//! The implementation favours obvious correctness over micro-optimized
+//! The big types favour obvious correctness over micro-optimized
 //! arithmetic: schoolbook multiplication and binary-shift long division
-//! are ample for the LP sizes the paper's experiments need (hundreds of
-//! variables), and the simple representations keep the proptest oracles
-//! easy to trust.
+//! are ample for the rare values that leave machine words, and the
+//! simple representations keep the proptest oracles easy to trust. The
+//! speed lives in [`Rational`]'s `i128` fast path, which the exact LP
+//! certificates run on: integer operands take checked `i128` operations
+//! and no gcd, a gcd of 1 is never divided out, and [`gcd_u128`] hands
+//! 64-bit operands to [`gcd_u64`]. Each shortcut is checked against a
+//! pure-BigInt reference by the property tests, at the `i128` edge too.
 
 mod bigint;
 mod biguint;
@@ -58,8 +62,13 @@ pub fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 /// Greatest common divisor of two `u128`s (binary / Stein's algorithm).
 ///
 /// The workhorse of [`Rational`]'s small-value fast path: every reduce of
-/// an `i128` fraction goes through here instead of `BigUint::gcd`.
+/// an `i128` fraction goes through here instead of `BigUint::gcd`. When
+/// both operands fit in 64 bits, as almost all LP data does, it hands off
+/// to [`gcd_u64`], whose shifts and subtractions are single instructions.
 pub fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if (a | b) >> 64 == 0 {
+        return gcd_u64(a as u64, b as u64) as u128;
+    }
     if a == 0 {
         return b;
     }

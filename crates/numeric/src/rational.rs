@@ -10,7 +10,10 @@
 //!
 //! * **Small** — numerator and denominator as `i128`, no heap allocation.
 //!   Every operation uses checked arithmetic; on overflow the operation
-//!   transparently escapes to the big path.
+//!   transparently escapes to the big path. Two integers add and
+//!   multiply with checked `i128` operations and no gcd (subtraction
+//!   adds the negation, division multiplies by the reciprocal), and a
+//!   gcd of 1 is never divided out.
 //! * **Big** — numerator and denominator as heap-allocated [`BigInt`]s
 //!   (the exact fallback; arbitrarily large values).
 //!
@@ -18,6 +21,10 @@
 //! if both components fit in `i128`. Every constructor and operation
 //! re-establishes this (big results are demoted when they shrink), which
 //! is what makes the derived `Eq`/`Hash` correct across representations.
+//! The integer shortcuts keep it: a sum or product of integers is an
+//! integer `n/1`, already in lowest terms, and stored Small exactly when
+//! the checked operation did not overflow — the only case in which `n`
+//! fits — while an overflow takes the big path and its demotion rule.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -367,12 +374,18 @@ impl Rational {
 
 /// `a/b + c/d` entirely in `i128`; `None` on any overflow.
 ///
-/// Uses the gcd-of-denominators trick (Knuth 4.5.1): with `g = gcd(b, d)`
-/// the result `(a·d/g + c·b/g) / (b/g · d)` needs only one small gcd to
-/// reach lowest terms, keeping intermediates far from overflow.
+/// Two integers need one checked add and no gcd. Otherwise the
+/// gcd-of-denominators trick (Knuth 4.5.1): with `g = gcd(b, d)` the
+/// result `(a·d/g + c·b/g) / (b/g · d)` needs only one small gcd to reach
+/// lowest terms, keeping intermediates far from overflow. A unit
+/// denominator makes `g = 1` without computing it, and a gcd of 1 is
+/// never divided out.
 #[inline]
 fn add_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
-    let g = gcd_u128(b.unsigned_abs(), d.unsigned_abs()) as i128;
+    if b == 1 && d == 1 {
+        return Some(Repr::Small { num: a.checked_add(c)?, den: 1 });
+    }
+    let g = if b == 1 || d == 1 { 1 } else { gcd_u128(b.unsigned_abs(), d.unsigned_abs()) as i128 };
     if g == 1 {
         let num = a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?;
         let den = b.checked_mul(d)?;
@@ -389,24 +402,26 @@ fn add_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
         return Some(Repr::Small { num: 0, den: 1 });
     }
     let g2 = gcd_u128(t.unsigned_abs(), g.unsigned_abs()) as i128;
-    let num = t / g2;
-    let den = b1.checked_mul(d / g2)?;
-    Some(Repr::Small { num, den })
+    if g2 == 1 {
+        return Some(Repr::Small { num: t, den: b1.checked_mul(d)? });
+    }
+    Some(Repr::Small { num: t / g2, den: b1.checked_mul(d / g2)? })
 }
 
 /// `a/b * c/d` entirely in `i128`; `None` on any overflow. Cross-reduces
 /// before multiplying so the products stay small and no final gcd is
-/// needed.
+/// needed. A unit denominator has nothing to cross-reduce, so two
+/// integers multiply with no gcd, and a gcd of 1 is never divided out.
 #[inline]
 fn mul_small(a: i128, b: i128, c: i128, d: i128) -> Option<Repr> {
     if a == 0 || c == 0 {
         return Some(Repr::Small { num: 0, den: 1 });
     }
-    let g1 = gcd_u128(a.unsigned_abs(), d.unsigned_abs()) as i128;
-    let g2 = gcd_u128(c.unsigned_abs(), b.unsigned_abs()) as i128;
-    let num = (a / g1).checked_mul(c / g2)?;
-    let den = (b / g2).checked_mul(d / g1)?;
-    Some(Repr::Small { num, den })
+    let g1 = if d == 1 { 1 } else { gcd_u128(a.unsigned_abs(), d.unsigned_abs()) as i128 };
+    let g2 = if b == 1 { 1 } else { gcd_u128(c.unsigned_abs(), b.unsigned_abs()) as i128 };
+    let (a, d) = if g1 == 1 { (a, d) } else { (a / g1, d / g1) };
+    let (c, b) = if g2 == 1 { (c, b) } else { (c / g2, b / g2) };
+    Some(Repr::Small { num: a.checked_mul(c)?, den: b.checked_mul(d)? })
 }
 
 impl Default for Rational {

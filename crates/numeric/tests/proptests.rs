@@ -2,7 +2,7 @@
 //! structures it models (ℕ for BigUint, ℤ for BigInt, ℚ for Rational),
 //! cross-checked against i128 arithmetic as the oracle.
 
-use numeric::{BigInt, BigUint, Rational};
+use numeric::{gcd_u128, BigInt, BigUint, Rational};
 use proptest::prelude::*;
 
 fn big(v: u64) -> BigUint {
@@ -68,6 +68,35 @@ fn shift_i64(v: i64, shift: u32) -> BigInt {
         acc = acc.mul_ref(&two);
     }
     acc
+}
+
+/// Integers at the edge of `i128`, where `Rational`'s integer shortcuts
+/// must escape to `Big` instead of wrapping.
+const I128_EDGES: [i128; 5] = [1 << 126, -(1 << 126), i128::MAX, -i128::MAX, i128::MIN];
+
+/// One operand as a big pair. Kinds 0–3 are integers (denominator 1):
+/// small (0–1) or an edge value plus a small offset (2–3, which may
+/// leave `i128`). Kind 4 is a small fraction, kind 5 an edge value over
+/// a small denominator.
+fn edge_operand(kind: u8, v: i64, den: i64, edge: usize) -> (BigInt, BigInt) {
+    let edge = BigInt::from_i128(I128_EDGES[edge % I128_EDGES.len()]);
+    match kind {
+        0 | 1 => (BigInt::from_i64(v), BigInt::one()),
+        2 | 3 => (edge.add_ref(&BigInt::from_i64(v)), BigInt::one()),
+        4 => (BigInt::from_i64(v), BigInt::from_i64(den)),
+        _ => (edge, BigInt::from_i64(den)),
+    }
+}
+
+/// A multiple of `common` on either side of 2^64: below it, up to
+/// 2^96, or full-width.
+fn wide_u128(width: u8, x: u64, y: u64, common: u64) -> u128 {
+    let common = common as u128;
+    match width {
+        0 => (x >> 32) as u128 * common,
+        1 => x as u128 * common,
+        _ => ((x as u128) << 64 | y as u128) / common * common,
+    }
 }
 
 proptest! {
@@ -261,6 +290,71 @@ proptest! {
         let half = Rational::ratio(1, 2);
         let ref_half = RefRat::new(BigInt::from_i64(1), BigInt::from_i64(2));
         prop_assert_eq!(fast.cmp(&half), reference.cmp(&ref_half));
+    }
+
+    /// The integer shortcuts and their checked-overflow escape: chains
+    /// over ±, ×, ÷ (and resets) whose operands are integers two thirds
+    /// of the time and reach the `i128` edge must agree with the
+    /// pure-BigInt reference after every operation, and stay canonical —
+    /// `Small` exactly when numerator and denominator both fit.
+    #[test]
+    fn rational_integer_shortcuts_match_bigint_reference(
+        seed in (0u8..6, -10_000i64..10_000, 2i64..1000, 0usize..5),
+        ops in proptest::collection::vec(
+            (0u8..5, (0u8..6, -10_000i64..10_000, 2i64..1000, 0usize..5)), 1..24),
+    ) {
+        let (num, den) = edge_operand(seed.0, seed.1, seed.2, seed.3);
+        let mut fast = Rational::new(num.clone(), den.clone());
+        let mut reference = RefRat::new(num, den);
+        for (op, (kind, v, d, edge)) in ops {
+            let (num, den) = edge_operand(kind, v, d, edge);
+            let operand_fast = Rational::new(num.clone(), den.clone());
+            let operand_ref = RefRat::new(num, den);
+            match op {
+                0 => {
+                    fast += operand_fast;
+                    reference = reference.add(&operand_ref);
+                }
+                1 => {
+                    fast -= operand_fast;
+                    reference = reference.sub(&operand_ref);
+                }
+                2 => {
+                    fast *= operand_fast;
+                    reference = reference.mul(&operand_ref);
+                }
+                3 => {
+                    if operand_fast.is_zero() {
+                        continue;
+                    }
+                    fast /= operand_fast;
+                    reference = reference.div(&operand_ref);
+                }
+                _ => {
+                    fast = operand_fast;
+                    reference = operand_ref;
+                }
+            }
+            prop_assert_eq!(fast.numer(), reference.num.clone(), "numerator diverged");
+            prop_assert_eq!(fast.denom(), reference.den.clone(), "denominator diverged");
+            let fits = reference.num.to_i128().is_some() && reference.den.to_i128().is_some();
+            prop_assert_eq!(fast.to_i128_pair().is_some(), fits, "not canonical: {:?}", fast);
+        }
+    }
+
+    /// `gcd_u128` (which hands 64-bit operands to `gcd_u64`) against
+    /// Euclid on `BigUint`, with operands on both sides of 2^64 and a
+    /// shared factor so the gcd is not always 1.
+    #[test]
+    fn gcd_u128_matches_biguint_gcd(
+        wa in 0u8..3, xa: u64, ya: u64,
+        wb in 0u8..3, xb: u64, yb: u64,
+        common in 1u64..=u32::MAX as u64,
+    ) {
+        let a = wide_u128(wa, xa, ya, common);
+        let b = wide_u128(wb, xb, yb, common);
+        let want = BigUint::from_u128(a).gcd(&BigUint::from_u128(b)).to_u128();
+        prop_assert_eq!(Some(gcd_u128(a, b)), want, "gcd({}, {})", a, b);
     }
 
     #[test]
