@@ -3,10 +3,12 @@
 //! The natural LP-free competitor to the paper's 2-approximation: jobs in
 //! LPT order each pick the admissible set that minimizes the resulting
 //! minimal feasible horizon of the partial assignment (evaluated exactly
-//! through `Assignment::minimal_integral_horizon` semantics). Works for
+//! through `Assignment::minimal_integral_horizon` semantics, kept
+//! incrementally by `HorizonTracker`). Works for
 //! any topology — global, clustered, SMP-CMP — and feeds Algorithms 2+3
 //! for the actual schedule.
 
+use hsched_core::assignment::HorizonTracker;
 use hsched_core::hier::schedule_hierarchical;
 use hsched_core::{Assignment, Instance, Schedule};
 use numeric::Q;
@@ -22,60 +24,17 @@ pub struct GreedyResult {
     pub schedule: Schedule,
 }
 
-/// Incremental horizon bookkeeping: for a partial assignment, track per-
-/// set volumes and compute the horizon if job `j` were put on set `a`.
-struct Tracker<'a> {
-    instance: &'a Instance,
-    /// Volume assigned directly to each set.
-    volume: Vec<Q>,
-    /// Max single processing time assigned so far.
-    max_p: u64,
-}
-
-impl<'a> Tracker<'a> {
-    fn new(instance: &'a Instance) -> Self {
-        Tracker { instance, volume: vec![Q::zero(); instance.family().len()], max_p: 0 }
-    }
-
-    /// Horizon = max over sets α of ⌈(Σ_{β⊆α} vol β)/|α|⌉ and max p.
-    fn horizon_with(&self, j: usize, a: usize) -> Option<u64> {
-        let p = self.instance.ptime(j, a)?;
-        let mut t = self.max_p.max(p);
-        for alpha in 0..self.instance.family().len() {
-            let mut vol = Q::zero();
-            for b in self.instance.subsets_of(alpha) {
-                vol += self.volume[b].clone();
-                if b == a {
-                    vol += Q::from(p);
-                }
-            }
-            let per = vol / Q::from(self.instance.set(alpha).len() as u64);
-            let need = per.ceil().to_i64().expect("fits") as u64;
-            t = t.max(need);
-        }
-        Some(t)
-    }
-
-    fn commit(&mut self, j: usize, a: usize) {
-        let p = self.instance.ptime(j, a).expect("admissible");
-        self.volume[a] += Q::from(p);
-        self.max_p = self.max_p.max(p);
-    }
-}
-
 /// Run the greedy baseline on any laminar instance.
 pub fn greedy_hierarchical(instance: &Instance) -> GreedyResult {
     let n = instance.num_jobs();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&j| std::cmp::Reverse(instance.cheapest_set(j).1));
 
-    let mut tracker = Tracker::new(instance);
+    let mut tracker = HorizonTracker::new(instance);
     let mut mask = vec![0usize; n];
     for &j in &order {
-        let (best_a, _) = (0..instance.family().len())
-            .filter_map(|a| tracker.horizon_with(j, a).map(|t| (a, t)))
-            .min_by_key(|&(a, t)| (t, instance.ptime(j, a).expect("admissible")))
-            .expect("validated instances have an admissible set per job");
+        let best_a =
+            tracker.best_set(j).expect("validated instances have an admissible set per job");
         mask[j] = best_a;
         tracker.commit(j, best_a);
     }

@@ -1,7 +1,18 @@
 //! Affinity-mask assignments and the feasibility conditions of (IP-2).
+//!
+//! Every per-set quantity comes from one pass over the jobs (each set's
+//! own volume, in integers) plus one bottom-up pass over the laminar
+//! forest (each set's subtree volume `Σ_{β⊆α} vol(β)`):
+//! [`Assignment::check_ip2`], [`Assignment::minimal_integral_horizon`]
+//! and Algorithm 2 read them instead of rebuilding a job list and a
+//! subset closure per set. [`Assignment::volume_on`] and
+//! [`Instance::subsets_of`] remain the definitions those passes are
+//! tested against. [`HorizonTracker`] keeps the same subtree volumes
+//! incrementally for greedy placement.
 
 use core::fmt;
 
+use laminar::LaminarFamily;
 use numeric::Q;
 
 use crate::instance::Instance;
@@ -19,6 +30,8 @@ pub struct Assignment {
 pub enum AssignmentViolation {
     /// The assignment's length differs from the instance's job count.
     WrongLength,
+    /// A job is assigned to a set index outside the family (`set ≥ |A|`).
+    UnknownSet { job: usize, set: usize },
     /// A job is assigned to a set where its processing time is ∞.
     InfiniteTime { job: usize },
     /// Constraint (2c): `p_{αj} > T` for an assigned pair.
@@ -31,6 +44,9 @@ impl fmt::Display for AssignmentViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AssignmentViolation::WrongLength => write!(f, "assignment length mismatch"),
+            AssignmentViolation::UnknownSet { job, set } => {
+                write!(f, "job {job} assigned to set #{set}, which is not in the family")
+            }
             AssignmentViolation::InfiniteTime { job } => {
                 write!(f, "job {job} assigned to a set with infinite processing time")
             }
@@ -87,60 +103,167 @@ impl Assignment {
         v
     }
 
+    /// One pass over the jobs: each set's own volume `Σ_{j : x_j = α} p_{αj}`
+    /// in integers and the largest assigned processing time, or the first
+    /// job (in index order) whose pair is unusable. `admit` adds a
+    /// caller's own test of each `(job, set, p)`.
+    fn own_volumes(
+        &self,
+        instance: &Instance,
+        mut admit: impl FnMut(usize, usize, u64) -> Result<(), AssignmentViolation>,
+    ) -> Result<(Vec<u128>, u64), AssignmentViolation> {
+        if self.mask.len() != instance.num_jobs() {
+            return Err(AssignmentViolation::WrongLength);
+        }
+        let n_sets = instance.family().len();
+        let mut own = vec![0u128; n_sets];
+        let mut max_p = 0u64;
+        for (j, &a) in self.mask.iter().enumerate() {
+            if a >= n_sets {
+                return Err(AssignmentViolation::UnknownSet { job: j, set: a });
+            }
+            let p = instance.ptime(j, a).ok_or(AssignmentViolation::InfiniteTime { job: j })?;
+            admit(j, a, p)?;
+            own[a] += u128::from(p);
+            max_p = max_p.max(p);
+        }
+        Ok((own, max_p))
+    }
+
+    /// Check the (IP-2) conditions for horizon `T` exactly, in one pass
+    /// over the jobs and one over the forest, returning each set's own
+    /// volume (what Algorithm 2 distributes).
+    pub(crate) fn ip2_volumes(
+        &self,
+        instance: &Instance,
+        t: &Q,
+    ) -> Result<Vec<u128>, AssignmentViolation> {
+        let (own, _) = self.own_volumes(instance, |job, set, p| {
+            if Q::from(p) > *t {
+                Err(AssignmentViolation::JobExceedsHorizon { job, set })
+            } else {
+                Ok(())
+            }
+        })?;
+        let fam = instance.family();
+        for (a, &vol) in subtree_volumes(fam, &own).iter().enumerate() {
+            let cap = Q::from(fam.members(a).len() as u64) * t;
+            if volume_q(vol) > cap {
+                return Err(AssignmentViolation::CapacityExceeded { set: a });
+            }
+        }
+        Ok(own)
+    }
+
     /// Check the (IP-2) conditions for horizon `T` exactly.
     ///
     /// By Theorem IV.3 these necessary conditions are also sufficient:
     /// when this returns `Ok`, Algorithms 2+3 produce a valid schedule in
-    /// `[0, T]`.
+    /// `[0, T]`. Violations are reported in a fixed order: the length,
+    /// then the first job (in index order) assigned to a set outside the
+    /// family ([`UnknownSet`](AssignmentViolation::UnknownSet)), to an
+    /// infinite time, or above `T`; then the first set over capacity.
     pub fn check_ip2(&self, instance: &Instance, t: &Q) -> Result<(), AssignmentViolation> {
-        if self.mask.len() != instance.num_jobs() {
-            return Err(AssignmentViolation::WrongLength);
-        }
-        for (j, &a) in self.mask.iter().enumerate() {
-            match instance.ptime_q(j, a) {
-                None => return Err(AssignmentViolation::InfiniteTime { job: j }),
-                Some(p) => {
-                    if p > *t {
-                        return Err(AssignmentViolation::JobExceedsHorizon { job: j, set: a });
-                    }
-                }
-            }
-        }
-        for a in 0..instance.family().len() {
-            let mut vol = Q::zero();
-            for b in instance.subsets_of(a) {
-                vol += self.volume_on(instance, b);
-            }
-            let cap = Q::from(instance.family().set(a).len() as u64) * t.clone();
-            if vol > cap {
-                return Err(AssignmentViolation::CapacityExceeded { set: a });
-            }
-        }
-        Ok(())
+        self.ip2_volumes(instance, t).map(|_| ())
     }
 
     /// The smallest integer horizon `T` for which
     /// [`check_ip2`](Self::check_ip2) passes, if the assignment is
-    /// realizable at all (it computes `max(max p, max_α ⌈vol(α)/|α|⌉)`).
+    /// realizable at all (it computes `max(max p, max_α ⌈vol(α)/|α|⌉)`
+    /// over integer subtree volumes). `None` when the length differs from
+    /// the job count, a mask names a set outside the family, a time is
+    /// infinite, or the horizon does not fit `u64`.
     pub fn minimal_integral_horizon(&self, instance: &Instance) -> Option<u64> {
-        if self.mask.len() != instance.num_jobs() {
-            return None;
+        let (own, max_p) = self.own_volumes(instance, |_, _, _| Ok(())).ok()?;
+        let fam = instance.family();
+        let t = subtree_volumes(fam, &own)
+            .iter()
+            .enumerate()
+            .map(|(a, &vol)| vol.div_ceil(fam.members(a).len() as u128))
+            .fold(u128::from(max_p), u128::max);
+        u64::try_from(t).ok()
+    }
+}
+
+/// Subtree volumes `Σ_{β⊆α} own(β)` from own volumes, in one bottom-up
+/// pass over the forest (children are visited before their parent).
+pub(crate) fn subtree_volumes(fam: &LaminarFamily, own: &[u128]) -> Vec<u128> {
+    let mut subtree = own.to_vec();
+    for &a in fam.bottom_up_order() {
+        if let Some(parent) = fam.parent(a) {
+            subtree[parent] += subtree[a];
         }
-        let mut t = 0u64;
-        for (j, &a) in self.mask.iter().enumerate() {
-            t = t.max(instance.ptime(j, a)?);
-        }
-        for a in 0..instance.family().len() {
-            let mut vol = Q::zero();
-            for b in instance.subsets_of(a) {
-                vol += self.volume_on(instance, b);
-            }
-            let per_machine = vol / Q::from(instance.family().set(a).len() as u64);
-            let ceil = per_machine.ceil();
-            let ceil_u = ceil.to_i64().expect("instance volumes fit i64") as u64;
-            t = t.max(ceil_u);
+    }
+    subtree
+}
+
+/// An integer volume as an exact rational. Volumes are sums of at most
+/// `n` processing times below 2^64, so they stay below 2^127 for any
+/// job count that fits in memory.
+pub(crate) fn volume_q(vol: u128) -> Q {
+    Q::from_i128(i128::try_from(vol).expect("volumes of fewer than 2^63 jobs fit i128"))
+}
+
+/// Incremental horizon bookkeeping for greedy placement over a partial
+/// assignment: the subtree volume of every set, the largest committed
+/// processing time, and the largest per-set need `⌈subtree(α)/|α|⌉` — the
+/// quantities [`Assignment::minimal_integral_horizon`] maximizes over.
+///
+/// Committing job `j` to set `a` raises only the subtree volumes on the
+/// chain from `a` to its root, so a commit and a query each walk that
+/// chain: a query takes the larger of the committed maximum and the
+/// chain's needs with `p_{aj}` added, which is exact because those needs
+/// can only grow. Horizons are `u128`, so no volume overflows.
+#[derive(Clone, Debug)]
+pub struct HorizonTracker<'a> {
+    instance: &'a Instance,
+    subtree: Vec<u128>,
+    /// `max(max committed p, max_α ⌈subtree(α)/|α|⌉)`.
+    committed: u128,
+}
+
+impl<'a> HorizonTracker<'a> {
+    /// An empty partial assignment over `instance`.
+    pub fn new(instance: &'a Instance) -> Self {
+        HorizonTracker { instance, subtree: vec![0; instance.family().len()], committed: 0 }
+    }
+
+    /// The minimal integral horizon of the committed jobs plus job `j` on
+    /// set `a`; `None` when `P_j(α) = ∞`.
+    pub fn horizon_with(&self, j: usize, a: usize) -> Option<u128> {
+        let p = u128::from(self.instance.ptime(j, a)?);
+        let fam = self.instance.family();
+        let mut t = self.committed.max(p);
+        let mut cur = Some(a);
+        while let Some(alpha) = cur {
+            t = t.max((self.subtree[alpha] + p).div_ceil(fam.members(alpha).len() as u128));
+            cur = fam.parent(alpha);
         }
         Some(t)
+    }
+
+    /// The set job `j` joins greedily: least resulting horizon, then
+    /// least processing time, then least set index. `None` when the job
+    /// has no finite time.
+    pub fn best_set(&self, j: usize) -> Option<usize> {
+        (0..self.instance.family().len())
+            .filter_map(|a| self.horizon_with(j, a).map(|t| (a, t)))
+            .min_by_key(|&(a, t)| (t, self.instance.ptime(j, a)))
+            .map(|(a, _)| a)
+    }
+
+    /// Commit job `j` to set `a`; panics when `P_j(α) = ∞`.
+    pub fn commit(&mut self, j: usize, a: usize) {
+        let p = self.instance.ptime(j, a).expect("committed pairs are admissible");
+        let fam = self.instance.family();
+        self.committed = self.committed.max(u128::from(p));
+        let mut cur = Some(a);
+        while let Some(alpha) = cur {
+            self.subtree[alpha] += u128::from(p);
+            let need = self.subtree[alpha].div_ceil(fam.members(alpha).len() as u128);
+            self.committed = self.committed.max(need);
+            cur = fam.parent(alpha);
+        }
     }
 }
 

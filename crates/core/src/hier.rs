@@ -14,12 +14,24 @@
 //! unique shared machine at the wall time where the superset's jobs end
 //! (`t_{iα}`), so the per-machine occupied region stays one contiguous
 //! arc and nothing collides (Theorem IV.3).
+//!
+//! Both phases run in `O(n + Σ_α |α|)` rational operations. The volumes
+//! come from the assignment's one pass over the jobs. Each machine
+//! remembers the last set visited that contains it: bottom-up that is
+//! the child `β` of the current set (whose `TOT-LOAD` Algorithm 2
+//! reads), and top-down, counting only sets with load on the machine,
+//! it is the minimal loaded strict superset that makes the machine
+//! shared. Jobs are bucketed by set once. The wrap `t_β + d (mod T)` is
+//! one conditional subtraction: `place` enforces `0 ≤ t_β < T` and
+//! `0 < d ≤ T`, so the sum lies in `(0, 2T)`.
 
 use core::fmt;
 
 use numeric::Q;
 
-use crate::assignment::{Assignment, AssignmentViolation};
+use laminar::LaminarFamily;
+
+use crate::assignment::{volume_q, Assignment, AssignmentViolation};
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::stream::{coalesce, JobStream};
@@ -110,36 +122,46 @@ impl LoadTable {
 /// Algorithm 2: bottom-up volume allocation.
 ///
 /// Returns the load table, or an error if the input violates (IP-2)
-/// (volume that cannot be placed — the contrapositive of Lemma IV.1 ii).
+/// (volume that cannot be placed — the contrapositive of Lemma IV.1 ii —
+/// or a job whose pair is unusable).
 pub fn allocate_loads(
     instance: &Instance,
     assignment: &Assignment,
     t: &Q,
 ) -> Result<LoadTable, HierError> {
-    let fam = instance.family();
+    let own = assignment.ip2_volumes(instance, t).map_err(HierError::Infeasible)?;
+    allocate(instance.family(), &own, t)
+}
+
+/// Algorithm 2 over precomputed own volumes.
+fn allocate(fam: &LaminarFamily, own: &[u128], t: &Q) -> Result<LoadTable, HierError> {
     let mut table = LoadTable::empty(fam);
+    // below[i]: flat index of the last visited set containing machine i —
+    // at set α, the child β ⊂ α containing i (the paper's line 8), if any.
+    let mut below: Vec<Option<usize>> = vec![None; fam.num_machines()];
 
     for &alpha in fam.bottom_up_order() {
         // V ← Σ_j p_{αj} x_{αj}
-        let mut v = assignment.volume_on(instance, alpha);
+        let mut v = volume_q(own[alpha]);
         let base = table.off[alpha];
         // foreach i ∈ α in ascending order
         for (pos, &i) in fam.members(alpha).iter().enumerate() {
-            // β: the maximal strict subset of α containing i (child), if any.
-            let below = match fam.child_containing(alpha, i) {
-                Some(beta) => table.tot_load(beta, i),
-                None => Q::zero(),
-            };
-            let avail = t.clone() - below.clone();
-            if avail.is_negative() {
+            let k = base + pos;
+            let under = below[i].map_or_else(Q::zero, |b| table.tot_load[b].clone());
+            if under > *t {
                 return Err(HierError::InvariantBroken(
                     "TOT-LOAD exceeded T below a set (Lemma IV.1 i)",
                 ));
             }
-            let put = v.clone().min(avail);
-            table.load[base + pos] = put.clone();
-            table.tot_load[base + pos] = below + put.clone();
-            v -= put;
+            if v.is_positive() {
+                let put = v.clone().min(t.clone() - under.clone());
+                v -= put.clone();
+                table.tot_load[k] = under + put.clone();
+                table.load[k] = put;
+            } else {
+                table.tot_load[k] = under;
+            }
+            below[i] = Some(k);
         }
         if v.is_positive() {
             // Volume left over ⇒ constraint (2b) for α is violated.
@@ -182,54 +204,75 @@ pub fn schedule_hierarchical(
     assignment: &Assignment,
     t: &Q,
 ) -> Result<Schedule, HierError> {
-    assignment.check_ip2(instance, t).map_err(HierError::Infeasible)?;
+    let own = assignment.ip2_volumes(instance, t).map_err(HierError::Infeasible)?;
     let fam = instance.family();
-    let loads = allocate_loads(instance, assignment, t)?;
+    let loads = allocate(fam, &own, t)?;
+
+    // Jobs bucketed by set, ascending within each set (a counting sort).
+    let mut job_off = vec![0usize; fam.len() + 1];
+    for (_, a) in assignment.iter() {
+        job_off[a + 1] += 1;
+    }
+    for a in 0..fam.len() {
+        job_off[a + 1] += job_off[a];
+    }
+    let mut job_idx = vec![0usize; assignment.len()];
+    let mut cursor = job_off.clone();
+    for (j, a) in assignment.iter() {
+        job_idx[cursor[a]] = j;
+        cursor[a] += 1;
+    }
 
     // t_at — the paper's t_{iα}: wall time (mod T) where the jobs of set
-    // α end on machine i. Flat over the member arena, like the loads.
+    // α end on machine i, flat over the member arena like the loads and
+    // written where α has load on i (the only entries read).
     let mut t_at = vec![Q::zero(); fam.member_arena_len()];
+    // above[i]: flat index of the last visited set with load on machine
+    // i — at set β, the minimal strict superset α with LOAD[i, α] > 0.
+    let mut above: Vec<Option<usize>> = vec![None; fam.num_machines()];
     let mut segments = Vec::new();
 
     for &beta in fam.top_down_order() {
+        let members = fam.members(beta);
+        let base = fam.member_base(beta);
+        let beta_loads = &loads.load[base..base + members.len()];
         // Lines 4–10: pick the start machine ℓ and start time t_β.
-        let shared = shared_machines(instance, &loads, beta);
-        if shared.len() > 1 {
-            return Err(HierError::InvariantBroken(
-                "more than one shared machine for a set (Lemma IV.2)",
-            ));
+        let mut shared = None;
+        for (pos, load) in beta_loads.iter().enumerate() {
+            if let (true, Some(k)) = (load.is_positive(), above[members[pos]]) {
+                if shared.is_some() {
+                    return Err(HierError::InvariantBroken(
+                        "more than one shared machine for a set (Lemma IV.2)",
+                    ));
+                }
+                shared = Some((pos, k));
+            }
         }
-        let (start_machine, mut t_beta) = match shared.first() {
-            Some(&(i, alpha_min)) => (
-                i,
-                t_at[fam.member_base(alpha_min) + fam.member_pos(alpha_min, i).expect("i ∈ α")]
-                    .clone(),
-            ),
-            None => (*fam.members(beta).first().expect("sets are nonempty"), Q::zero()),
+        let (pivot, mut t_beta) = match shared {
+            Some((pos, k)) => (pos, t_at[k].clone()),
+            None => (0, Q::zero()),
         };
 
         // Job stream of β in ascending job order.
         let mut stream = JobStream::new(
-            assignment
-                .jobs_on(beta)
-                .into_iter()
-                .map(|j| (j, instance.ptime_q(j, beta).expect("check_ip2 verified finiteness"))),
+            job_idx[job_off[beta]..job_off[beta + 1]]
+                .iter()
+                .map(|&j| (j, instance.ptime_q(j, beta).expect("check_ip2 verified finiteness"))),
         );
 
         // Lines 11–14: machines of β starting from ℓ, wrapping ascending.
-        let members = fam.members(beta);
-        let base = fam.member_base(beta);
-        let pivot =
-            members.iter().position(|&k| k == start_machine).expect("start machine belongs to β");
-        let order = (pivot..members.len()).chain(0..pivot);
-        for pos in order {
-            let k = members[pos];
-            let d = loads.load[base + pos].clone();
+        for pos in (pivot..members.len()).chain(0..pivot) {
+            let d = &beta_loads[pos];
             if d.is_positive() {
-                stream.place(k, &t_beta, &d, t, &mut segments).map_err(HierError::Placement)?;
-                t_beta = (t_beta + d).rem_euclid(t);
+                let k = members[pos];
+                stream.place(k, &t_beta, d, t, &mut segments).map_err(HierError::Placement)?;
+                t_beta += d.clone();
+                if t_beta >= *t {
+                    t_beta -= t.clone();
+                }
+                t_at[base + pos] = t_beta.clone();
+                above[k] = Some(base + pos);
             }
-            t_at[base + pos] = t_beta.clone();
         }
         if !stream.is_empty() {
             return Err(HierError::InvariantBroken("stream not exhausted (Lemma IV.1 ii)"));

@@ -171,9 +171,14 @@ impl Instance {
     /// with every missing singleton, a singleton `{i}` inheriting the
     /// processing times of the minimal original set containing `i`.
     /// Monotonicity is preserved. Returns the extended instance; original
-    /// set indices are unchanged (new singletons are appended).
+    /// set indices are unchanged (new singletons are appended). An
+    /// instance that already has every singleton comes back as a clone,
+    /// with no second validation.
     pub fn with_singletons(&self) -> Instance {
         let (fam, inherited) = self.family.with_singletons();
+        if inherited.is_empty() {
+            return Instance { family: fam, ptimes: self.ptimes.clone() };
+        }
         let mut ptimes = self.ptimes.clone();
         for row in ptimes.iter_mut() {
             row.resize(fam.len(), None);

@@ -34,6 +34,8 @@ pub mod hier;
 pub mod instance;
 pub mod lst;
 pub mod memory;
+#[cfg(test)]
+mod oracle;
 pub mod pushdown;
 pub mod schedule;
 pub mod semi;

@@ -43,6 +43,12 @@ pub enum ScheduleError {
     JobParallelism { job: usize },
     /// A job's total scheduled time differs from `P_j(α)`.
     WrongAmount { job: usize },
+    /// The assignment's length differs from the instance's job count.
+    AssignmentLength,
+    /// A job's mask names a set outside the family (`set ≥ |A|`).
+    UnknownSet { job: usize },
+    /// A segment names a job outside the instance (`job ≥ n`).
+    UnknownJob { segment: usize },
 }
 
 impl fmt::Display for ScheduleError {
@@ -61,6 +67,15 @@ impl fmt::Display for ScheduleError {
             }
             ScheduleError::WrongAmount { job } => {
                 write!(f, "job {job} does not receive exactly P_j(α) units")
+            }
+            ScheduleError::AssignmentLength => {
+                write!(f, "assignment length differs from the job count")
+            }
+            ScheduleError::UnknownSet { job } => {
+                write!(f, "job {job} is assigned to a set outside the family")
+            }
+            ScheduleError::UnknownJob { segment } => {
+                write!(f, "segment #{segment} names a job outside the instance")
             }
         }
     }
@@ -112,12 +127,33 @@ impl Schedule {
     /// and inside each job's mask, machines run one job at a time, jobs
     /// never run in parallel with themselves, and each job receives
     /// exactly `P_j(α)` units. All checks are exact.
+    ///
+    /// Malformed input is an error, never a panic: an assignment whose
+    /// length differs from the job count
+    /// ([`AssignmentLength`](ScheduleError::AssignmentLength)) or that
+    /// names a set outside the family
+    /// ([`UnknownSet`](ScheduleError::UnknownSet), first such job) is
+    /// rejected before any segment is read, and a segment naming a job
+    /// outside the instance is [`UnknownJob`](ScheduleError::UnknownJob).
+    /// Otherwise the first failing check wins, in this order: per-segment
+    /// checks in segment order, then the least machine with a conflict,
+    /// then the least job running in parallel with itself or receiving
+    /// the wrong amount. Segments are sorted once by (machine, start) and
+    /// once by (job, start).
     pub fn validate(
         &self,
         instance: &Instance,
         assignment: &Assignment,
         t: &Q,
     ) -> Result<(), ScheduleError> {
+        let n = instance.num_jobs();
+        if assignment.len() != n {
+            return Err(ScheduleError::AssignmentLength);
+        }
+        let n_sets = instance.family().len();
+        if let Some((job, _)) = assignment.iter().find(|&(_, a)| a >= n_sets) {
+            return Err(ScheduleError::UnknownSet { job });
+        }
         // Per-segment checks.
         for (k, s) in self.segments.iter().enumerate() {
             if s.end <= s.start {
@@ -126,31 +162,38 @@ impl Schedule {
             if s.start.is_negative() || s.end > *t {
                 return Err(ScheduleError::OutsideHorizon(k));
             }
-            let mask = assignment.mask_of(s.job);
-            if !instance.set(mask).contains(s.machine) {
+            if s.job >= n {
+                return Err(ScheduleError::UnknownJob { segment: k });
+            }
+            if !instance.set(assignment.mask_of(s.job)).contains(s.machine) {
                 return Err(ScheduleError::OutsideMask { segment: k });
             }
         }
-        // Machine conflicts.
-        for i in 0..instance.num_machines() {
-            let mut segs: Vec<&Segment> = self.segments.iter().filter(|s| s.machine == i).collect();
-            segs.sort_by(|a, b| a.start.cmp(&b.start));
-            for w in segs.windows(2) {
-                if w[1].start < w[0].end {
-                    return Err(ScheduleError::MachineConflict { machine: i });
-                }
+        // Machine conflicts: a machine's segments sorted by start overlap
+        // iff two neighbours do (equal starts overlap in any order).
+        let mut order: Vec<&Segment> = self.segments.iter().collect();
+        order.sort_unstable_by(|a, b| (a.machine, &a.start).cmp(&(b.machine, &b.start)));
+        for w in order.windows(2) {
+            if w[0].machine == w[1].machine && w[1].start < w[0].end {
+                return Err(ScheduleError::MachineConflict { machine: w[0].machine });
             }
         }
-        // Intra-job parallelism + exact amounts.
-        for j in 0..instance.num_jobs() {
-            let mut segs: Vec<&Segment> = self.segments.iter().filter(|s| s.job == j).collect();
-            segs.sort_by(|a, b| a.start.cmp(&b.start));
-            for w in segs.windows(2) {
-                if w[1].start < w[0].end {
+        // Intra-job parallelism + exact amounts, job by job (jobs without
+        // segments receive zero).
+        order.sort_unstable_by(|a, b| (a.job, &a.start).cmp(&(b.job, &b.start)));
+        let mut rest = order.as_slice();
+        for j in 0..n {
+            let len = rest.iter().take_while(|s| s.job == j).count();
+            let (segs, tail) = rest.split_at(len);
+            rest = tail;
+            let mut total = Q::zero();
+            for (k, s) in segs.iter().enumerate() {
+                if k > 0 && s.start < segs[k - 1].end {
                     return Err(ScheduleError::JobParallelism { job: j });
                 }
+                total += s.end.clone();
+                total -= s.start.clone();
             }
-            let total = Q::sum(segs.iter().map(|s| s.duration()));
             let required = instance
                 .ptime_q(j, assignment.mask_of(j))
                 .ok_or(ScheduleError::WrongAmount { job: j })?;

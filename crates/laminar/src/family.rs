@@ -36,6 +36,24 @@ impl fmt::Display for LaminarError {
 
 impl std::error::Error for LaminarError {}
 
+/// The first pair `(i, j)`, `i < j`, that is equal or crosses — the
+/// definition of laminarity checked pair by pair. [`LaminarFamily::new`]
+/// runs it only to name the pair of a family it has found invalid.
+fn pairwise_violation(sets: &[MachineSet]) -> Option<LaminarError> {
+    for i in 0..sets.len() {
+        for j in (i + 1)..sets.len() {
+            if sets[i] == sets[j] {
+                return Some(LaminarError::Duplicate(i, j));
+            }
+            let nested = sets[i].is_subset(&sets[j]) || sets[j].is_subset(&sets[i]);
+            if !nested && sets[i].intersects(&sets[j]) {
+                return Some(LaminarError::Crossing(i, j));
+            }
+        }
+    }
+    None
+}
+
 /// A laminar family `A` over machines `{0, …, m−1}` with precomputed
 /// forest structure.
 ///
@@ -49,6 +67,11 @@ impl std::error::Error for LaminarError {}
 /// bottom-up / top-down visiting orders are computed once at
 /// construction. The scheduling hot paths (`allocate_loads`,
 /// `push_down_all`) iterate these slices without allocating.
+///
+/// Construction sorts the sets by size once and places them largest
+/// first, so building a valid family costs `O(|A| log |A| + Σ_α |α|)`
+/// (see [`new`](Self::new)); each machine's minimal set is kept from
+/// that pass.
 #[derive(Clone, Debug)]
 pub struct LaminarFamily {
     num_machines: usize,
@@ -62,6 +85,9 @@ pub struct LaminarFamily {
     /// `member_idx[member_off[a]..member_off[a + 1]]`.
     member_off: Vec<usize>,
     member_idx: Vec<usize>,
+    /// `minimal[i]`: the inclusion-minimal set containing machine `i`,
+    /// `None` for machines no set covers.
+    minimal: Vec<Option<usize>>,
     /// Set indices ordered children-before-parents (resp. reversed),
     /// cached because every scheduler sweep starts from one of them.
     bottom_up: Vec<usize>,
@@ -76,6 +102,14 @@ pub struct LaminarFamily {
 
 impl LaminarFamily {
     /// Validate and build the family; `sets` order is preserved.
+    ///
+    /// Sets are placed largest first (ties by descending index) while a
+    /// per-machine array holds the smallest set placed so far. A set is
+    /// laminar with every set placed before it exactly when all its
+    /// members share one owner: that owner is its parent, and an owner
+    /// of equal size is a duplicate. So a valid family costs one sort
+    /// plus `O(Σ_α |α|)`; only an invalid one runs the pairwise scan,
+    /// which names the first offending pair in index order.
     pub fn new(num_machines: usize, sets: Vec<MachineSet>) -> Result<Self, LaminarError> {
         for (i, s) in sets.iter().enumerate() {
             if s.universe() != num_machines {
@@ -85,39 +119,51 @@ impl LaminarFamily {
                 return Err(LaminarError::EmptySet(i));
             }
         }
-        for i in 0..sets.len() {
-            for j in (i + 1)..sets.len() {
-                if sets[i] == sets[j] {
-                    return Err(LaminarError::Duplicate(i, j));
-                }
-                let nested = sets[i].is_subset(&sets[j]) || sets[j].is_subset(&sets[i]);
-                if !nested && sets[i].intersects(&sets[j]) {
-                    return Err(LaminarError::Crossing(i, j));
-                }
-            }
+        // Member arena: each set's machines, ascending.
+        let mut member_off = Vec::with_capacity(sets.len() + 1);
+        member_off.push(0usize);
+        let mut member_idx = Vec::new();
+        for s in &sets {
+            member_idx.extend(s.iter());
+            member_off.push(member_idx.len());
         }
-        // Parent: the smallest-cardinality strict superset (unique minimal
-        // superset by laminarity).
+        let size = |a: usize| member_off[a + 1] - member_off[a];
+        // Visiting orders. Cardinality is a valid topological key in a
+        // laminar family (β ⊂ α ⇒ |β| < |α|); ties break by index for
+        // determinism.
+        let bottom_up = {
+            let mut idx: Vec<usize> = (0..sets.len()).collect();
+            idx.sort_by_key(|&i| (size(i), i));
+            idx
+        };
+        let top_down = {
+            let mut v = bottom_up.clone();
+            v.reverse();
+            v
+        };
+        // Placement, top-down: `minimal[i]` is the smallest set placed so
+        // far containing machine i. Level follows from the parent, which
+        // is placed first.
+        let mut minimal: Vec<Option<usize>> = vec![None; num_machines];
         let mut parent = vec![None; sets.len()];
-        for i in 0..sets.len() {
-            let mut best: Option<usize> = None;
-            for j in 0..sets.len() {
-                if i != j && sets[i].is_strict_subset(&sets[j]) {
-                    match best {
-                        None => best = Some(j),
-                        Some(b) => {
-                            if sets[j].len() < sets[b].len() {
-                                best = Some(j)
-                            }
-                        }
-                    }
-                }
+        let mut level = vec![0usize; sets.len()];
+        for &a in &top_down {
+            let members = &member_idx[member_off[a]..member_off[a + 1]];
+            let owner = minimal[members[0]];
+            let nested = members.iter().all(|&i| minimal[i] == owner)
+                && owner.is_none_or(|o| size(o) > size(a));
+            if !nested {
+                return Err(pairwise_violation(&sets)
+                    .expect("a set that cannot be placed crosses or repeats an earlier one"));
             }
-            parent[i] = best;
+            parent[a] = owner;
+            level[a] = owner.map_or(1, |o| level[o] + 1);
+            for &i in members {
+                minimal[i] = Some(a);
+            }
         }
         // Children as a CSR arena (counts → offsets → fill in index order,
-        // which preserves the per-parent ascending child order the old
-        // Vec-of-Vecs produced).
+        // which keeps each parent's children ascending).
         let mut child_off = vec![0usize; sets.len() + 1];
         for p in parent.iter().flatten() {
             child_off[*p + 1] += 1;
@@ -133,32 +179,6 @@ impl LaminarFamily {
                 cursor[*p] += 1;
             }
         }
-        // Member arena: each set's machines, ascending.
-        let mut member_off = Vec::with_capacity(sets.len() + 1);
-        member_off.push(0usize);
-        let mut member_idx = Vec::new();
-        for s in &sets {
-            member_idx.extend(s.iter());
-            member_off.push(member_idx.len());
-        }
-        // Level: number of supersets including self.
-        let mut level = vec![0usize; sets.len()];
-        for i in 0..sets.len() {
-            level[i] = (0..sets.len()).filter(|&j| sets[i].is_subset(&sets[j])).count();
-        }
-        // Visiting orders. Cardinality is a valid topological key in a
-        // laminar family (β ⊂ α ⇒ |β| < |α|); ties break by index for
-        // determinism.
-        let bottom_up = {
-            let mut idx: Vec<usize> = (0..sets.len()).collect();
-            idx.sort_by_key(|&i| (sets[i].len(), i));
-            idx
-        };
-        let top_down = {
-            let mut v = bottom_up.clone();
-            v.reverse();
-            v
-        };
         // Height: longest downward path to a forest leaf.
         let mut height = vec![0usize; sets.len()];
         for &i in &bottom_up {
@@ -176,6 +196,7 @@ impl LaminarFamily {
             child_idx,
             member_off,
             member_idx,
+            minimal,
             bottom_up,
             top_down,
             level,
@@ -294,9 +315,10 @@ impl LaminarFamily {
         self.children(alpha).iter().copied().find(|&c| self.sets[c].contains(i))
     }
 
-    /// The inclusion-minimal set of the family containing machine `i`.
+    /// The inclusion-minimal set of the family containing machine `i`
+    /// (recorded at construction).
     pub fn minimal_set_containing(&self, i: usize) -> Option<usize> {
-        (0..self.len()).filter(|&a| self.sets[a].contains(i)).min_by_key(|&a| self.sets[a].len())
+        self.minimal.get(i).copied().flatten()
     }
 
     /// Union of all sets — the machines the family can actually use.
@@ -313,18 +335,24 @@ impl LaminarFamily {
     /// one set. Returns the new family and, for each added singleton, the
     /// pair `(new set index, index of the minimal original set containing
     /// that machine)` — the source its processing times inherit from.
+    ///
+    /// A covered machine has its singleton exactly when its minimal set
+    /// has one member, so a family that already has them all comes back
+    /// as a clone, and otherwise each machine's source is read from the
+    /// minimal-set array.
     pub fn with_singletons(&self) -> (LaminarFamily, Vec<(usize, usize)>) {
+        let missing: Vec<(usize, usize)> = (0..self.num_machines)
+            .filter_map(|i| self.minimal[i].map(|src| (i, src)))
+            .filter(|&(_, src)| self.members(src).len() > 1)
+            .collect();
+        if missing.is_empty() {
+            return (self.clone(), Vec::new());
+        }
         let mut sets = self.sets.clone();
-        let mut inherited = Vec::new();
-        for i in self.covered_machines().iter() {
-            let single = MachineSet::singleton(self.num_machines, i);
-            if !sets.contains(&single) {
-                let src = self
-                    .minimal_set_containing(i)
-                    .expect("machine is covered, so a containing set exists");
-                inherited.push((sets.len(), src));
-                sets.push(single);
-            }
+        let mut inherited = Vec::with_capacity(missing.len());
+        for (i, src) in missing {
+            inherited.push((sets.len(), src));
+            sets.push(MachineSet::singleton(self.num_machines, i));
         }
         let fam = LaminarFamily::new(self.num_machines, sets)
             .expect("adding singletons preserves laminarity");

@@ -12,8 +12,10 @@
 //!   Every operation uses checked arithmetic; on overflow the operation
 //!   transparently escapes to the big path. Two integers add and
 //!   multiply with checked `i128` operations and no gcd (subtraction
-//!   adds the negation, division multiplies by the reciprocal), and a
-//!   gcd of 1 is never divided out.
+//!   adds the negation, division multiplies by the reciprocal; `+=` and
+//!   `-=` of two integers update the numerator in place), a gcd of 1 is
+//!   never divided out, and two values over one denominator compare by
+//!   numerator.
 //! * **Big** — numerator and denominator as heap-allocated [`BigInt`]s
 //!   (the exact fallback; arbitrarily large values).
 //!
@@ -460,6 +462,15 @@ impl<'a> Add<&'a Rational> for Rational {
 
 impl AddAssign for Rational {
     fn add_assign(&mut self, rhs: Rational) {
+        // Two integers update in place with one checked add.
+        if let (Repr::Small { num: a, den: 1 }, Repr::Small { num: c, den: 1 }) =
+            (&mut self.repr, &rhs.repr)
+        {
+            if let Some(sum) = a.checked_add(*c) {
+                *a = sum;
+                return;
+            }
+        }
         let lhs = core::mem::take(self);
         *self = lhs + rhs;
     }
@@ -474,6 +485,15 @@ impl Sub for Rational {
 
 impl SubAssign for Rational {
     fn sub_assign(&mut self, rhs: Rational) {
+        // Two integers update in place with one checked subtract.
+        if let (Repr::Small { num: a, den: 1 }, Repr::Small { num: c, den: 1 }) =
+            (&mut self.repr, &rhs.repr)
+        {
+            if let Some(diff) = a.checked_sub(*c) {
+                *a = diff;
+                return;
+            }
+        }
         let lhs = core::mem::take(self);
         *self = lhs - rhs;
     }
@@ -574,6 +594,11 @@ impl Ord for Rational {
         if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
             (&self.repr, &other.repr)
         {
+            // Equal denominators (every pair of integers among them)
+            // compare by numerator alone.
+            if b == d {
+                return a.cmp(c);
+            }
             // Cheap sign screen first.
             match (a.signum(), c.signum()) {
                 (x, y) if x < y => return Ordering::Less,

@@ -296,7 +296,11 @@ proptest! {
     /// over ±, ×, ÷ (and resets) whose operands are integers two thirds
     /// of the time and reach the `i128` edge must agree with the
     /// pure-BigInt reference after every operation, and stay canonical —
-    /// `Small` exactly when numerator and denominator both fit.
+    /// `Small` exactly when numerator and denominator both fit. `+=` and
+    /// `-=` of two integers take the in-place path. Before every
+    /// operation the running value is compared with the operand and with
+    /// itself plus an integer, which keeps its denominator, so `cmp`'s
+    /// equal-denominator shortcut is checked on integers and fractions.
     #[test]
     fn rational_integer_shortcuts_match_bigint_reference(
         seed in (0u8..6, -10_000i64..10_000, 2i64..1000, 0usize..5),
@@ -310,6 +314,10 @@ proptest! {
             let (num, den) = edge_operand(kind, v, d, edge);
             let operand_fast = Rational::new(num.clone(), den.clone());
             let operand_ref = RefRat::new(num, den);
+            prop_assert_eq!(fast.cmp(&operand_fast), reference.cmp(&operand_ref), "cmp diverged");
+            let shifted = fast.clone() + Rational::from_int(v);
+            let shifted_ref = reference.add(&RefRat::new(BigInt::from_i64(v), BigInt::one()));
+            prop_assert_eq!(fast.cmp(&shifted), reference.cmp(&shifted_ref), "cmp diverged");
             match op {
                 0 => {
                     fast += operand_fast;

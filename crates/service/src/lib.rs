@@ -50,6 +50,7 @@
 //!   so a poisoned stream degrades the service instead of panicking it.
 
 use baselines::greedy::greedy_hierarchical;
+use hsched_core::assignment::HorizonTracker;
 use hsched_core::formulations::{build_ip3_fixed, VarMap};
 use hsched_core::hier::{schedule_hierarchical, HierError};
 use hsched_core::{Assignment, Instance, Schedule, ScheduleError};
@@ -328,45 +329,6 @@ impl ServiceConfig {
             pricing: lp::Pricing::default(),
             rebalance: true,
         }
-    }
-}
-
-/// Incremental horizon bookkeeping for greedy placement: per-set
-/// committed volumes plus the max committed processing time (the same
-/// quantities [`Assignment::minimal_integral_horizon`] maximizes over).
-struct Tracker<'a> {
-    instance: &'a Instance,
-    volume: Vec<Q>,
-    max_p: u64,
-}
-
-impl<'a> Tracker<'a> {
-    fn new(instance: &'a Instance) -> Self {
-        Tracker { instance, volume: vec![Q::zero(); instance.family().len()], max_p: 0 }
-    }
-
-    /// Horizon of the committed volume if job `j` were put on set `a`.
-    fn horizon_with(&self, j: usize, a: usize) -> Option<u64> {
-        let p = self.instance.ptime(j, a)?;
-        let mut t = self.max_p.max(p);
-        for alpha in 0..self.instance.family().len() {
-            let mut vol = Q::zero();
-            for b in self.instance.subsets_of(alpha) {
-                vol += self.volume[b].clone();
-                if b == a {
-                    vol += Q::from(p);
-                }
-            }
-            let per = vol / Q::from(self.instance.set(alpha).len() as u64);
-            t = t.max(per.ceil().to_i64().expect("service volumes fit i64") as u64);
-        }
-        Some(t)
-    }
-
-    fn commit(&mut self, j: usize, a: usize) {
-        let p = self.instance.ptime(j, a).expect("admissible");
-        self.volume[a] += Q::from(p);
-        self.max_p = self.max_p.max(p);
     }
 }
 
@@ -748,7 +710,7 @@ impl Scheduler {
                 _ => displaced.push(rj),
             }
         }
-        let mut tracker = Tracker::new(&r.instance);
+        let mut tracker = HorizonTracker::new(&r.instance);
         for (rj, k) in rmask.iter().enumerate() {
             if let Some(k) = *k {
                 tracker.commit(rj, k);
@@ -756,10 +718,8 @@ impl Scheduler {
         }
         let mut moved = 0usize;
         for &rj in &displaced {
-            let (best, _) = (0..fam_r.len())
-                .filter_map(|a| tracker.horizon_with(rj, a).map(|t| (a, t)))
-                .min_by_key(|&(a, t)| (t, r.instance.ptime(rj, a).expect("admissible")))
-                .expect("surviving jobs have an admissible restricted set");
+            let best =
+                tracker.best_set(rj).expect("surviving jobs have an admissible restricted set");
             rmask[rj] = Some(best);
             tracker.commit(rj, best);
             if r_old[rj].is_some() {

@@ -1,7 +1,6 @@
 //! The event-sweep execution engine.
 
 use core::fmt;
-use std::collections::BTreeMap;
 
 use hsched_core::{Schedule, Segment};
 use numeric::Q;
@@ -48,7 +47,9 @@ impl std::error::Error for SimError {}
 ///
 /// The sweep processes, at each distinct timestamp, all *stops* before
 /// all *starts* (a job may hand over from one machine to another at the
-/// same instant — that is a legal migration, not parallelism).
+/// same instant — that is a legal migration, not parallelism); events of
+/// one timestamp and kind run in segment order. The event list is built
+/// once and put in that order by one stable sort.
 pub fn simulate(schedule: &Schedule, num_machines: usize) -> Result<SimReport, SimError> {
     // Basic shape checks.
     for (k, s) in schedule.segments.iter().enumerate() {
@@ -61,17 +62,20 @@ pub fn simulate(schedule: &Schedule, num_machines: usize) -> Result<SimReport, S
     }
     let num_jobs = schedule.segments.iter().map(|s| s.job + 1).max().unwrap_or(0);
 
-    // Event list keyed by time; stops first within a timestamp.
-    #[derive(Clone)]
+    // Events in segment order (each segment's start, then its stop),
+    // stably sorted by time with stops first at equal times: within one
+    // (time, kind) they keep segment order.
     struct Ev<'a> {
+        time: &'a Q,
         stop: bool,
         seg: &'a Segment,
     }
-    let mut by_time: BTreeMap<Q, Vec<Ev>> = BTreeMap::new();
+    let mut events: Vec<Ev> = Vec::with_capacity(2 * schedule.segments.len());
     for seg in &schedule.segments {
-        by_time.entry(seg.start.clone()).or_default().push(Ev { stop: false, seg });
-        by_time.entry(seg.end.clone()).or_default().push(Ev { stop: true, seg });
+        events.push(Ev { time: &seg.start, stop: false, seg });
+        events.push(Ev { time: &seg.end, stop: true, seg });
     }
+    events.sort_by(|a, b| a.time.cmp(b.time).then(b.stop.cmp(&a.stop)));
 
     let mut running_on: Vec<Option<usize>> = vec![None; num_machines]; // machine → job
     let mut running_at: Vec<Option<usize>> = vec![None; num_jobs]; // job → machine
@@ -85,67 +89,60 @@ pub fn simulate(schedule: &Schedule, num_machines: usize) -> Result<SimReport, S
     let mut preemptions = 0usize;
     let mut makespan = Q::zero();
 
-    for (time, mut evs) in by_time {
-        // Stops strictly before starts at equal timestamps.
-        evs.sort_by_key(|e| !e.stop);
-        for ev in evs {
-            let seg = ev.seg;
-            if ev.stop {
-                running_on[seg.machine] = None;
-                running_at[seg.job] = None;
-                last_stop_machine[seg.job] = Some(seg.machine);
-                busy[seg.machine] += seg.duration();
-                received[seg.job] += seg.duration();
-                if time > makespan {
-                    makespan = time.clone();
-                }
-                trace.push(TraceEvent {
-                    time: time.clone(),
-                    kind: TraceEventKind::Stop,
-                    job: seg.job,
-                    machine: seg.machine,
-                });
-            } else {
-                if let Some(other) = running_on[seg.machine] {
-                    if other != seg.job {
-                        return Err(SimError::MachineBusy {
-                            machine: seg.machine,
-                            time: time.clone(),
-                        });
-                    }
-                    // Same job re-starting on the same machine at the same
-                    // instant (zero-width hand-back) is a no-op continuation.
-                }
-                if running_at[seg.job].is_some() {
-                    return Err(SimError::JobBusy { job: seg.job, time: time.clone() });
-                }
-                // Classify the resumption.
-                if let Some(prev_machine) = last_stop_machine[seg.job] {
-                    if prev_machine != seg.machine {
-                        migrations += 1;
-                    } else {
-                        // Only a preemption if the job did not merely
-                        // continue seamlessly: seamless continuations were
-                        // coalesced by the schedulers; a same-machine
-                        // restart at a later time means it waited.
-                        preemptions += 1;
-                    }
-                }
-                if let Some(prev_job) = last_job_on_machine[seg.machine] {
-                    if prev_job != seg.job {
-                        context_switches += 1;
-                    }
-                }
-                running_on[seg.machine] = Some(seg.job);
-                running_at[seg.job] = Some(seg.machine);
-                last_job_on_machine[seg.machine] = Some(seg.job);
-                trace.push(TraceEvent {
-                    time: time.clone(),
-                    kind: TraceEventKind::Start,
-                    job: seg.job,
-                    machine: seg.machine,
-                });
+    for ev in events {
+        let (time, seg) = (ev.time, ev.seg);
+        if ev.stop {
+            running_on[seg.machine] = None;
+            running_at[seg.job] = None;
+            last_stop_machine[seg.job] = Some(seg.machine);
+            busy[seg.machine] += seg.duration();
+            received[seg.job] += seg.duration();
+            if *time > makespan {
+                makespan = time.clone();
             }
+            trace.push(TraceEvent {
+                time: time.clone(),
+                kind: TraceEventKind::Stop,
+                job: seg.job,
+                machine: seg.machine,
+            });
+        } else {
+            if let Some(other) = running_on[seg.machine] {
+                if other != seg.job {
+                    return Err(SimError::MachineBusy { machine: seg.machine, time: time.clone() });
+                }
+                // Same job re-starting on the same machine at the same
+                // instant (zero-width hand-back) is a no-op continuation.
+            }
+            if running_at[seg.job].is_some() {
+                return Err(SimError::JobBusy { job: seg.job, time: time.clone() });
+            }
+            // Classify the resumption.
+            if let Some(prev_machine) = last_stop_machine[seg.job] {
+                if prev_machine != seg.machine {
+                    migrations += 1;
+                } else {
+                    // Only a preemption if the job did not merely
+                    // continue seamlessly: seamless continuations were
+                    // coalesced by the schedulers; a same-machine
+                    // restart at a later time means it waited.
+                    preemptions += 1;
+                }
+            }
+            if let Some(prev_job) = last_job_on_machine[seg.machine] {
+                if prev_job != seg.job {
+                    context_switches += 1;
+                }
+            }
+            running_on[seg.machine] = Some(seg.job);
+            running_at[seg.job] = Some(seg.machine);
+            last_job_on_machine[seg.machine] = Some(seg.job);
+            trace.push(TraceEvent {
+                time: time.clone(),
+                kind: TraceEventKind::Start,
+                job: seg.job,
+                machine: seg.machine,
+            });
         }
     }
 

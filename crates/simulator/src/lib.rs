@@ -6,7 +6,9 @@
 //! validator in `hsched-core`, and the source of execution statistics
 //! (utilization, context switches, migrations) for the experiments. The
 //! venue's evaluations are simulation-based; this is the corresponding
-//! substrate (see DESIGN.md §3).
+//! substrate (see DESIGN.md §3). The event list is built once and put
+//! in replay order (time, stops before starts, segment order) by one
+//! stable sort.
 
 mod engine;
 mod report;

@@ -123,3 +123,42 @@ fn error_display_is_informative() {
         assert!(msg.contains(needle), "{msg:?} should mention {needle:?}");
     }
 }
+
+/// A segment naming a job outside the instance is a typed error (it
+/// used to index the assignment out of bounds).
+#[test]
+fn segment_naming_unknown_job_is_rejected() {
+    let (inst, asg, mut sched, t) = valid_pipeline_output();
+    let last = sched.segments.len();
+    sched.segments.push(Segment { job: inst.num_jobs(), machine: 0, start: q(0), end: q(1) });
+    assert_eq!(sched.validate(&inst, &asg, &t), Err(ScheduleError::UnknownJob { segment: last }));
+}
+
+/// An assignment shorter or longer than the job count is a typed error,
+/// before any segment is read.
+#[test]
+fn assignment_of_wrong_length_is_rejected() {
+    let (inst, _, sched, t) = valid_pipeline_output();
+    for mask in [vec![1, 2], vec![1, 2, 0, 0]] {
+        assert_eq!(
+            sched.validate(&inst, &Assignment::new(mask), &t),
+            Err(ScheduleError::AssignmentLength)
+        );
+    }
+}
+
+/// A mask naming a set outside the family is a typed error from the
+/// validator, from (IP-2) and from Algorithms 2+3, and no horizon.
+#[test]
+fn mask_outside_the_family_is_rejected() {
+    use hier_sched::core::assignment::AssignmentViolation;
+    use hier_sched::core::hier::HierError;
+    let (inst, _, sched, t) = valid_pipeline_output();
+    let sets = inst.family().len();
+    let asg = Assignment::new(vec![1, sets, 0]);
+    assert_eq!(sched.validate(&inst, &asg, &t), Err(ScheduleError::UnknownSet { job: 1 }));
+    let violation = AssignmentViolation::UnknownSet { job: 1, set: sets };
+    assert_eq!(asg.check_ip2(&inst, &t), Err(violation.clone()));
+    assert_eq!(asg.minimal_integral_horizon(&inst), None);
+    assert_eq!(schedule_hierarchical(&inst, &asg, &t), Err(HierError::Infeasible(violation)));
+}
