@@ -5,8 +5,8 @@
 //! fast; set `HSCHED_BENCH_LARGE=1` to add the scale-axis rows at
 //! m ∈ {100, 256, 1024}, where the exact revised solver is benchmarked
 //! against the certified float→exact hybrid (E12), plus the n-axis
-//! pricing ablation at n = 1024 (E13: Bland's full scan vs
-//! partial-candidate vs devex).
+//! pricing ablation at n = 1024 (E13: Bland's full scan vs the
+//! partial candidate list).
 
 use bench::fixtures;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,11 +56,7 @@ fn bench_ip3_lp(c: &mut Criterion) {
             let inst = fixtures::e10_instance(n, m, 7);
             let t = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
             let (lp, vm) = build_ip3(&inst, t).expect("has variables");
-            for (tag, pricing) in [
-                ("bland", Pricing::Bland),
-                ("partial", Pricing::PartialCandidate),
-                ("devex", Pricing::Devex),
-            ] {
+            for (tag, pricing) in [("bland", Pricing::Bland), ("partial", Pricing::PartialCandidate)] {
                 let opts = SolveOptions { solver: Solver::Hybrid, pricing };
                 g.bench_with_input(
                     BenchmarkId::from_parameter(format!("hybrid_{tag}_n{n}_m{m}_vars{}", vm.len())),

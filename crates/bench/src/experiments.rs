@@ -880,11 +880,11 @@ pub const E13_SIZES: [(usize, usize); 2] = [(1024, 1024), (4096, 1024)];
 pub const E13_BLAND_CUTOFF: usize = 4096;
 
 /// E13 — simplex pricing ablation on the n axis: Bland's full in-order
-/// scan vs the partial-candidate list and devex reference weights
-/// ([`lp::Pricing`]) on cold hybrid (IP-3) relaxation solves. The
-/// counters make the mechanism visible: all strategies pivot a similar
-/// number of times, but the candidate strategies price orders of
-/// magnitude fewer columns per entering-variable decision.
+/// scan vs the partial-candidate list ([`lp::Pricing`]) on cold hybrid
+/// (IP-3) relaxation solves. The counters make the mechanism visible:
+/// both strategies pivot a similar number of times, but the candidate
+/// list prices orders of magnitude fewer columns per entering-variable
+/// decision.
 pub fn e13() -> Report {
     e13_with(E13_DEFAULT_BUDGET)
 }
@@ -901,7 +901,6 @@ pub fn e13_with(budget: Duration) -> Report {
         "time",
         "cols priced",
         "refills",
-        "resets",
         "certified",
     ]);
     let mut truncated = false;
@@ -920,7 +919,7 @@ pub fn e13_with(budget: Duration) -> Report {
         // vertex may legitimately differ between pricing rules).
         let mut reference: Option<(lp::LpStatus, Q)> = None;
         let mut bland_priced: Option<usize> = None;
-        for pricing in [lp::Pricing::Bland, lp::Pricing::PartialCandidate, lp::Pricing::Devex] {
+        for pricing in [lp::Pricing::Bland, lp::Pricing::PartialCandidate] {
             if pricing == lp::Pricing::Bland && n >= E13_BLAND_CUTOFF {
                 notes.push(format!(
                     "Bland baseline skipped by design at n={n} (the full-scan wall; \
@@ -962,7 +961,6 @@ pub fn e13_with(budget: Duration) -> Report {
                 format!("{d:.1?}"),
                 stats.columns_priced.to_string(),
                 stats.candidate_refills.to_string(),
-                stats.devex_resets.to_string(),
                 if stats.hybrid_certified > 0 { "yes".into() } else { "fallback".into() },
             ]);
         }
@@ -970,7 +968,7 @@ pub fn e13_with(budget: Duration) -> Report {
 
     let mut r = Report::new(
         "e13",
-        "Pricing ablation on the n axis: Bland's full scan vs partial/devex candidate lists",
+        "Pricing ablation on the n axis: Bland's full scan vs the partial candidate list",
         t,
     )
     .seeds(format!(
@@ -979,9 +977,9 @@ pub fn e13_with(budget: Duration) -> Report {
     ))
     .note(
         "counters are the float proposer's on certified solves: cols priced = reduced-cost \
-         evaluations for entering-column selection, refills = candidate-list rebuild scans, \
-         resets = devex weight resets at refactorizations; status/objective agreement across \
-         strategies is asserted per size — a disagreement aborts the run",
+         evaluations for entering-column selection, refills = candidate-list rebuild scans; \
+         status/objective agreement across strategies is asserted per size — a disagreement \
+         aborts the run",
     );
     for note in notes {
         r = r.note(note);
@@ -1464,25 +1462,25 @@ mod tests {
 
     /// The pricing counters are a pure function of the program: pinned
     /// on E12's smallest relaxation (1 050 variables, a size that
-    /// separates all three rules in both cores) for every solver and
-    /// pricing rule, whatever `HSCHED_THREADS` says.
+    /// separates both rules in both cores) for every solver and pricing
+    /// rule, whatever `HSCHED_THREADS` says.
     #[test]
     fn pricing_counters_are_pinned() {
         let inst = fixtures::e10_instance(50, 20, 7);
         let horizon = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
         let (lp, vm) = hsched_core::formulations::build_ip3(&inst, horizon).expect("has variables");
         assert_eq!(vm.len(), 1_050);
-        let pricings = [lp::Pricing::Bland, lp::Pricing::PartialCandidate, lp::Pricing::Devex];
-        // (columns_priced, candidate_refills, devex_resets) per pricing.
+        let pricings = [lp::Pricing::Bland, lp::Pricing::PartialCandidate];
+        // (columns_priced, candidate_refills) per pricing.
         let golden = [
-            (lp::Solver::Revised, [(66_394, 0, 0), (10_098, 26, 0), (9_014, 23, 1)]),
-            (lp::Solver::Hybrid, [(66_394, 0, 0), (7_794, 24, 0), (8_762, 25, 1)]),
+            (lp::Solver::Revised, [(66_394, 0), (10_098, 26)]),
+            (lp::Solver::Hybrid, [(66_394, 0), (7_794, 24)]),
         ];
         for (solver, counters) in golden {
             for (pricing, want) in pricings.into_iter().zip(counters) {
                 let (sol, stats) = lp.solve_with(lp::SolveOptions { solver, pricing });
                 assert_eq!(sol.status, lp::LpStatus::Optimal, "{solver:?}/{pricing:?}");
-                let got = (stats.columns_priced, stats.candidate_refills, stats.devex_resets);
+                let got = (stats.columns_priced, stats.candidate_refills);
                 assert_eq!(got, want, "{solver:?}/{pricing:?}");
                 if solver == lp::Solver::Hybrid {
                     assert_eq!(stats.hybrid_certified, 1, "{pricing:?} must certify");

@@ -27,13 +27,9 @@
 //!
 //! Everything is exact `Q` arithmetic: a factorization is *only* a
 //! change of representation, so refactorizing at any point cannot change
-//! any exact value the simplex compares — under Bland and partial
-//! pricing the pivot path is independent of the refactorization schedule
-//! (a unit test in `revised.rs` pins this). Devex is the exception: it
-//! resets its float reference weights at every refactorization, and the
-//! fill trigger reads the size of this factor file, so under Devex the
-//! elimination order can move a reset and with it the entering columns
-//! and the optimal vertex returned, never the status or objective.
+//! any exact value the simplex compares — the pivot path is independent
+//! of the refactorization schedule (a unit test in `revised.rs` pins
+//! this).
 
 use numeric::Q;
 

@@ -412,11 +412,6 @@ impl<'a> FloatCore<'a> {
         if !self.factor.refactor(&cols) {
             return false;
         }
-        if !self.price.weights.is_empty() {
-            // Devex reference reset, as in the exact core's refactor.
-            self.price.weights.iter_mut().for_each(|w| *w = 1.0);
-            self.stats.devex_resets += 1;
-        }
         self.xb.clear();
         self.xb.extend_from_slice(self.rhs);
         self.factor.ftran_inplace(&mut self.xb);
@@ -442,9 +437,6 @@ impl<'a> FloatCore<'a> {
             };
             if self.price.pricing != Pricing::Bland {
                 self.note_degeneracy(slot);
-                if self.price.pricing == Pricing::Devex && !self.price.bland_mode {
-                    self.devex_update(slot, enter);
-                }
             }
             if !self.pivot(slot, enter) {
                 return FPhase::GaveUp;
@@ -491,38 +483,6 @@ impl<'a> FloatCore<'a> {
         } else {
             self.price.degen_streak = 0;
             self.price.bland_mode = false;
-        }
-    }
-
-    /// Forrest–Goldfarb devex update restricted to the candidate list,
-    /// applied before the basis change (`self.u` holds the transformed
-    /// entering column) — the float twin of the exact core's update.
-    fn devex_update(&mut self, slot: usize, enter: usize) {
-        let alpha_r = self.u[slot];
-        if alpha_r == 0.0 || !alpha_r.is_finite() {
-            return;
-        }
-        let g_enter = self.price.weights[enter];
-        let rho = self.btran_unit(slot);
-        for idx in 0..self.price.candidates.len() {
-            let j = self.price.candidates[idx];
-            if j == enter || self.in_basis[j] {
-                continue;
-            }
-            let a_j = self.transformed_entry(&rho, j);
-            if a_j == 0.0 || !a_j.is_finite() {
-                continue;
-            }
-            let r = a_j / alpha_r;
-            let cand = r * r * g_enter;
-            if cand.is_finite() && cand > self.price.weights[j] {
-                self.price.weights[j] = cand;
-            }
-        }
-        let leaving = self.basis[slot];
-        if leaving != VIRTUAL {
-            let w = g_enter / (alpha_r * alpha_r);
-            self.price.weights[leaving] = if w.is_finite() { w.max(1.0) } else { 1.0 };
         }
     }
 
@@ -595,7 +555,7 @@ fn float_cold(
         u: Vec::new(),
         pivots: 0,
         pivot_cap: 64 * (m + cols) + 1024,
-        price: PriceState::new(pricing, cols),
+        price: PriceState::new(pricing),
         stats,
     };
 
@@ -735,7 +695,7 @@ fn float_warm(
         u: Vec::new(),
         pivots: 0,
         pivot_cap: 64 * (m + cols) + 1024,
-        price: PriceState::new(pricing, cols),
+        price: PriceState::new(pricing),
         stats,
     };
 

@@ -88,10 +88,6 @@ pub enum Pricing {
     /// cost) and refilled only when exhausted — an empty refill over the
     /// whole ring proves optimality.
     PartialCandidate,
-    /// [`Pricing::PartialCandidate`] with devex reference weights
-    /// driving the selection (`rc²/γ_j`), updated every pivot by the
-    /// Forrest–Goldfarb recurrence and reset on refactorization.
-    Devex,
 }
 
 /// How to solve: the one configuration of every solve entry point
@@ -155,8 +151,6 @@ pub struct RevisedStats {
     pub columns_priced: usize,
     /// Candidate-list refill scans (non-Bland pricing only).
     pub candidate_refills: usize,
-    /// Devex reference-weight resets on refactorization.
-    pub devex_resets: usize,
 }
 
 impl RevisedStats {
@@ -171,7 +165,6 @@ impl RevisedStats {
         self.cold_rescues += other.cold_rescues;
         self.columns_priced += other.columns_priced;
         self.candidate_refills += other.candidate_refills;
-        self.devex_resets += other.devex_resets;
     }
 
     /// Count one hybrid fallback to the exact solver.
@@ -254,7 +247,6 @@ pub struct WarmCache {
     /// Pricing work accumulated across all solves through this cache.
     pub(crate) columns_priced: usize,
     pub(crate) candidate_refills: usize,
-    pub(crate) devex_resets: usize,
     /// One entry per worker cache folded in via
     /// [`WarmCache::absorb_worker`]: that worker's fallback count
     /// (warm + hybrid) — the per-worker breakdown the batch/B&B layers
@@ -309,11 +301,6 @@ impl WarmCache {
         self.candidate_refills
     }
 
-    /// Devex weight resets (on refactorization) across all solves.
-    pub fn devex_resets(&self) -> usize {
-        self.devex_resets
-    }
-
     /// Fold one solve's pricing and certification counters into the
     /// cache totals.
     pub(crate) fn absorb(&mut self, stats: &RevisedStats) {
@@ -322,7 +309,6 @@ impl WarmCache {
         self.cold_rescues += stats.cold_rescues;
         self.columns_priced += stats.columns_priced;
         self.candidate_refills += stats.candidate_refills;
-        self.devex_resets += stats.devex_resets;
     }
 
     /// Whether a hint is available (i.e. at least one solve happened).
@@ -379,7 +365,6 @@ impl WarmCache {
         self.cold_rescues += worker.cold_rescues;
         self.columns_priced += worker.columns_priced;
         self.candidate_refills += worker.candidate_refills;
-        self.devex_resets += worker.devex_resets;
         self.per_worker_fallbacks.push(worker.warm_fallbacks + worker.hybrid_fallbacks());
     }
 
@@ -549,30 +534,10 @@ impl std::error::Error for BudgetError {}
 /// Column-filter callback for the pricing scans.
 pub(crate) type Allowed<'f> = &'f dyn Fn(usize) -> bool;
 
-/// A reduced cost as the shared pricing loops see it: ordered (the
-/// partial-candidate rule picks the most negative) and with an `f64`
-/// view for the devex score. Implemented by the exact core's `Q` and the
-/// float core's `f64`.
-pub(crate) trait ReducedCost: PartialOrd {
-    fn as_f64(&self) -> f64;
-}
-
-impl ReducedCost for Q {
-    fn as_f64(&self) -> f64 {
-        self.to_f64()
-    }
-}
-
-impl ReducedCost for f64 {
-    fn as_f64(&self) -> f64 {
-        *self
-    }
-}
-
 /// Mutable pricing state carried across the pivots of one solve, and
 /// the one implementation of entering-column selection both cores run.
-/// Selection (Bland scan, candidate list, rotating refill, devex
-/// weights) is plain bookkeeping either way; each core supplies only its
+/// Selection (Bland scan, candidate list, rotating refill) is plain
+/// bookkeeping either way; each core supplies only its
 /// reduced-cost arithmetic, as a closure `negative(j)` returning
 /// `Some(rc)` when column `j` prices negative and `Err` when the core
 /// must give up.
@@ -583,29 +548,18 @@ pub(crate) struct PriceState {
     /// Nonbasic columns last seen with negative reduced cost, re-priced
     /// lazily under each new set of multipliers.
     pub(crate) candidates: Vec<usize>,
-    /// Devex reference weights, one per column (empty unless
-    /// [`Pricing::Devex`]).
-    pub(crate) weights: Vec<f64>,
     /// Consecutive degenerate pivots under non-Bland selection.
     pub(crate) degen_streak: usize,
     /// Degenerate-streak escape: price with Bland's rule until the
-    /// objective strictly improves. Partial/devex selection alone can
+    /// objective strictly improves. Partial selection alone can
     /// cycle on degenerate vertices; Bland's rule cannot, so a phase
     /// that latches here still terminates.
     pub(crate) bland_mode: bool,
 }
 
 impl PriceState {
-    pub(crate) fn new(pricing: Pricing, cols: usize) -> Self {
-        let weights = if pricing == Pricing::Devex { vec![1.0; cols] } else { Vec::new() };
-        PriceState {
-            pricing,
-            cursor: 0,
-            candidates: Vec::new(),
-            weights,
-            degen_streak: 0,
-            bland_mode: false,
-        }
+    pub(crate) fn new(pricing: Pricing) -> Self {
+        PriceState { pricing, cursor: 0, candidates: Vec::new(), degen_streak: 0, bland_mode: false }
     }
 
     /// Candidate-list capacity: ~√cols keeps both the refill scans and
@@ -625,7 +579,7 @@ impl PriceState {
     /// columns; `Ok(None)` = no allowed nonbasic column prices negative
     /// (the phase is optimal). Every reduced cost evaluated is counted
     /// in `stats.columns_priced`.
-    pub(crate) fn price_enter<R: ReducedCost, E>(
+    pub(crate) fn price_enter<R: PartialOrd, E>(
         &mut self,
         cols: usize,
         in_basis: &[bool],
@@ -671,18 +625,16 @@ impl PriceState {
 
     /// Re-price the candidate list under the current multipliers,
     /// dropping entries that went basic, disallowed, or nonnegative, and
-    /// return the best survivor by the strategy's selection rule (most
-    /// negative reduced cost for [`Pricing::PartialCandidate`]; max
-    /// `rc²/γ_j` for [`Pricing::Devex`]; ties to the smaller column).
-    fn select_candidates<R: ReducedCost, E>(
+    /// return the survivor with the most negative reduced cost (ties to
+    /// the smaller column).
+    fn select_candidates<R: PartialOrd, E>(
         &mut self,
         in_basis: &[bool],
         allowed: Allowed,
         stats: &mut RevisedStats,
         negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
     ) -> Result<Option<usize>, E> {
-        let devex = self.pricing == Pricing::Devex;
-        let mut best: Option<(usize, R, f64)> = None;
+        let mut best: Option<(usize, R)> = None;
         let mut kept = 0;
         for idx in 0..self.candidates.len() {
             let j = self.candidates[idx];
@@ -693,36 +645,18 @@ impl PriceState {
             let Some(rc) = negative(j)? else {
                 continue;
             };
-            let score = if devex {
-                let rcf = rc.as_f64();
-                let w = self.weights[j].max(f64::MIN_POSITIVE);
-                let s = rcf * rcf / w;
-                if s.is_finite() {
-                    s
-                } else {
-                    f64::MAX
-                }
-            } else {
-                0.0
-            };
             let better = match &best {
                 None => true,
-                Some((bj, brc, bscore)) => {
-                    if devex {
-                        score > *bscore || (score == *bscore && j < *bj)
-                    } else {
-                        rc < *brc || (rc == *brc && j < *bj)
-                    }
-                }
+                Some((bj, brc)) => rc < *brc || (rc == *brc && j < *bj),
             };
             if better {
-                best = Some((j, rc, score));
+                best = Some((j, rc));
             }
             self.candidates[kept] = j;
             kept += 1;
         }
         self.candidates.truncate(kept);
-        Ok(best.map(|(j, _, _)| j))
+        Ok(best.map(|(j, _)| j))
     }
 
     /// Rotating refill: price columns from the cursor, wrapping once
@@ -892,12 +826,6 @@ impl<'a> Core<'a> {
             .collect();
         self.factor.refactor(&cols);
         self.stats.refactorizations += 1;
-        if !self.price.weights.is_empty() {
-            // Devex weights are referenced to the basis at the last
-            // reset; a refactorization is the natural reference point.
-            self.price.weights.iter_mut().for_each(|w| *w = 1.0);
-            self.stats.devex_resets += 1;
-        }
     }
 
     /// One primal simplex phase minimizing `cost` over `allowed`
@@ -934,9 +862,6 @@ impl<'a> Core<'a> {
             };
             if self.price.pricing != Pricing::Bland {
                 self.note_degeneracy(slot);
-                if self.price.pricing == Pricing::Devex && !self.price.bland_mode {
-                    self.devex_update(slot, enter);
-                }
             }
             self.pivot(slot, enter);
         }
@@ -972,41 +897,6 @@ impl<'a> Core<'a> {
         } else {
             self.price.degen_streak = 0;
             self.price.bland_mode = false;
-        }
-    }
-
-    /// Forrest–Goldfarb devex update for the pivot `enter` → slot
-    /// `slot`, applied before the basis change (`self.u` still holds the
-    /// transformed entering column). Weights are a selection heuristic
-    /// only — plain f64, guarded against non-finite values — so they
-    /// never affect exactness, and the update is restricted to the
-    /// candidate list (the only columns whose weights can drive a
-    /// selection before the next refill or reset).
-    fn devex_update(&mut self, slot: usize, enter: usize) {
-        let alpha_r = self.u[slot].to_f64();
-        if alpha_r == 0.0 || !alpha_r.is_finite() {
-            return;
-        }
-        let g_enter = self.price.weights[enter];
-        let rho = self.btran_unit(slot);
-        for idx in 0..self.price.candidates.len() {
-            let j = self.price.candidates[idx];
-            if j == enter || self.in_basis[j] {
-                continue;
-            }
-            let a_j = self.transformed_entry(&rho, j).to_f64();
-            if a_j == 0.0 || !a_j.is_finite() {
-                continue;
-            }
-            let cand = (a_j / alpha_r) * (a_j / alpha_r) * g_enter;
-            if cand.is_finite() && cand > self.price.weights[j] {
-                self.price.weights[j] = cand;
-            }
-        }
-        let leaving = self.basis[slot];
-        if leaving != VIRTUAL {
-            let w = g_enter / (alpha_r * alpha_r);
-            self.price.weights[leaving] = if w.is_finite() { w.max(1.0) } else { 1.0 };
         }
     }
 }
@@ -1096,7 +986,7 @@ impl LinearProgram {
             refactor,
             stats: RevisedStats::default(),
             u: Vec::new(),
-            price: PriceState::new(opts.pricing, cols),
+            price: PriceState::new(opts.pricing),
         };
         let mut dead = vec![false; m];
 
@@ -1360,7 +1250,7 @@ impl LinearProgram {
             refactor: Refactor::default(),
             stats: RevisedStats::default(),
             u: Vec::new(),
-            price: PriceState::new(opts.pricing, cols),
+            price: PriceState::new(opts.pricing),
         };
 
         // --- Dual-simplex repair of b ≥ 0 (zero objective: any basis is
@@ -1795,25 +1685,24 @@ mod tests {
     /// counters must show strictly less pricing work, at the same
     /// optimal objective (the vertex may legitimately differ).
     #[test]
-    fn partial_and_devex_price_fewer_columns() {
+    fn partial_pricing_prices_fewer_columns() {
         let lp = dead_prefix_lp();
         let (bland, bland_stats) = lp.solve_with(SolveOptions::default());
         assert_eq!(bland.status, LpStatus::Optimal);
         assert!(bland_stats.columns_priced > 0);
         assert_eq!(bland_stats.candidate_refills, 0, "Bland never touches the candidate list");
-        for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let (sol, stats) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
-            assert_eq!(sol.status, bland.status, "{pricing:?}");
-            assert_eq!(sol.objective_value, bland.objective_value, "{pricing:?}");
-            assert!(lp.is_feasible_point(&sol.values), "{pricing:?}");
-            assert!(stats.candidate_refills >= 1, "{pricing:?} must refill at least once");
-            assert!(
-                stats.columns_priced < bland_stats.columns_priced,
-                "{pricing:?}: {} pricings vs Bland's {}",
-                stats.columns_priced,
-                bland_stats.columns_priced
-            );
-        }
+        let pricing = Pricing::PartialCandidate;
+        let (sol, stats) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
+        assert_eq!(sol.status, bland.status, "{pricing:?}");
+        assert_eq!(sol.objective_value, bland.objective_value, "{pricing:?}");
+        assert!(lp.is_feasible_point(&sol.values), "{pricing:?}");
+        assert!(stats.candidate_refills >= 1, "{pricing:?} must refill at least once");
+        assert!(
+            stats.columns_priced < bland_stats.columns_priced,
+            "{pricing:?}: {} pricings vs Bland's {}",
+            stats.columns_priced,
+            bland_stats.columns_priced
+        );
     }
 
     /// Tripping the warm anti-cycling cap must fall back to the cold
@@ -1972,12 +1861,12 @@ mod tests {
     #[test]
     fn revised_cache_cold_solve_uses_cache_options() {
         let lp = dead_prefix_lp();
-        let opts = SolveOptions { pricing: Pricing::Devex, ..SolveOptions::default() };
+        let opts = SolveOptions { pricing: Pricing::PartialCandidate, ..SolveOptions::default() };
         let (direct, stats) = lp.solve_with(opts);
         assert!(stats.columns_priced > 0);
         let mut cache = WarmCache::with_options(opts);
         let cached = lp.solve_warm_cached(&mut cache);
-        assert_eq!(cached.basis, direct.basis, "the cache must solve with its Devex pricing");
+        assert_eq!(cached.basis, direct.basis, "the cache must solve with its partial pricing");
         assert_eq!(cache.columns_priced(), stats.columns_priced, "cold pricing work is counted");
         assert_eq!(cache.candidate_refills(), stats.candidate_refills);
     }

@@ -154,10 +154,10 @@ proptest! {
         }
     }
 
-    /// The candidate pricing strategies (partial + devex) take different
-    /// pivot paths than Bland by design, but every optimum they reach is
-    /// exact: same status and optimal objective on random mixed-relation
-    /// LPs, for both the exact revised solver and the certified hybrid.
+    /// The candidate pricing strategy takes different pivot paths than
+    /// Bland by design, but every optimum it reaches is exact: same
+    /// status and optimal objective on random mixed-relation LPs, for
+    /// both the exact revised solver and the certified hybrid.
     #[test]
     fn pricing_strategies_match_bland(
         nv in 1usize..5,
@@ -169,28 +169,27 @@ proptest! {
     ) {
         let lp = random_lp(nv, &objs, &coefs, &rels, &rhss, n_cons);
         let bland = lp.solve();
-        for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
-            prop_assert_eq!(bland.status, sol.status, "{:?}", pricing);
-            if bland.status == LpStatus::Optimal {
-                prop_assert_eq!(&bland.objective_value, &sol.objective_value, "{:?}", pricing);
-                prop_assert!(lp.is_feasible_point(&sol.values));
-            }
-            // The hybrid under the same strategy must stay certified-or-
-            // fallback exact as well.
-            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
-            prop_assert_eq!(bland.status, hyb.status, "hybrid {:?}", pricing);
-            prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
-            if bland.status == LpStatus::Optimal {
-                prop_assert_eq!(&bland.objective_value, &hyb.objective_value, "hybrid {:?}", pricing);
-                prop_assert!(lp.is_feasible_point(&hyb.values));
-            }
+        let pricing = Pricing::PartialCandidate;
+        let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
+        prop_assert_eq!(bland.status, sol.status, "{:?}", pricing);
+        if bland.status == LpStatus::Optimal {
+            prop_assert_eq!(&bland.objective_value, &sol.objective_value, "{:?}", pricing);
+            prop_assert!(lp.is_feasible_point(&sol.values));
+        }
+        // The hybrid under the same strategy must stay certified-or-
+        // fallback exact as well.
+        let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
+        prop_assert_eq!(bland.status, hyb.status, "hybrid {:?}", pricing);
+        prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
+        if bland.status == LpStatus::Optimal {
+            prop_assert_eq!(&bland.objective_value, &hyb.objective_value, "hybrid {:?}", pricing);
+            prop_assert!(lp.is_feasible_point(&hyb.values));
         }
     }
 
     /// Warm-started re-solves through a pricing-configured cache track
-    /// right-hand-side perturbations exactly for every strategy and both
-    /// warm backends (exact revised + certified hybrid).
+    /// right-hand-side perturbations exactly under candidate pricing and
+    /// both warm backends (exact revised + certified hybrid).
     #[test]
     fn pricing_warm_resolves_match(
         nv in 2usize..5,
@@ -210,30 +209,29 @@ proptest! {
             lp
         };
         for solver in [Solver::Revised, Solver::Hybrid] {
-            for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-                let mut cache = WarmCache::with_options(SolveOptions { solver, pricing });
-                for shift in [0i64, delta, delta.saturating_sub(1)] {
-                    let lp = build(shift);
-                    let cached = lp.solve_warm_cached(&mut cache);
-                    let reference = lp.solve_dense();
-                    prop_assert_eq!(
-                        reference.status, cached.status,
-                        "{:?}/{:?} shift {}", solver, pricing, shift
-                    );
-                    if reference.status == LpStatus::Optimal {
-                        prop_assert_eq!(&reference.objective_value, &cached.objective_value);
-                        prop_assert!(lp.is_feasible_point(&cached.values));
-                    }
+            let pricing = Pricing::PartialCandidate;
+            let mut cache = WarmCache::with_options(SolveOptions { solver, pricing });
+            for shift in [0i64, delta, delta.saturating_sub(1)] {
+                let lp = build(shift);
+                let cached = lp.solve_warm_cached(&mut cache);
+                let reference = lp.solve_dense();
+                prop_assert_eq!(
+                    reference.status, cached.status,
+                    "{:?}/{:?} shift {}", solver, pricing, shift
+                );
+                if reference.status == LpStatus::Optimal {
+                    prop_assert_eq!(&reference.objective_value, &cached.objective_value);
+                    prop_assert!(lp.is_feasible_point(&cached.values));
                 }
             }
         }
     }
 
-    /// The near-degenerate Beale family under the candidate pricing
-    /// strategies: cycling-prone ties are where a pricing bug would
-    /// surface as non-termination or a wrong optimum. The
-    /// degenerate-streak guard must keep both strategies terminating at
-    /// the exact optimum, cold and hybrid alike.
+    /// The near-degenerate Beale family under candidate pricing:
+    /// cycling-prone ties are where a pricing bug would surface as
+    /// non-termination or a wrong optimum. The degenerate-streak guard
+    /// must keep the strategy terminating at the exact optimum, cold and
+    /// hybrid alike.
     #[test]
     fn pricing_survives_near_degenerate_perturbations(
         k in 5u32..50,
@@ -263,20 +261,19 @@ proptest! {
         );
         lp.add_constraint(vec![(2, q(1))], Relation::Le, tweak(6, q(1)));
         let exact = lp.solve();
-        for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-            let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
-            prop_assert_eq!(exact.status, sol.status, "{:?} k = {}", pricing, k);
-            if exact.status == LpStatus::Optimal {
-                prop_assert_eq!(&exact.objective_value, &sol.objective_value, "{:?} k = {}", pricing, k);
-                prop_assert!(lp.is_feasible_point(&sol.values));
-            }
-            let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
-            prop_assert_eq!(exact.status, hyb.status, "hybrid {:?} k = {}", pricing, k);
-            prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
-            if exact.status == LpStatus::Optimal {
-                prop_assert_eq!(&exact.objective_value, &hyb.objective_value, "hybrid {:?} k = {}", pricing, k);
-                prop_assert!(lp.is_feasible_point(&hyb.values));
-            }
+        let pricing = Pricing::PartialCandidate;
+        let (sol, _) = lp.solve_with(SolveOptions { pricing, ..SolveOptions::default() });
+        prop_assert_eq!(exact.status, sol.status, "{:?} k = {}", pricing, k);
+        if exact.status == LpStatus::Optimal {
+            prop_assert_eq!(&exact.objective_value, &sol.objective_value, "{:?} k = {}", pricing, k);
+            prop_assert!(lp.is_feasible_point(&sol.values));
+        }
+        let (hyb, stats) = lp.solve_with(SolveOptions { solver: Solver::Hybrid, pricing });
+        prop_assert_eq!(exact.status, hyb.status, "hybrid {:?} k = {}", pricing, k);
+        prop_assert_eq!(stats.hybrid_certified + stats.hybrid_fallbacks, 1);
+        if exact.status == LpStatus::Optimal {
+            prop_assert_eq!(&exact.objective_value, &hyb.objective_value, "hybrid {:?} k = {}", pricing, k);
+            prop_assert!(lp.is_feasible_point(&hyb.values));
         }
     }
 
@@ -328,11 +325,11 @@ proptest! {
     }
 }
 
-/// The candidate strategies on a program wide enough to fill their
-/// list: `wide_lp(300, _)` has 601 columns against a list cap of 24, so
-/// the rotating refill stops at the cap and resumes from its cursor —
-/// the small random programs above never get there. Revised Bland is
-/// the reference; every strategy under both solvers matches its status
+/// Candidate pricing on a program wide enough to fill its list:
+/// `wide_lp(300, _)` has 601 columns against a list cap of 24, so the
+/// rotating refill stops at the cap and resumes from its cursor — the
+/// small random programs above never get there. Revised Bland is the
+/// reference; candidate pricing under both solvers matches its status
 /// and objective at a feasible point, and the hybrid under Bland returns
 /// its vertex.
 #[test]
@@ -342,15 +339,14 @@ fn pricing_strategies_match_bland_on_a_wide_program() {
         let bland = lp.solve();
         assert_eq!(bland.status, LpStatus::Optimal, "seed {seed}");
         for solver in [Solver::Revised, Solver::Hybrid] {
-            for pricing in [Pricing::PartialCandidate, Pricing::Devex] {
-                let (sol, _) = lp.solve_with(SolveOptions { solver, pricing });
-                assert_eq!(sol.status, bland.status, "seed {seed} {solver:?}/{pricing:?}");
-                assert_eq!(
-                    sol.objective_value, bland.objective_value,
-                    "seed {seed} {solver:?}/{pricing:?}"
-                );
-                assert!(lp.is_feasible_point(&sol.values), "seed {seed} {solver:?}/{pricing:?}");
-            }
+            let pricing = Pricing::PartialCandidate;
+            let (sol, _) = lp.solve_with(SolveOptions { solver, pricing });
+            assert_eq!(sol.status, bland.status, "seed {seed} {solver:?}/{pricing:?}");
+            assert_eq!(
+                sol.objective_value, bland.objective_value,
+                "seed {seed} {solver:?}/{pricing:?}"
+            );
+            assert!(lp.is_feasible_point(&sol.values), "seed {seed} {solver:?}/{pricing:?}");
         }
         let (hybrid, _) = lp.solve_with(Solver::Hybrid.into());
         assert_eq!(hybrid.status, bland.status, "seed {seed}");

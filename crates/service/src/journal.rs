@@ -808,7 +808,6 @@ impl Fingerprint {
             pricing: match cfg.pricing {
                 lp::Pricing::Bland => 0,
                 lp::Pricing::PartialCandidate => 1,
-                lp::Pricing::Devex => 2,
             },
             rebalance: cfg.rebalance,
         }
