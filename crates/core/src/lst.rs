@@ -694,6 +694,87 @@ mod tests {
         }
     }
 
+    /// FNV-1a over a value's `Debug` text: pins a whole answer in one word.
+    fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
+        format!("{value:?}").bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn warm_float_path_is_pinned() {
+        // The LPT-seeded warm hybrid path on every identical and
+        // heterogeneous row: the answer of `lst_binary_search` (T*, the
+        // rounding, the LST makespan and the rounded vertex) as a hash,
+        // and the counters of one probe bisecting the bracket in the
+        // clear: certified, fallbacks, factor reuses, warm fallbacks,
+        // cold rescues, columns priced. A warm repair that took another
+        // pivot path would move the counters, or the vertex.
+        #[rustfmt::skip]
+        let golden: [(u64, [usize; 6]); 36] = [
+            // Identical machines (McNaughton rows): semi-partitioned,
+            // clustered and SMP-CMP families, n 20/34/48 each.
+            (0xa570_377f_64a8_03f3, [4, 0, 0, 0, 0, 560]),
+            (0x900e_5907_6811_6a9e, [3, 0, 0, 0, 0, 714]),
+            (0xf296_ecf8_933f_4884, [2, 0, 0, 0, 0, 672]),
+            (0x0191_1998_9dbd_049a, [0, 0, 0, 0, 0, 0]),
+            (0xdc19_a76b_671e_1904, [0, 0, 0, 0, 0, 0]),
+            (0x764e_fb8c_9496_b2ca, [2, 0, 0, 0, 0, 2_208]),
+            (0x2eb2_e11e_6470_09d2, [3, 0, 0, 0, 0, 660]),
+            (0xd182_2eb8_adac_b9df, [3, 0, 1, 0, 0, 748]),
+            (0x8f7f_1b54_d20a_f2be, [3, 0, 0, 0, 0, 1_584]),
+            (0x31b1_e3bc_ec73_88c6, [0, 0, 0, 0, 0, 0]),
+            (0x1dfb_eda0_0f0b_010a, [0, 0, 0, 0, 0, 0]),
+            (0x1784_4f89_c913_51f4, [3, 0, 0, 0, 0, 3_024]),
+            (0xbcc6_029e_4c22_2799, [2, 0, 0, 0, 0, 280]),
+            (0x6c0f_57be_731e_dcd1, [3, 0, 0, 0, 0, 714]),
+            (0x628d_0162_0395_a43c, [2, 0, 0, 0, 0, 672]),
+            (0xc3e2_66b8_d56c_605c, [0, 0, 0, 0, 0, 0]),
+            (0x3f77_9f29_a455_2498, [0, 0, 0, 0, 0, 0]),
+            (0xe75e_b2de_e652_f65f, [3, 0, 0, 0, 0, 3_312]),
+            // The same shapes at speeds 1-4 (bisected).
+            (0xe4de_1c03_c751_4ab3, [4, 0, 0, 0, 1, 7_022]),
+            (0xa699_9af1_a2ac_43ee, [5, 0, 0, 0, 4, 121_132]),
+            (0x399b_8b86_c82f_5abd, [4, 0, 0, 0, 4, 150_610]),
+            (0xe092_eca8_4274_31a6, [3, 0, 0, 0, 0, 920]),
+            (0x310e_9af7_a7aa_d3bf, [2, 0, 0, 0, 1, 104_505]),
+            (0x0efc_22c3_a1c3_fd7c, [4, 0, 0, 0, 3, 990_866]),
+            (0x4788_716b_cde6_c2aa, [3, 0, 0, 0, 0, 220]),
+            (0x8154_36c4_7c7e_13c1, [4, 0, 0, 0, 3, 123_107]),
+            (0x0820_fe3e_929f_8555, [4, 0, 0, 0, 4, 387_897]),
+            (0x6c99_1fd8_c5ab_e018, [1, 0, 0, 0, 0, 0]),
+            (0x3dd7_8654_48ed_7127, [4, 0, 0, 0, 2, 201_280]),
+            (0xff7a_4241_37f3_8836, [4, 0, 0, 0, 3, 916_698]),
+            (0x107f_90a4_723b_663d, [5, 0, 0, 0, 2, 13_848]),
+            (0xa166_80b4_5789_4792, [4, 0, 0, 0, 3, 56_573]),
+            (0x02bb_2e1b_ee3a_bbba, [5, 0, 0, 0, 4, 205_778]),
+            (0xf5a3_0493_b7b0_467a, [2, 0, 0, 0, 0, 920]),
+            (0x5a07_b5ec_07da_3cef, [3, 0, 0, 0, 2, 167_617]),
+            (0x4c39_ada2_e960_316a, [5, 0, 0, 0, 3, 1_150_524]),
+        ];
+        let mut got = Vec::new();
+        for (p, m, _) in perfbench_shapes().into_iter().chain(heterogeneous_shapes()) {
+            let (t_star, a) = lst_binary_search(&p, m).unwrap();
+            let hash = debug_hash(&(t_star, &a.machine_of, a.lst_makespan, &a.fractional));
+            let (lo, hi) = lst_bracket(&p, m).unwrap();
+            let mut probe = LstProbe::new(&p, m);
+            least_feasible(lo, hi, |t| probe.feasible(t));
+            let c = probe.cache();
+            let counters = [
+                c.hybrid_certified(),
+                c.hybrid_fallbacks(),
+                c.factor_reuses(),
+                c.warm_fallbacks(),
+                c.cold_rescues(),
+                c.columns_priced(),
+            ];
+            got.push((hash, counters));
+        }
+        for (k, (g, want)) in got.iter().zip(golden).enumerate() {
+            assert_eq!(*g, want, "row {k}");
+        }
+    }
+
     #[test]
     fn seeded_probe_matches_cold_exact_status() {
         // A fresh probe's first solve starts from the LPT basis, which
