@@ -793,7 +793,6 @@ struct Fingerprint {
     ovh_num: u64,
     ovh_den: u64,
     budget: Option<u64>,
-    pricing: u8,
     rebalance: bool,
 }
 
@@ -805,10 +804,6 @@ impl Fingerprint {
             ovh_num: cfg.ovh_num,
             ovh_den: cfg.ovh_den,
             budget: cfg.budget.map(|b| b as u64),
-            pricing: match cfg.pricing {
-                lp::Pricing::Bland => 0,
-                lp::Pricing::PartialCandidate => 1,
-            },
             rebalance: cfg.rebalance,
         }
     }
@@ -854,7 +849,8 @@ fn put_checkpoint(out: &mut Vec<u8>, ck: &Checkpoint) {
             put_u64(out, b);
         }
     }
-    out.push(ck.fp.pricing);
+    // A retired pricing-rule byte, kept so the format is unchanged.
+    out.push(0);
     out.push(ck.fp.rebalance as u8);
     put_u64(out, ck.seq);
     put_u64(out, ck.events_seen);
@@ -895,8 +891,7 @@ fn read_checkpoint(rd: &mut Reader<'_>) -> Option<Checkpoint> {
         1 => Some(rd.u64()?),
         _ => return None,
     };
-    let pricing = rd.u8()?;
-    if pricing > 2 {
+    if rd.u8()? != 0 {
         return None;
     }
     let rebalance = match rd.u8()? {
@@ -931,7 +926,7 @@ fn read_checkpoint(rd: &mut Reader<'_>) -> Option<Checkpoint> {
     }
     let pending_cert_faults = rd.u64()?;
     Some(Checkpoint {
-        fp: Fingerprint { machines, sets, ovh_num, ovh_den, budget, pricing, rebalance },
+        fp: Fingerprint { machines, sets, ovh_num, ovh_den, budget, rebalance },
         seq,
         events_seen,
         active,
@@ -983,9 +978,6 @@ impl Scheduler {
         }
         if ck.fp.budget != fp.budget {
             return mismatch("pivot budget");
-        }
-        if ck.fp.pricing != fp.pricing {
-            return mismatch("pricing rule");
         }
         if ck.fp.rebalance != fp.rebalance {
             return mismatch("rebalance policy");
@@ -1504,6 +1496,29 @@ mod tests {
         assert_eq!(restored.quarantined, s.quarantined);
         assert_eq!(restored.failed, s.failed);
         assert_eq!(restored.healthy, s.healthy);
+    }
+
+    #[test]
+    fn nonzero_retired_pricing_byte_is_malformed() {
+        let (cfg, events) = small_stream();
+        let mut s = Scheduler::new(cfg);
+        for ev in &events {
+            s.apply(ev, None).expect("epoch");
+        }
+        let mut w = JournalWriter::new();
+        w.append_checkpoint(&s.checkpoint());
+        let mut bytes = w.as_bytes().to_vec();
+        // machines, sets, ovh_num, ovh_den, budget tag + value, then the
+        // retired pricing byte, always written as 0.
+        let at = HEADER_LEN + 5 + 4 + 4 + 8 + 8 + 1 + 8;
+        assert_eq!(bytes[at], 0);
+        bytes[at] = 1;
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[HEADER_LEN..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let scan = recover(&bytes).expect("valid prefix");
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.tail, Some(JournalError::MalformedRecord { offset: HEADER_LEN }));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use hsched_core::formulations::{build_ip3_fixed, VarMap};
 use hsched_core::hier::{schedule_hierarchical, HierError};
 use hsched_core::{Assignment, Instance, Schedule, ScheduleError};
 use laminar::{topology, LaminarFamily, MachineSet};
-use lp::{BudgetError, LpStatus, SolveBudget, SolveOptions, Solver, WarmCache};
+use lp::{BudgetError, LpStatus, SolveBudget, Solver, WarmCache};
 use numeric::Q;
 use simulator::{simulate, SimError};
 
@@ -309,8 +309,6 @@ pub struct ServiceConfig {
     /// Per-probe pivot budget for the warm tier; `None` = unbudgeted
     /// (tier 1 then never exhausts).
     pub budget: Option<usize>,
-    /// Entering-column strategy for all LP probes.
-    pub pricing: lp::Pricing,
     /// Rebalance after departures when `t_epoch > 2·t_star`, moving at
     /// most `m_h − 1` jobs (strict improvements only).
     pub rebalance: bool,
@@ -326,7 +324,6 @@ impl ServiceConfig {
             ovh_num: 1,
             ovh_den: 4,
             budget: Some(4096),
-            pricing: lp::Pricing::default(),
             rebalance: true,
         }
     }
@@ -379,8 +376,7 @@ impl Scheduler {
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(cfg.ovh_den > 0, "overhead denominator must be positive");
         let m = cfg.family.num_machines();
-        let cache =
-            WarmCache::with_options(SolveOptions { solver: Solver::Hybrid, pricing: cfg.pricing });
+        let cache = WarmCache::with_options(Solver::Hybrid.into());
         Scheduler {
             cfg,
             active: Vec::new(),
@@ -509,14 +505,12 @@ impl Scheduler {
     }
 
     /// The same search from a cold start: one cold exact revised solve
-    /// per probe under the configured pricing, no state shared with the
-    /// (possibly faulted) warm cache.
+    /// per probe, no state shared with the (possibly faulted) warm cache.
     fn tstar_cold(&self, instance: &Instance, vm: &VarMap, lb: u64, ub: u64) -> u64 {
-        let opts = SolveOptions { pricing: self.cfg.pricing, ..SolveOptions::default() };
         let (mut lo, mut hi) = (lb, ub);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if build_ip3_fixed(instance, vm, mid).solve_with(opts).0.status == LpStatus::Optimal {
+            if build_ip3_fixed(instance, vm, mid).solve().status == LpStatus::Optimal {
                 hi = mid;
             } else {
                 lo = mid + 1;
