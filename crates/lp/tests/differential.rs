@@ -18,8 +18,6 @@ use numeric::Q;
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
     /// Dense and revised agree bit-for-bit on random mixed-relation LPs
     /// — status, objective, vertex, and basis.
     #[test]
