@@ -56,7 +56,9 @@ fn bench_ip3_lp(c: &mut Criterion) {
             let inst = fixtures::e10_instance(n, m, 7);
             let t = inst.volume_lower_bound().max(inst.bottleneck_lower_bound()) + 2;
             let (lp, vm) = build_ip3(&inst, t).expect("has variables");
-            for (tag, pricing) in [("bland", Pricing::Bland), ("partial", Pricing::PartialCandidate)] {
+            for (tag, pricing) in
+                [("bland", Pricing::Bland), ("partial", Pricing::PartialCandidate)]
+            {
                 let opts = SolveOptions { solver: Solver::Hybrid, pricing };
                 g.bench_with_input(
                     BenchmarkId::from_parameter(format!("hybrid_{tag}_n{n}_m{m}_vars{}", vm.len())),

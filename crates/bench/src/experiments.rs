@@ -893,16 +893,8 @@ pub fn e13() -> Report {
 /// skipped — recording how much was covered — once the budget is spent.
 pub fn e13_with(budget: Duration) -> Report {
     let start = Instant::now();
-    let mut t = Table::new(&[
-        "case",
-        "n",
-        "m",
-        "pricing",
-        "time",
-        "cols priced",
-        "refills",
-        "certified",
-    ]);
+    let mut t =
+        Table::new(&["case", "n", "m", "pricing", "time", "cols priced", "refills", "certified"]);
     let mut truncated = false;
     let mut notes: Vec<String> = Vec::new();
 

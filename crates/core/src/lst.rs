@@ -696,9 +696,9 @@ mod tests {
 
     /// FNV-1a over a value's `Debug` text: pins a whole answer in one word.
     fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
-        format!("{value:?}").bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+        format!("{value:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
     #[test]
