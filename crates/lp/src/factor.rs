@@ -1,13 +1,13 @@
-//! Exact factorized representation of a simplex basis.
+//! Factorized representation of a simplex basis, over either arithmetic
+//! of the simplex core ([`Scalar`]).
 //!
 //! The revised simplex ([`revised`](crate::revised)) never maintains a
 //! transformed tableau. Instead it keeps the basis inverse `B⁻¹` in
 //! *product form*: a sequence of elementary eta matrices produced by a
 //! Gaussian elimination of the basis columns (the (re)factorization —
-//! the exact-arithmetic analogue of an LU factor), followed by one eta
-//! per simplex pivot since the last refactorization (the
-//! Bartels–Golub/Forrest–Tomlin-style update file). Solves against the
-//! basis are
+//! the analogue of an LU factor), followed by one eta per simplex pivot
+//! since the last refactorization (the Bartels–Golub/Forrest–Tomlin-style
+//! update file). Solves against the basis are
 //!
 //! * **FTRAN** — `x = B⁻¹ a` (the transformed entering column / the
 //!   transformed right-hand side), applying the etas in order, and
@@ -15,67 +15,309 @@
 //!   and unit rows for the artificial-cleanup and dual-ratio scans),
 //!   applying the transposed etas in reverse.
 //!
-//! Every whole-basis factorization — the simplex's refactorization and
-//! the hybrid certifier's — eliminates in one order,
+//! Every exact whole-basis factorization — the exact simplex's
+//! refactorization and the hybrid certifier's — eliminates in one order,
 //! [`Factorization::eliminate_basis`]: the triangular part of the basis
 //! first, found by peeling row singletons (Suhl & Suhl, "Computing sparse
 //! LU factorizations for large-scale linear programming bases", ORSA J.
 //! Computing 1990), then the remaining nucleus sparsest-first. A peeled
 //! column meets no earlier pivot row, so its eta is the column itself:
 //! the assignment-shaped bases of the paper's LPs, whose fractional part
-//! is a forest, factorize with no fill at all.
+//! is a forest, factorize with no fill at all. The float proposer's
+//! refactorization still eliminates every column sparsest-first with
+//! largest-magnitude pivots ([`Factorization::eliminate_sparsest`]).
 //!
-//! Everything is exact `Q` arithmetic: a factorization is *only* a
-//! change of representation, so refactorizing at any point cannot change
-//! any exact value the simplex compares — the pivot path is independent
-//! of the refactorization schedule (a unit test in `revised.rs` pins
-//! this).
+//! In exact `Q` arithmetic a factorization is *only* a change of
+//! representation, so refactorizing at any point cannot change any exact
+//! value the simplex compares — the pivot path is independent of the
+//! refactorization schedule (a unit test in `revised.rs` pins this).
+
+use std::cmp::Ordering;
+use std::fmt::Debug;
+use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 use numeric::Q;
 
 /// A sparse vector over row slots: `(slot, value)` pairs, ascending.
 pub(crate) type SVec = Vec<(usize, Q)>;
 
-/// One elementary transformation `E⁻¹`: applying it to `x` performs
-/// `x[pivot] ← x[pivot] / u[pivot]` followed by
-/// `x[i] ← x[i] − u[i] · x[pivot]` for every other stored entry.
-#[derive(Clone, Debug)]
-pub(crate) struct Eta {
-    pivot: usize,
-    /// Nonzero entries of the pivot column `u`, including the pivot
-    /// entry itself; ascending by slot.
-    col: SVec,
+/// Sign, pivot and ratio-tie tolerance of the float proposer. Everything
+/// the floats decide is re-checked exactly, so the only cost of a
+/// misjudged sign is a fallback.
+const EPS: f64 = 1e-9;
+
+/// Feasibility threshold of the float warm repair's row filter. Looser
+/// than [`EPS`]: between refreshes `x_B` drifts by more than the pivot
+/// tolerance, and chasing that noise stalls the repair in hundreds of
+/// degenerate pivots. A row that is *exactly* negative but above this
+/// threshold makes the optimality certificate fail, which routes to the
+/// exact fallback — correctness is unaffected.
+const FEAS_EPS: f64 = 1e-7;
+
+/// Float phase-1 infeasibility decision threshold (sum of artificials).
+const EPS_INFEAS: f64 = 1e-7;
+
+/// The arithmetic of the simplex core: exact `Q` for the revised solver
+/// and the certifier, `f64` for the hybrid's proposer. Everything the two
+/// instances do differently is one of these items — the tolerances
+/// (exact zero for `Q`), the finiteness give-up (never for `Q`), the
+/// crash pivot, and the refactorization's trigger, order and drift
+/// reset.
+pub(crate) trait Scalar:
+    Clone
+    + Default
+    + PartialOrd
+    + Debug
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+{
+    fn one() -> Self;
+    fn from_q(v: &Q) -> Self;
+    /// Exactly zero: the sparsity test.
+    fn is_zero(&self) -> bool;
+    /// Positive beyond the sign tolerance.
+    fn above_tol(&self) -> bool;
+    /// Negative beyond the sign tolerance.
+    fn below_tol(&self) -> bool;
+    /// Nonzero beyond the sign tolerance.
+    fn beyond_tol(&self) -> bool;
+    /// `acc −= u·y`, the step of a transposed eta. Exactly, a zero `y` is
+    /// skipped: a rational product costs more than the test. In floats
+    /// every entry is multiplied: a branch per entry costs more than the
+    /// product.
+    fn sub_product(acc: &mut Self, u: &Self, y: &Self);
+    /// A basic value the warm dual repair must raise.
+    fn needs_repair(&self) -> bool;
+    /// A phase-1 sum of artificials that proves the program infeasible.
+    fn infeasible_sum(&self) -> bool;
+    /// The ratio test's step from basic value `x` along pivot entry `u`.
+    fn ratio(x: &Self, u: &Self) -> Self;
+    /// Ratio `r` against the incumbent `best`: `Less` beats it, `Equal`
+    /// ties (the smaller basic column wins).
+    fn ratio_cmp(r: &Self, best: &Self) -> Ordering;
+    /// False for a value the float proposer gives up on.
+    fn is_finite(&self) -> bool;
+    /// The crash's pivot slot among the unpivoted entries of the
+    /// transformed column `x`; `None` when the column is dependent.
+    fn crash_pivot(x: &[Self], pivoted: &[bool]) -> Option<usize>;
+    /// Whether the update file is due for a refactorization.
+    fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool;
+    /// Eliminate the basis columns into the empty factor file in the
+    /// refactorization's order; `None` when they are (numerically)
+    /// singular.
+    fn refactorize<C: AsRef<[(usize, Self)]>>(
+        f: &mut Factorization<Self>,
+        cols: &[C],
+    ) -> Option<Vec<usize>>;
+    /// After a refactorization: `Q` keeps `x_B`, which is exact, and
+    /// `f64` recomputes `x_B = B⁻¹b`, the drift reset. False when the
+    /// recomputed values are not finite.
+    fn reset_drift(f: &Factorization<Self>, rhs: &[Self], xb: &mut Vec<Self>) -> bool;
 }
 
-impl Eta {
-    fn pivot_value(&self) -> &Q {
-        &self.col[self.col.binary_search_by_key(&self.pivot, |e| e.0).expect("pivot stored")].1
+impl Scalar for Q {
+    fn one() -> Self {
+        Q::one()
     }
+    fn from_q(v: &Q) -> Self {
+        v.clone()
+    }
+    fn is_zero(&self) -> bool {
+        Q::is_zero(self)
+    }
+    fn above_tol(&self) -> bool {
+        self.is_positive()
+    }
+    fn below_tol(&self) -> bool {
+        self.is_negative()
+    }
+    fn beyond_tol(&self) -> bool {
+        !Q::is_zero(self)
+    }
+    fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
+        if !Q::is_zero(y) {
+            *acc -= u.clone() * y.clone();
+        }
+    }
+    fn needs_repair(&self) -> bool {
+        self.is_negative()
+    }
+    fn infeasible_sum(&self) -> bool {
+        self.is_positive()
+    }
+    fn ratio(x: &Self, u: &Self) -> Self {
+        x.clone() / u.clone()
+    }
+    fn ratio_cmp(r: &Self, best: &Self) -> Ordering {
+        r.cmp(best)
+    }
+    fn is_finite(&self) -> bool {
+        true
+    }
+    /// The first unit pivot (`±1`, no arithmetic in the eta), else the
+    /// first nonzero.
+    fn crash_pivot(x: &[Self], pivoted: &[bool]) -> Option<usize> {
+        let mut pos = None;
+        for (i, v) in x.iter().enumerate() {
+            if pivoted[i] || Q::is_zero(v) {
+                continue;
+            }
+            if v.is_one() || *v == -Q::one() {
+                return Some(i);
+            }
+            pos = pos.or(Some(i));
+        }
+        pos
+    }
+    /// After `interval` updates, or when the update file's nonzeros
+    /// exceed `fill_factor · (m + factorization nonzeros)`.
+    fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool {
+        f.update_count() >= r.interval || f.update_nnz() > r.fill_factor * (f.m + f.factor_nnz())
+    }
+    fn refactorize<C: AsRef<[(usize, Self)]>>(
+        f: &mut Factorization<Self>,
+        cols: &[C],
+    ) -> Option<Vec<usize>> {
+        f.eliminate_basis(cols)
+    }
+    fn reset_drift(_: &Factorization<Self>, _: &[Self], _: &mut Vec<Self>) -> bool {
+        true
+    }
+}
 
+impl Scalar for f64 {
+    fn one() -> Self {
+        1.0
+    }
+    fn from_q(v: &Q) -> Self {
+        v.to_f64()
+    }
+    fn is_zero(&self) -> bool {
+        *self == 0.0
+    }
+    fn above_tol(&self) -> bool {
+        *self > EPS
+    }
+    fn below_tol(&self) -> bool {
+        *self < -EPS
+    }
+    fn beyond_tol(&self) -> bool {
+        self.abs() > EPS
+    }
+    fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
+        *acc -= u * y;
+    }
+    fn needs_repair(&self) -> bool {
+        *self < -FEAS_EPS
+    }
+    fn infeasible_sum(&self) -> bool {
+        *self > EPS_INFEAS
+    }
+    /// A basic value drifted below zero steps from zero.
+    fn ratio(x: &Self, u: &Self) -> Self {
+        x.max(0.0) / u
+    }
+    fn ratio_cmp(r: &Self, best: &Self) -> Ordering {
+        if *r < best - EPS {
+            Ordering::Less
+        } else if (r - best).abs() <= EPS {
+            Ordering::Equal
+        } else {
+            Ordering::Greater
+        }
+    }
+    fn is_finite(&self) -> bool {
+        f64::is_finite(*self)
+    }
+    /// The largest magnitude above the tolerance: floats prefer
+    /// stability over the exact side's unit pivots.
+    fn crash_pivot(x: &[Self], pivoted: &[bool]) -> Option<usize> {
+        let mut pos: Option<usize> = None;
+        for (i, v) in x.iter().enumerate() {
+            if pivoted[i] || v.abs() <= EPS {
+                continue;
+            }
+            if pos.is_none_or(|p| v.abs() > x[p].abs()) {
+                pos = Some(i);
+            }
+        }
+        pos.filter(|&p| x[p].is_finite())
+    }
+    /// Every `interval` updates; the float file is never cut for fill.
+    fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool {
+        f.update_count() >= r.interval
+    }
+    fn refactorize<C: AsRef<[(usize, Self)]>>(
+        f: &mut Factorization<Self>,
+        cols: &[C],
+    ) -> Option<Vec<usize>> {
+        f.eliminate_sparsest(cols)
+    }
+    fn reset_drift(f: &Factorization<Self>, rhs: &[Self], xb: &mut Vec<Self>) -> bool {
+        xb.clear();
+        xb.extend_from_slice(rhs);
+        f.ftran_inplace(xb);
+        xb.iter().all(|v| v.is_finite())
+    }
+}
+
+/// Refactorization trigger of the simplex core. Crate-private: only the
+/// representation-only test tightens it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Refactor {
+    /// Refactorize after this many eta updates (pivot-count trigger).
+    pub(crate) interval: usize,
+    /// Refactorize when the update file's nonzeros exceed
+    /// `fill_factor · (m + factorization nonzeros)` (fill trigger; exact
+    /// arithmetic only).
+    pub(crate) fill_factor: usize,
+}
+
+impl Default for Refactor {
+    fn default() -> Self {
+        Refactor { interval: 64, fill_factor: 4 }
+    }
+}
+
+/// One elementary transformation `E⁻¹`: applying it to `x` performs
+/// `x[pivot] ← x[pivot] / piv` followed by `x[i] ← x[i] − u[i] · x[pivot]`
+/// for every stored off-pivot entry.
+#[derive(Clone, Debug)]
+struct Eta<S> {
+    pivot: usize,
+    /// The pivot entry `u[pivot]`.
+    piv: S,
+    /// Nonzero off-pivot entries of the pivot column `u`, ascending by
+    /// slot.
+    col: Vec<(usize, S)>,
+}
+
+impl<S: Scalar> Eta<S> {
     /// Forward application (`x ← E⁻¹ x`) on a dense vector.
-    fn apply(&self, x: &mut [Q]) {
+    fn apply(&self, x: &mut [S]) {
         if x[self.pivot].is_zero() {
             return;
         }
-        let t = x[self.pivot].clone() / self.pivot_value().clone();
+        let t = x[self.pivot].clone() / self.piv.clone();
         for (i, v) in &self.col {
-            if *i != self.pivot && !v.is_zero() {
-                x[*i] = x[*i].clone() - v.clone() * t.clone();
-            }
+            x[*i] -= v.clone() * t.clone();
         }
         x[self.pivot] = t;
     }
 
     /// Transposed application (`y ← E⁻ᵀ y`) on a dense vector: only the
     /// pivot component changes, to `(y_p − Σ_{i≠p} u_i y_i) / u_p`.
-    fn apply_transposed(&self, y: &mut [Q]) {
+    fn apply_transposed(&self, y: &mut [S]) {
         let mut acc = y[self.pivot].clone();
         for (i, v) in &self.col {
-            if *i != self.pivot && !y[*i].is_zero() {
-                acc -= v.clone() * y[*i].clone();
-            }
+            S::sub_product(&mut acc, v, &y[*i]);
         }
-        y[self.pivot] = acc / self.pivot_value().clone();
+        y[self.pivot] = acc / self.piv.clone();
     }
 }
 
@@ -84,20 +326,21 @@ impl Eta {
 /// permutation its pivot choices induced, and `U` the per-pivot update
 /// etas appended since.
 #[derive(Clone, Debug)]
-pub(crate) struct Factorization {
+pub(crate) struct Factorization<S = Q> {
     m: usize,
     /// Etas from the last refactorization, in application order.
-    factor: Vec<Eta>,
+    factor: Vec<Eta<S>>,
     /// `perm[slot]` = position the factorization pivots left that slot's
     /// value in; `None` while the factorization is the identity.
     perm: Option<Vec<usize>>,
     /// Update etas appended by simplex pivots, in application order.
-    updates: Vec<Eta>,
+    updates: Vec<Eta<S>>,
+    /// Nonzeros of each file, pivot entries included.
     factor_nnz: usize,
     update_nnz: usize,
 }
 
-impl Factorization {
+impl<S: Scalar> Factorization<S> {
     /// The identity basis (`B = I`): no etas at all.
     pub(crate) fn identity(m: usize) -> Self {
         Factorization {
@@ -123,9 +366,9 @@ impl Factorization {
     }
 
     /// `x = B⁻¹ a` for a sparse `a`, written into `out` (resized dense).
-    pub(crate) fn ftran_sparse(&self, a: &SVec, out: &mut Vec<Q>) {
+    pub(crate) fn ftran_sparse(&self, a: &[(usize, S)], out: &mut Vec<S>) {
         out.clear();
-        out.resize(self.m, Q::zero());
+        out.resize(self.m, S::default());
         for (i, v) in a {
             out[*i] = v.clone();
         }
@@ -133,13 +376,13 @@ impl Factorization {
     }
 
     /// `x ← B⁻¹ x` on an already-dense vector of length `m`.
-    pub(crate) fn ftran_inplace(&self, x: &mut Vec<Q>) {
+    pub(crate) fn ftran_inplace(&self, x: &mut Vec<S>) {
         debug_assert_eq!(x.len(), self.m);
         for eta in &self.factor {
             eta.apply(x);
         }
         if let Some(perm) = &self.perm {
-            let mut permuted = vec![Q::zero(); self.m];
+            let mut permuted = vec![S::default(); self.m];
             for (slot, &pos) in perm.iter().enumerate() {
                 permuted[slot] = std::mem::take(&mut x[pos]);
             }
@@ -152,13 +395,13 @@ impl Factorization {
 
     /// `y ← B⁻ᵀ y` on a dense vector of length `m` (slot space in,
     /// constraint space out).
-    pub(crate) fn btran_inplace(&self, y: &mut Vec<Q>) {
+    pub(crate) fn btran_inplace(&self, y: &mut Vec<S>) {
         debug_assert_eq!(y.len(), self.m);
         for eta in self.updates.iter().rev() {
             eta.apply_transposed(y);
         }
         if let Some(perm) = &self.perm {
-            let mut permuted = vec![Q::zero(); self.m];
+            let mut permuted = vec![S::default(); self.m];
             for (slot, &pos) in perm.iter().enumerate() {
                 permuted[pos] = std::mem::take(&mut y[slot]);
             }
@@ -171,41 +414,33 @@ impl Factorization {
 
     /// Record a simplex pivot at `(slot, u)` where `u = B⁻¹ A_q` is the
     /// transformed entering column (dense). `u[slot]` must be nonzero.
-    pub(crate) fn append_update(&mut self, slot: usize, u: &[Q]) {
+    pub(crate) fn append_update(&mut self, slot: usize, u: &[S]) {
         debug_assert!(!u[slot].is_zero(), "pivot element must be nonzero");
-        let col: SVec = u
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        self.update_nnz += col.len();
-        self.updates.push(Eta { pivot: slot, col });
+        let eta = Self::eta_of(slot, u);
+        self.update_nnz += eta.col.len() + 1;
+        self.updates.push(eta);
     }
 
     /// Rebuild `F`/`P` from scratch out of the given basis columns
-    /// (`cols[slot]` = the original-space column basic in `slot`) and
-    /// clear the update file. The columns are eliminated in
-    /// [`eliminate_basis`](Self::eliminate_basis)'s order. Panics if the
-    /// columns are singular, which a legal pivot sequence can never
-    /// produce.
-    pub(crate) fn refactor(&mut self, cols: &[&SVec]) {
+    /// (`cols[slot]` = the column basic in `slot`) in the scalar's
+    /// refactorization order, and clear the update file. `false` when the
+    /// columns are (numerically) singular, which an exact pivot sequence
+    /// can never produce.
+    pub(crate) fn refactor<C: AsRef<[(usize, S)]>>(&mut self, cols: &[C]) -> bool {
         assert_eq!(cols.len(), self.m, "one basis column per row slot");
         self.factor.clear();
         self.updates.clear();
         self.perm = None;
         self.factor_nnz = 0;
         self.update_nnz = 0;
-        let perm = self
-            .eliminate_basis(cols)
-            .expect("basis columns of a legal pivot sequence are independent");
-        self.perm = Some(perm);
+        self.perm = S::refactorize(self, cols);
+        self.perm.is_some()
     }
 
     /// Eliminate a set of basis columns into the still-empty factor file
     /// and return each column's pivot position, or `None` if the columns
-    /// are dependent. Shared by [`refactor`](Self::refactor) and the
-    /// hybrid certifier, which completes a partial set with unit columns
+    /// are dependent. The exact refactorization's order, also the hybrid
+    /// certifier's, which completes a partial set with unit columns
     /// afterwards.
     ///
     /// The order finds the triangular part of the basis first (Suhl &
@@ -217,7 +452,10 @@ impl Factorization {
     /// arithmetic. The remaining nucleus (zero on every peeled row) is
     /// then eliminated sparsest-first with
     /// [`eliminate`](Self::eliminate)'s pivot rule; only it can fill.
-    pub(crate) fn eliminate_basis(&mut self, cols: &[&SVec]) -> Option<Vec<usize>> {
+    pub(crate) fn eliminate_basis<C: AsRef<[(usize, S)]>>(
+        &mut self,
+        cols: &[C],
+    ) -> Option<Vec<usize>> {
         debug_assert!(self.factor.is_empty() && self.perm.is_none() && self.updates.is_empty());
         let m = self.m;
         // Per row: how many uneliminated columns touch it, and the sum of
@@ -225,7 +463,7 @@ impl Factorization {
         let mut count = vec![0usize; m];
         let mut sum = vec![0usize; m];
         for (c, col) in cols.iter().enumerate() {
-            for (i, v) in col.iter() {
+            for (i, v) in col.as_ref() {
                 if !v.is_zero() {
                     count[*i] += 1;
                     sum[*i] += c;
@@ -240,78 +478,97 @@ impl Factorization {
                 continue;
             }
             let c = sum[r];
-            let col: SVec = cols[c].iter().filter(|(_, v)| !v.is_zero()).cloned().collect();
-            for (i, _) in &col {
+            let mut piv = S::default();
+            let mut off = Vec::new();
+            for (i, v) in cols[c].as_ref().iter().filter(|(_, v)| !v.is_zero()) {
                 count[*i] -= 1;
                 sum[*i] -= c;
                 if count[*i] == 1 {
                     singletons.push(*i);
                 }
+                if *i == r {
+                    piv = v.clone();
+                } else {
+                    off.push((*i, v.clone()));
+                }
             }
-            self.push_eta(r, col);
+            self.push_factor(Eta { pivot: r, piv, col: off });
             pos[c] = r;
             pivoted[r] = true;
         }
         let mut nucleus: Vec<usize> = (0..cols.len()).filter(|&c| pos[c] == usize::MAX).collect();
-        nucleus.sort_by_key(|&c| (cols[c].len(), c));
-        let mut x: Vec<Q> = Vec::new();
+        nucleus.sort_by_key(|&c| (cols[c].as_ref().len(), c));
+        let mut x = Vec::new();
         for c in nucleus {
-            let p = self.eliminate(cols[c], &pivoted, &mut x)?;
+            let p = self.eliminate(cols[c].as_ref(), &pivoted, &mut x)?;
             pos[c] = p;
             pivoted[p] = true;
         }
         Some(pos)
     }
 
-    /// One elimination step shared by [`eliminate_basis`](Self::eliminate_basis)
-    /// and the warm-start crash: apply the factor etas built so far to
-    /// `col`, pick a pivot position among the still-unpivoted slots (unit
-    /// pivots preferred, then smallest index), append the eta, and return
-    /// the chosen position — or `None` if the column is dependent on the
+    /// Eliminate every basis column sparsest-first with
+    /// [`eliminate`](Self::eliminate)'s pivot rule: the float proposer's
+    /// refactorization order, and the exact side's before
+    /// [`eliminate_basis`](Self::eliminate_basis).
+    pub(crate) fn eliminate_sparsest<C: AsRef<[(usize, S)]>>(
+        &mut self,
+        cols: &[C],
+    ) -> Option<Vec<usize>> {
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        order.sort_by_key(|&c| (cols[c].as_ref().len(), c));
+        let mut pos = vec![usize::MAX; cols.len()];
+        let mut pivoted = vec![false; self.m];
+        let mut x = Vec::new();
+        for c in order {
+            let p = self.eliminate(cols[c].as_ref(), &pivoted, &mut x)?;
+            pos[c] = p;
+            pivoted[p] = true;
+        }
+        Some(pos)
+    }
+
+    /// One elimination step shared by both orders and the warm-start
+    /// crash: apply the factor etas built so far to `col`, pick a pivot
+    /// position among the still-unpivoted slots
+    /// ([`Scalar::crash_pivot`]), append the eta, and return the chosen
+    /// position — or `None` if the column is dependent on the
     /// already-eliminated ones.
     pub(crate) fn eliminate(
         &mut self,
-        col: &SVec,
+        col: &[(usize, S)],
         pivoted: &[bool],
-        x: &mut Vec<Q>,
+        x: &mut Vec<S>,
     ) -> Option<usize> {
         debug_assert!(self.perm.is_none() && self.updates.is_empty(), "crash-phase only");
         x.clear();
-        x.resize(self.m, Q::zero());
+        x.resize(self.m, S::default());
         for (i, v) in col {
             x[*i] = v.clone();
         }
         for eta in &self.factor {
             eta.apply(x);
         }
-        let mut pos = None;
-        for (i, v) in x.iter().enumerate() {
-            if pivoted[i] || v.is_zero() {
-                continue;
-            }
-            if v.is_one() || *v == -Q::one() {
-                pos = Some(i);
-                break;
-            }
-            if pos.is_none() {
-                pos = Some(i);
-            }
-        }
-        let pos = pos?;
-        let eta_col: SVec = x
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        self.push_eta(pos, eta_col);
+        let pos = S::crash_pivot(x, pivoted)?;
+        self.push_factor(Self::eta_of(pos, x));
         Some(pos)
     }
 
-    fn push_eta(&mut self, pivot: usize, col: SVec) {
-        debug_assert!(col.windows(2).all(|w| w[0].0 < w[1].0), "eta slots ascend");
-        self.factor_nnz += col.len();
-        self.factor.push(Eta { pivot, col });
+    /// The eta of a dense pivot column `u` pivoting on `slot`.
+    fn eta_of(slot: usize, u: &[S]) -> Eta<S> {
+        let col = u
+            .iter()
+            .enumerate()
+            .filter(|&(i, v)| i != slot && !v.is_zero())
+            .map(|(i, v)| (i, v.clone()))
+            .collect();
+        Eta { pivot: slot, piv: u[slot].clone(), col }
+    }
+
+    fn push_factor(&mut self, eta: Eta<S>) {
+        debug_assert!(eta.col.windows(2).all(|w| w[0].0 < w[1].0), "eta slots ascend");
+        self.factor_nnz += eta.col.len() + 1;
+        self.factor.push(eta);
     }
 }
 
@@ -375,14 +632,7 @@ mod tests {
     /// fill oracle: every column sparsest-first with free pivot choice.
     fn sparsest_first(m: usize, cols: &[SVec]) -> Factorization {
         let mut f = Factorization::identity(m);
-        let mut order: Vec<usize> = (0..cols.len()).collect();
-        order.sort_by_key(|&s| (cols[s].len(), s));
-        let mut pivoted = vec![false; m];
-        let mut x = Vec::new();
-        for s in order {
-            let p = f.eliminate(&cols[s], &pivoted, &mut x).expect("nonsingular");
-            pivoted[p] = true;
-        }
+        f.eliminate_sparsest(cols).expect("nonsingular");
         f
     }
 

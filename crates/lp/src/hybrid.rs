@@ -5,10 +5,10 @@
 //! only ever consumes *exact* answers (the binary search on `T` and the
 //! rounding lemmas), so the hybrid splits the work:
 //!
-//! 1. an **f64 revised simplex** — same Bland entering order, same
-//!    eta-update structure as [`crate::revised`], but float arithmetic
-//!    with a tolerance-based ratio test — runs the whole pivot sequence
-//!    and *proposes* a terminal basis (or an infeasibility /
+//! 1. the **f64 instance of the simplex core** ([`crate::revised`]) —
+//!    the exact solver's drivers, pivot rules and eta-update structure,
+//!    with tolerance-based signs and ratio test — runs the whole pivot
+//!    sequence and *proposes* a terminal basis (or an infeasibility /
 //!    unboundedness witness);
 //! 2. an **exact certifier** builds one `Q` factorization of the
 //!    proposed basis and checks the claim exactly: primal feasibility
@@ -17,14 +17,16 @@
 //!    Farkas vector for infeasibility, a feasible point plus a
 //!    nonpositive ray for unboundedness.
 //!
-//! On success the exact vertex/objective is read off that single
-//! factorization — the answer is exact even though no exact pivot ever
-//! ran. The certifier checks the float's *own* final basis, in the manner
-//! of Applegate, Cook, Dash and Espinoza ("Exact solutions to linear
-//! programming problems", Oper. Res. Lett. 2007): an infeasibility claim
-//! from phase 1 names the rows whose artificials stayed basic, and the
-//! exact basis is completed with exactly those unit columns, so the
-//! phase-1 duals it checks are the ones phase 1 ended with.
+//! This module holds the proposal's assembly and outcome mapping, the
+//! certifier, and the orchestration between them. On success the exact
+//! vertex/objective is read off that single factorization — the answer
+//! is exact even though no exact pivot ever ran. The certifier checks the
+//! float's *own* final basis, in the manner of Applegate, Cook, Dash and
+//! Espinoza ("Exact solutions to linear programming problems", Oper.
+//! Res. Lett. 2007): an infeasibility claim from phase 1 names the rows
+//! whose artificials stayed basic, and the exact basis is completed with
+//! exactly those unit columns, so the phase-1 duals it checks are the
+//! ones phase 1 ended with.
 //!
 //! When a warm float crash/repair gives up, the float two-phase proposes
 //! again from scratch before any exact pivot runs. On *any* remaining
@@ -43,470 +45,13 @@
 
 use numeric::Q;
 
-use crate::factor::{Factorization, SVec};
-use crate::problem::{LinearProgram, Relation};
+use crate::factor::{Factorization, Refactor, SVec};
+use crate::problem::LinearProgram;
 use crate::revised::{
-    Allowed, BudgetError, Fallback, PriceState, Pricing, Refactor, ReuseState, RevisedStats,
-    SolveOptions, WarmCache, WarmMode, VIRTUAL,
+    crash, sanitize, BudgetError, Core, Fallback, Layout, Outcome, Pricing, Program, RepairCap,
+    ReuseState, RevisedStats, SolveOptions, WarmCache, WarmMode, Witness, VIRTUAL,
 };
 use crate::simplex::{LpSolution, LpStatus};
-
-/// Sign / pivot / feasibility tolerance of the float phase. Everything
-/// the floats decide is re-checked exactly, so the only cost of a
-/// misjudged sign is a fallback.
-const EPS: f64 = 1e-9;
-
-/// Feasibility threshold of the warm dual repair's row filter. Looser
-/// than [`EPS`]: between refreshes `x_B` drifts by more than the pivot
-/// tolerance, and chasing that noise stalls the repair in hundreds of
-/// degenerate pivots. A row that is *exactly* negative but above this
-/// threshold makes the optimality certificate fail, which routes to the
-/// exact fallback — correctness is unaffected.
-const FEAS_EPS: f64 = 1e-7;
-
-/// Phase-1 infeasibility decision threshold (sum of artificials).
-const EPS_INFEAS: f64 = 1e-7;
-
-/// Refactorize (and recompute `x_B` from scratch, limiting drift) after
-/// this many float eta updates.
-const REFRESH_INTERVAL: usize = 64;
-
-// ---------------------------------------------------------------------
-// f64 mirror of factor.rs: product-form basis inverse.
-// ---------------------------------------------------------------------
-
-/// Sparse float vector over row slots.
-type FVec = Vec<(usize, f64)>;
-
-/// Column-major sparse float matrix in one flat arena. The IP-3 LPs
-/// have tens of thousands of 2–5-entry columns; per-column `Vec`s cost
-/// more in allocator traffic and cache misses than the numerical work
-/// they carry, both here and in every pricing scan over all columns.
-/// `len[j]` may undershoot the reserved span when duplicate raw indices
-/// cancel exactly — the gap is simply never read.
-struct FMat {
-    offs: Vec<usize>,
-    len: Vec<usize>,
-    ents: Vec<(usize, f64)>,
-}
-
-impl FMat {
-    fn cols(&self) -> usize {
-        self.offs.len()
-    }
-
-    fn col(&self, j: usize) -> &[(usize, f64)] {
-        &self.ents[self.offs[j]..self.offs[j] + self.len[j]]
-    }
-
-    /// Append a single-entry column (cold-mode artificials).
-    fn push_unit(&mut self, row: usize) {
-        self.offs.push(self.ents.len());
-        self.len.push(1);
-        self.ents.push((row, 1.0));
-    }
-
-    /// Drop columns `k..` (cold mode strips its artificials again).
-    fn truncate_cols(&mut self, k: usize) {
-        if k >= self.offs.len() {
-            return;
-        }
-        self.ents.truncate(self.offs[k]);
-        self.offs.truncate(k);
-        self.len.truncate(k);
-    }
-}
-
-/// One elementary eta; `col` stores the off-pivot entries, `piv` the
-/// pivot entry.
-struct FEta {
-    pivot: usize,
-    col: FVec,
-    piv: f64,
-}
-
-impl FEta {
-    fn apply(&self, x: &mut [f64]) {
-        if x[self.pivot] == 0.0 {
-            return;
-        }
-        let t = x[self.pivot] / self.piv;
-        for &(i, v) in &self.col {
-            x[i] -= v * t;
-        }
-        x[self.pivot] = t;
-    }
-
-    fn apply_transposed(&self, y: &mut [f64]) {
-        let mut acc = y[self.pivot];
-        for &(i, v) in &self.col {
-            acc -= v * y[i];
-        }
-        y[self.pivot] = acc / self.piv;
-    }
-}
-
-/// `B⁻¹ = U · P · F` in floats — the same factor/permutation/update-file
-/// shape as the exact [`Factorization`].
-struct FloatFactor {
-    m: usize,
-    factor: Vec<FEta>,
-    perm: Option<Vec<usize>>,
-    updates: Vec<FEta>,
-}
-
-impl FloatFactor {
-    fn identity(m: usize) -> Self {
-        FloatFactor { m, factor: Vec::new(), perm: None, updates: Vec::new() }
-    }
-
-    fn ftran_sparse(&self, a: &[(usize, f64)], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.m, 0.0);
-        for &(i, v) in a {
-            out[i] = v;
-        }
-        self.ftran_inplace(out);
-    }
-
-    fn ftran_inplace(&self, x: &mut Vec<f64>) {
-        for eta in &self.factor {
-            eta.apply(x);
-        }
-        if let Some(perm) = &self.perm {
-            let mut permuted = vec![0.0; self.m];
-            for (slot, &pos) in perm.iter().enumerate() {
-                permuted[slot] = x[pos];
-            }
-            *x = permuted;
-        }
-        for eta in &self.updates {
-            eta.apply(x);
-        }
-    }
-
-    fn btran_inplace(&self, y: &mut Vec<f64>) {
-        for eta in self.updates.iter().rev() {
-            eta.apply_transposed(y);
-        }
-        if let Some(perm) = &self.perm {
-            let mut permuted = vec![0.0; self.m];
-            for (slot, &pos) in perm.iter().enumerate() {
-                permuted[pos] = y[slot];
-            }
-            *y = permuted;
-        }
-        for eta in self.factor.iter().rev() {
-            eta.apply_transposed(y);
-        }
-    }
-
-    fn append_update(&mut self, slot: usize, u: &[f64]) {
-        let col: FVec = u
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| i != slot && *v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.updates.push(FEta { pivot: slot, col, piv: u[slot] });
-    }
-
-    /// One crash / refactorization elimination step: transform `col` by
-    /// the factor etas built so far, pivot on the largest-magnitude
-    /// entry over the unpivoted slots (floats prefer stability over the
-    /// exact code's unit-pivot sparsity heuristic), or report the column
-    /// numerically dependent.
-    fn eliminate(
-        &mut self,
-        col: &[(usize, f64)],
-        pivoted: &[bool],
-        x: &mut Vec<f64>,
-    ) -> Option<usize> {
-        x.clear();
-        x.resize(self.m, 0.0);
-        for &(i, v) in col {
-            x[i] = v;
-        }
-        for eta in &self.factor {
-            eta.apply(x);
-        }
-        let mut pos: Option<usize> = None;
-        for (i, v) in x.iter().enumerate() {
-            if pivoted[i] || v.abs() <= EPS {
-                continue;
-            }
-            if pos.is_none_or(|p| v.abs() > x[p].abs()) {
-                pos = Some(i);
-            }
-        }
-        let pos = pos?;
-        if !x[pos].is_finite() {
-            return None;
-        }
-        let eta_col: FVec = x
-            .iter()
-            .enumerate()
-            .filter(|&(i, v)| i != pos && *v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.factor.push(FEta { pivot: pos, col: eta_col, piv: x[pos] });
-        Some(pos)
-    }
-
-    /// Rebuild from the basis columns (`None` = unit column `e_slot`,
-    /// the virtual-slot convention of the exact refactorization).
-    /// `false` = numerically singular.
-    fn refactor(&mut self, cols: &[&[(usize, f64)]]) -> bool {
-        self.factor.clear();
-        self.updates.clear();
-        self.perm = None;
-        let mut perm = vec![usize::MAX; self.m];
-        let mut pivoted = vec![false; self.m];
-        let mut order: Vec<usize> = (0..self.m).collect();
-        order.sort_by_key(|&s| (cols[s].len(), s));
-        let mut x: Vec<f64> = Vec::new();
-        for slot in order {
-            let Some(pos) = self.eliminate(cols[slot], &pivoted, &mut x) else {
-                return false;
-            };
-            perm[slot] = pos;
-            pivoted[pos] = true;
-        }
-        self.perm = Some(perm);
-        true
-    }
-}
-
-// ---------------------------------------------------------------------
-// f64 mirror of revised.rs's Core.
-// ---------------------------------------------------------------------
-
-enum FPhase {
-    Optimal,
-    Unbounded { enter: usize },
-    GaveUp,
-}
-
-struct FloatCore<'a> {
-    m: usize,
-    a_cols: &'a FMat,
-    /// Basic column per slot; [`VIRTUAL`] = unit column (warm crash).
-    basis: Vec<usize>,
-    in_basis: Vec<bool>,
-    xb: Vec<f64>,
-    rhs: &'a [f64],
-    factor: FloatFactor,
-    u: Vec<f64>,
-    pivots: usize,
-    pivot_cap: usize,
-    /// Entering-column selection state, shared with the exact core (the
-    /// bookkeeping is arithmetic-agnostic).
-    price: PriceState,
-    /// Pricing counters, merged into the solve's [`RevisedStats`].
-    stats: &'a mut RevisedStats,
-}
-
-impl<'a> FloatCore<'a> {
-    fn btran_unit(&self, slot: usize) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        y[slot] = 1.0;
-        self.factor.btran_inplace(&mut y);
-        y
-    }
-
-    fn btran_costs(&self, cost: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        let mut any = false;
-        for (slot, &b) in self.basis.iter().enumerate() {
-            if b != VIRTUAL && cost[b] != 0.0 {
-                y[slot] = cost[b];
-                any = true;
-            }
-        }
-        if any {
-            self.factor.btran_inplace(&mut y);
-        }
-        y
-    }
-
-    fn transformed_entry(&self, rho: &[f64], j: usize) -> f64 {
-        let mut d = 0.0;
-        for &(i, v) in self.a_cols.col(j) {
-            if rho[i] != 0.0 {
-                d += v * rho[i];
-            }
-        }
-        d
-    }
-
-    fn ftran_col(&mut self, j: usize) {
-        let mut u = std::mem::take(&mut self.u);
-        self.factor.ftran_sparse(self.a_cols.col(j), &mut u);
-        self.u = u;
-    }
-
-    /// Ratio test mirroring the exact rule (min `x_B[i]/u_i` over
-    /// `u_i > 0`, ties to the smallest basic column) with an `EPS` band
-    /// for both the pivot threshold and the tie.
-    fn ratio_test(&self) -> Option<usize> {
-        let mut leave: Option<(usize, f64)> = None;
-        for (i, &ui) in self.u.iter().enumerate() {
-            if ui <= EPS {
-                continue;
-            }
-            let ratio = self.xb[i].max(0.0) / ui;
-            match leave {
-                None => leave = Some((i, ratio)),
-                Some((bi, best)) => {
-                    if ratio < best - EPS
-                        || ((ratio - best).abs() <= EPS && self.basis[i] < self.basis[bi])
-                    {
-                        leave = Some((i, ratio.min(best)));
-                    }
-                }
-            }
-        }
-        leave.map(|(i, _)| i)
-    }
-
-    /// `false` = numerical trouble (non-finite values or a singular
-    /// refresh refactorization); the caller gives up and falls back.
-    fn pivot(&mut self, slot: usize, enter: usize) -> bool {
-        let t = self.xb[slot] / self.u[slot];
-        if !t.is_finite() {
-            return false;
-        }
-        if t != 0.0 {
-            for (i, &ui) in self.u.iter().enumerate() {
-                if i != slot && ui != 0.0 {
-                    self.xb[i] -= ui * t;
-                }
-            }
-        }
-        self.xb[slot] = t;
-        let old = self.basis[slot];
-        if old != VIRTUAL {
-            self.in_basis[old] = false;
-        }
-        self.basis[slot] = enter;
-        self.in_basis[enter] = true;
-        self.factor.append_update(slot, &self.u);
-        self.pivots += 1;
-        if self.factor.updates.len() >= REFRESH_INTERVAL {
-            return self.refresh();
-        }
-        true
-    }
-
-    /// Refactorize and recompute `x_B = B⁻¹b` from scratch — the float
-    /// analogue of the exact refactorization, doubling as the drift
-    /// reset the exact code never needs.
-    fn refresh(&mut self) -> bool {
-        let virt: Vec<FVec> = (0..self.m).map(|s| vec![(s, 1.0)]).collect();
-        let cols: Vec<&[(usize, f64)]> = self
-            .basis
-            .iter()
-            .enumerate()
-            .map(|(s, &b)| if b == VIRTUAL { virt[s].as_slice() } else { self.a_cols.col(b) })
-            .collect();
-        if !self.factor.refactor(&cols) {
-            return false;
-        }
-        self.xb.clear();
-        self.xb.extend_from_slice(self.rhs);
-        self.factor.ftran_inplace(&mut self.xb);
-        self.xb.iter().all(|v| v.is_finite())
-    }
-
-    /// One primal phase; entering columns selected by the configured
-    /// [`Pricing`] strategy (Bland order mirrors the exact core).
-    fn run_phase(&mut self, cost: &[f64], allowed: Allowed) -> FPhase {
-        loop {
-            if self.pivots > self.pivot_cap {
-                return FPhase::GaveUp;
-            }
-            let y = self.btran_costs(cost);
-            let enter = match self.price_enter(cost, &y, allowed) {
-                Err(()) => return FPhase::GaveUp,
-                Ok(None) => return FPhase::Optimal,
-                Ok(Some(enter)) => enter,
-            };
-            self.ftran_col(enter);
-            let Some(slot) = self.ratio_test() else {
-                return FPhase::Unbounded { enter };
-            };
-            if self.price.pricing != Pricing::Bland {
-                self.note_degeneracy(slot);
-            }
-            if !self.pivot(slot, enter) {
-                return FPhase::GaveUp;
-            }
-        }
-    }
-
-    /// Entering column under the configured strategy (the exact core's
-    /// selection, with reduced costs below `-EPS` counting as negative);
-    /// `Ok(None)` = phase optimal, `Err` = a non-finite reduced cost
-    /// surfaced (give up and let the exact solver take over).
-    fn price_enter(
-        &mut self,
-        cost: &[f64],
-        y: &[f64],
-        allowed: Allowed,
-    ) -> Result<Option<usize>, ()> {
-        let FloatCore { a_cols, in_basis, price, stats, .. } = self;
-        let negative = |j: usize| {
-            let mut rc = cost[j];
-            for &(i, v) in a_cols.col(j) {
-                if y[i] != 0.0 {
-                    rc -= v * y[i];
-                }
-            }
-            if rc.is_finite() {
-                Ok((rc < -EPS).then_some(rc))
-            } else {
-                Err(())
-            }
-        };
-        price.price_enter(a_cols.cols(), in_basis, allowed, stats, negative)
-    }
-
-    /// Degenerate-streak Bland escape, as in the exact core. The float
-    /// phase additionally has its global pivot cap, so this guard only
-    /// buys earlier convergence, not termination.
-    fn note_degeneracy(&mut self, slot: usize) {
-        if self.xb[slot].abs() <= EPS {
-            self.price.degen_streak += 1;
-            if self.price.degen_streak > PriceState::degen_threshold(self.m) {
-                self.price.bland_mode = true;
-            }
-        } else {
-            self.price.degen_streak = 0;
-            self.price.bland_mode = false;
-        }
-    }
-
-    /// The real (non-virtual) basic columns — the proposal handed to the
-    /// exact certifier. `limit` excludes artificial columns in cold mode.
-    fn real_basis(&self, limit: usize) -> Vec<usize> {
-        self.basis.iter().copied().filter(|&b| b != VIRTUAL && b < limit).collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Float drivers: the cold two-phase and the warm crash/repair mirrors.
-// ---------------------------------------------------------------------
-
-enum Witness {
-    /// The basic column of the stuck dual-repair row; its exact row
-    /// functional is the Farkas vector.
-    Column(usize),
-    /// Phase 1 terminated with positive artificials, still basic on
-    /// `art_rows`: the phase-1 duals of the float's own final phase-1
-    /// basis — its real columns plus exactly the unit columns of those
-    /// rows — are the Farkas vector.
-    PhaseOneDuals { art_rows: Vec<usize> },
-}
 
 enum FloatProposal {
     /// Claimed optimal; `cols` is the real basic column set.
@@ -526,349 +71,14 @@ enum FloatProposal {
     GaveUp,
 }
 
-/// Float mirror of the cold two-phase `solve_revised`: identity
-/// slack/artificial start, phase 1 on the artificial sum, drive-out,
-/// phase 2 on the real objective.
-fn float_cold(
-    a_cols: &FMat,
-    rhs: &[f64],
-    cost: &[f64],
-    basis0: Vec<usize>,
-    art_start: usize,
-    pricing: Pricing,
-    stats: &mut RevisedStats,
-) -> FloatProposal {
-    let m = rhs.len();
-    let cols = a_cols.cols();
-    let mut in_basis = vec![false; cols];
-    for &b in &basis0 {
-        in_basis[b] = true;
-    }
-    let mut core = FloatCore {
-        m,
-        a_cols,
-        basis: basis0,
-        in_basis,
-        xb: rhs.to_vec(),
-        rhs,
-        factor: FloatFactor::identity(m),
-        u: Vec::new(),
-        pivots: 0,
-        pivot_cap: 64 * (m + cols) + 1024,
-        price: PriceState::new(pricing),
-        stats,
-    };
-
-    if cols > art_start {
-        let mut phase1 = vec![0.0; cols];
-        for c in phase1.iter_mut().skip(art_start) {
-            *c = 1.0;
-        }
-        match core.run_phase(&phase1, &|_| true) {
-            FPhase::Optimal => {}
-            // Phase 1 is bounded below by 0; a float claim otherwise is
-            // numerical noise.
-            FPhase::Unbounded { .. } | FPhase::GaveUp => return FloatProposal::GaveUp,
-        }
-        let infeas: f64 = core
-            .basis
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b >= art_start)
-            .map(|(i, _)| core.xb[i])
-            .sum();
-        if !infeas.is_finite() {
-            return FloatProposal::GaveUp;
-        }
-        if infeas > EPS_INFEAS {
-            // Artificial column `art_start + k` is the unit column of the
-            // row it was pushed for.
-            let art_rows = core
-                .basis
-                .iter()
-                .filter(|&&b| b >= art_start)
-                .map(|&b| a_cols.col(b)[0].0)
-                .collect();
-            return FloatProposal::Infeasible {
-                cols: core.real_basis(art_start),
-                witness: Witness::PhaseOneDuals { art_rows },
-            };
-        }
-        // Drive remaining zero-level artificials out (or leave them: the
-        // certifier completes missing rows with unit columns).
-        for i in 0..m {
-            if core.basis[i] < art_start {
-                continue;
-            }
-            let rho = core.btran_unit(i);
-            let piv = (0..art_start).find(|&j| core.transformed_entry(&rho, j).abs() > EPS);
-            if let Some(j) = piv {
-                core.ftran_col(j);
-                if core.u[i].abs() > EPS && !core.pivot(i, j) {
-                    return FloatProposal::GaveUp;
-                }
-            }
-        }
-    }
-
-    match core.run_phase(cost, &|j| j < art_start) {
-        FPhase::Optimal => FloatProposal::Optimal { cols: core.real_basis(art_start) },
-        FPhase::Unbounded { enter } => {
-            FloatProposal::Unbounded { cols: core.real_basis(art_start), enter }
-        }
-        FPhase::GaveUp => FloatProposal::GaveUp,
-    }
-}
-
-/// Float mirror of `solve_warm_revised`: crash the hinted columns, unit
-/// columns for leftover rows, dual-simplex repair, primal phase.
-fn float_warm(
-    a_cols: &FMat,
-    rhs: &[f64],
-    cost: &[f64],
-    hint: &[usize],
-    pricing: Pricing,
-    stats: &mut RevisedStats,
-) -> FloatProposal {
-    let m = rhs.len();
-    let cols = a_cols.cols();
-    let mut factor = FloatFactor::identity(m);
-    let mut basis = vec![VIRTUAL; m];
-    let mut in_basis = vec![false; cols];
-    let mut pivoted = vec![false; m];
-    let mut left = m;
-    let mut scratch = Vec::new();
-    let mut wanted: Vec<usize> = hint.iter().copied().filter(|&c| c < cols).collect();
-    wanted.sort_unstable();
-    wanted.dedup();
-    for c in wanted.into_iter().chain(0..cols) {
-        if left == 0 {
-            break;
-        }
-        if in_basis[c] {
-            continue;
-        }
-        if let Some(p) = factor.eliminate(a_cols.col(c), &pivoted, &mut scratch) {
-            pivoted[p] = true;
-            basis[p] = c;
-            in_basis[c] = true;
-            left -= 1;
-        }
-    }
-    for p in 0..m {
-        if left == 0 {
-            break;
-        }
-        if pivoted[p] {
-            continue;
-        }
-        let unit: FVec = vec![(p, 1.0)];
-        if let Some(pp) = factor.eliminate(&unit, &pivoted, &mut scratch) {
-            pivoted[pp] = true;
-            left -= 1;
-        } else {
-            return FloatProposal::GaveUp;
-        }
-    }
-
-    let mut xb = rhs.to_vec();
-    factor.ftran_inplace(&mut xb);
-    if xb.iter().any(|v| !v.is_finite()) {
-        return FloatProposal::GaveUp;
-    }
-    // A virtual slot far from zero smells like an inconsistent redundant
-    // row — a case the exact solver classifies precisely.
-    for (i, &b) in basis.iter().enumerate() {
-        if b == VIRTUAL && xb[i].abs() > EPS {
-            return FloatProposal::GaveUp;
-        }
-    }
-
-    let mut core = FloatCore {
-        m,
-        a_cols,
-        basis,
-        in_basis,
-        xb,
-        rhs,
-        factor,
-        u: Vec::new(),
-        pivots: 0,
-        pivot_cap: 64 * (m + cols) + 1024,
-        price: PriceState::new(pricing),
-        stats,
-    };
-
-    // Dual-simplex repair of b ≥ 0, Bland row choice as in the exact
-    // warm path. The pivot budget is tight — a good hint repairs in
-    // O(m) pivots, and a float repair that needs more is almost always
-    // stalling on noise; better to hand the program to the exact solver
-    // early than to grind out thousands of degenerate float pivots.
-    let repair_cap = 2 * m + 64;
-    while let Some(row) = (0..m)
-        .filter(|&i| core.basis[i] != VIRTUAL && core.xb[i] < -FEAS_EPS)
-        .min_by_key(|&i| core.basis[i])
-    {
-        if core.pivots > repair_cap {
-            return FloatProposal::GaveUp;
-        }
-        let rho = core.btran_unit(row);
-        let enter = (0..cols)
-            .filter(|&j| !core.in_basis[j])
-            .find(|&j| core.transformed_entry(&rho, j) < -EPS);
-        let Some(enter) = enter else {
-            return FloatProposal::Infeasible {
-                cols: core.real_basis(cols),
-                witness: Witness::Column(core.basis[row]),
-            };
-        };
-        core.ftran_col(enter);
-        if core.u[row] >= -EPS {
-            return FloatProposal::GaveUp;
-        }
-        if !core.pivot(row, enter) {
-            return FloatProposal::GaveUp;
-        }
-    }
-
-    match core.run_phase(cost, &|_| true) {
-        FPhase::Optimal => FloatProposal::Optimal { cols: core.real_basis(cols) },
-        FPhase::Unbounded { enter } => {
-            FloatProposal::Unbounded { cols: core.real_basis(cols), enter }
-        }
-        FPhase::GaveUp => FloatProposal::GaveUp,
-    }
-}
-
 // ---------------------------------------------------------------------
 // Exact certifier.
 // ---------------------------------------------------------------------
 
-/// Shared view of the program in the warm column layout
-/// (structural | slack) — float columns materialized for the proposal
-/// phase, exact data kept *row-major in the raw constraints* so the
-/// certifier only ever clones the handful of exact columns it
-/// factorizes. Normalization (duplicate summing, sign flips for
-/// negative right-hand sides) matches [`LinearProgram::assemble`] exactly, so column
-/// indices and basis hints are interchangeable with the exact solvers.
-struct Assembled {
-    n: usize,
-    m: usize,
-    cols: usize,
-    /// Row sign-flip flags (raw rhs was negative).
-    neg: Vec<bool>,
-    /// Effective (post-flip) relations.
-    rels: Vec<Relation>,
-    /// Normalized exact rhs (`≥ 0`).
-    rhs: Vec<Q>,
-    /// Per-slack `(row, is_ge)`: slack column `n + k` is `∓e_row`.
-    slack: Vec<(usize, bool)>,
-    f_cols: FMat,
-    f_rhs: Vec<f64>,
-    f_cost: Vec<f64>,
-}
-
-fn assemble_hybrid(lp: &LinearProgram) -> Assembled {
-    let n = lp.num_vars();
-    let m = lp.constraints.len();
-    let mut neg = Vec::with_capacity(m);
-    let mut rels = Vec::with_capacity(m);
-    let mut rhs = Vec::with_capacity(m);
-    let mut slack = Vec::new();
-    for (i, c) in lp.constraints.iter().enumerate() {
-        let ng = c.rhs.is_negative();
-        let rel = if ng { c.rel.flipped() } else { c.rel };
-        if !matches!(rel, Relation::Eq) {
-            slack.push((i, matches!(rel, Relation::Ge)));
-        }
-        neg.push(ng);
-        rels.push(rel);
-        rhs.push(if ng { -c.rhs.clone() } else { c.rhs.clone() });
-    }
-    let cols = n + slack.len();
-
-    // Float transpose straight off the raw constraints, duplicate
-    // indices summed per row through an epoch-marked scratch. Two
-    // passes: count distinct per-column entries (upper bound — exact
-    // cancellations leave small never-read gaps), then scatter into one
-    // flat arena.
-    // Rows with strictly increasing indices (every row the paper's
-    // formulations emit) are duplicate-free by construction and take a
-    // streaming path; general rows fall back to an epoch-marked scratch.
-    let sorted: Vec<bool> =
-        lp.constraints.iter().map(|c| c.coeffs.windows(2).all(|w| w[0].0 < w[1].0)).collect();
-    let mut count = vec![0u32; cols];
-    let mut mark = vec![usize::MAX; n];
-    for (i, c) in lp.constraints.iter().enumerate() {
-        if sorted[i] {
-            for (idx, _) in &c.coeffs {
-                count[*idx] += 1;
-            }
-        } else {
-            for (idx, _) in &c.coeffs {
-                if mark[*idx] != i {
-                    mark[*idx] = i;
-                    count[*idx] += 1;
-                }
-            }
-        }
-    }
-    for k in 0..slack.len() {
-        count[n + k] = 1;
-    }
-    let mut offs = Vec::with_capacity(cols);
-    let mut acc = 0usize;
-    for &c in &count {
-        offs.push(acc);
-        acc += c as usize;
-    }
-    let mut f_cols = FMat { offs, len: vec![0usize; cols], ents: vec![(0usize, 0.0f64); acc] };
-    let mut scratch = vec![0.0f64; n];
-    let mut mark = vec![usize::MAX; n];
-    let mut touched: Vec<usize> = Vec::new();
-    for (i, c) in lp.constraints.iter().enumerate() {
-        let s = if neg[i] { -1.0 } else { 1.0 };
-        if sorted[i] {
-            for (idx, coef) in &c.coeffs {
-                let v = s * coef.to_f64();
-                if v != 0.0 {
-                    f_cols.ents[f_cols.offs[*idx] + f_cols.len[*idx]] = (i, v);
-                    f_cols.len[*idx] += 1;
-                }
-            }
-            continue;
-        }
-        touched.clear();
-        for (idx, coef) in &c.coeffs {
-            if mark[*idx] != i {
-                mark[*idx] = i;
-                scratch[*idx] = 0.0;
-                touched.push(*idx);
-            }
-            scratch[*idx] += coef.to_f64();
-        }
-        for &idx in &touched {
-            let v = s * scratch[idx];
-            if v != 0.0 {
-                f_cols.ents[f_cols.offs[idx] + f_cols.len[idx]] = (i, v);
-                f_cols.len[idx] += 1;
-            }
-        }
-    }
-    for (k, &(row, is_ge)) in slack.iter().enumerate() {
-        let j = n + k;
-        f_cols.ents[f_cols.offs[j]] = (row, if is_ge { -1.0 } else { 1.0 });
-        f_cols.len[j] = 1;
-    }
-    let f_rhs: Vec<f64> = rhs.iter().map(Q::to_f64).collect();
-    let mut f_cost = vec![0.0; cols];
-    for (j, c) in lp.objective.iter().enumerate() {
-        f_cost[j] = c.to_f64();
-    }
-    Assembled { n, m, cols, neg, rels, rhs, slack, f_cols, f_rhs, f_cost }
-}
-
-impl Assembled {
+/// The certifier's exact views of the program, read off the raw
+/// constraints: it only ever clones the handful of exact columns it
+/// factorizes.
+impl Layout {
     /// Normalized exact columns for `wanted` (unique indices), built in
     /// one pass over the raw constraints; output parallel to `wanted`.
     fn exact_cols(&self, lp: &LinearProgram, wanted: &[usize]) -> Vec<SVec> {
@@ -941,15 +151,15 @@ impl Assembled {
 /// or `None` when the proposed basis is singular under exact arithmetic.
 fn build_exact_basis(
     lp: &LinearProgram,
-    asm: &Assembled,
+    lay: &Layout,
     proposal: &[usize],
     unit_rows: &[usize],
 ) -> Option<(Factorization, Vec<usize>, Vec<SVec>)> {
-    let m = asm.m;
+    let m = lay.m;
     if proposal.len() + unit_rows.len() > m {
         return None;
     }
-    let ex = asm.exact_cols(lp, proposal);
+    let ex = lay.exact_cols(lp, proposal);
     // Unit columns on the proposer's rows, not wherever the elimination
     // leaves rows open: a phase-1 dual vector is a Farkas vector only for
     // the basis phase 1 actually ended in.
@@ -972,8 +182,7 @@ fn build_exact_basis(
         if pivoted[p] {
             continue;
         }
-        let unit: SVec = vec![(p, Q::one())];
-        let pp = factor.eliminate(&unit, &pivoted, &mut scratch)?;
+        let pp = factor.eliminate(&[(p, Q::one())], &pivoted, &mut scratch)?;
         pivoted[pp] = true;
     }
     Some((factor, basis, ex))
@@ -1016,12 +225,12 @@ fn basic_duals(lp: &LinearProgram, factor: &Factorization, basis: &[usize]) -> O
 /// automatic at a basic solution). Returns the exact vertex.
 fn certify_optimal(
     lp: &LinearProgram,
-    asm: &Assembled,
+    lay: &Layout,
     factor: &Factorization,
     basis: &[usize],
 ) -> Option<LpSolution> {
-    let n = asm.n;
-    let mut xb = asm.rhs.clone();
+    let n = lay.n;
+    let mut xb = lay.rhs.clone();
     factor.ftran_inplace(&mut xb);
     for (i, &b) in basis.iter().enumerate() {
         if b == VIRTUAL {
@@ -1033,7 +242,7 @@ fn certify_optimal(
         }
     }
 
-    let in_basis = basis_mask(basis, asm.cols);
+    let in_basis = basis_mask(basis, lay.cols);
     match basic_duals(lp, factor, basis) {
         None => {
             // y = 0: structural reduced costs are the raw costs, slack
@@ -1045,7 +254,7 @@ fn certify_optimal(
             }
         }
         Some(y) => {
-            let dots = asm.dots(lp, &y);
+            let dots = lay.dots(lp, &y);
             for j in 0..n {
                 if in_basis[j] {
                     continue;
@@ -1055,8 +264,8 @@ fn certify_optimal(
                     return None;
                 }
             }
-            for k in 0..asm.slack.len() {
-                if !in_basis[n + k] && asm.slack_dot(&y, k).is_positive() {
+            for k in 0..lay.slack.len() {
+                if !in_basis[n + k] && lay.slack_dot(&y, k).is_positive() {
                     return None;
                 }
             }
@@ -1089,13 +298,13 @@ fn certify_optimal(
 /// `B⁻¹B = I`, so only nonbasic ones are checked).
 fn certify_infeasible(
     lp: &LinearProgram,
-    asm: &Assembled,
+    lay: &Layout,
     factor: &Factorization,
     basis: &[usize],
     witness: &Witness,
 ) -> Option<LpSolution> {
-    let n = asm.n;
-    let mut rho = vec![Q::zero(); asm.m];
+    let n = lay.n;
+    let mut rho = vec![Q::zero(); lay.m];
     match witness {
         Witness::Column(w) => {
             let slot = basis.iter().position(|&b| b == *w)?;
@@ -1121,7 +330,7 @@ fn certify_infeasible(
     factor.btran_inplace(&mut rho);
 
     let mut rb = Q::zero();
-    for (i, v) in asm.rhs.iter().enumerate() {
+    for (i, v) in lay.rhs.iter().enumerate() {
         if !v.is_zero() && !rho[i].is_zero() {
             rb += rho[i].clone() * v.clone();
         }
@@ -1129,15 +338,15 @@ fn certify_infeasible(
     if !rb.is_negative() {
         return None;
     }
-    let in_basis = basis_mask(basis, asm.cols);
-    let dots = asm.dots(lp, &rho);
+    let in_basis = basis_mask(basis, lay.cols);
+    let dots = lay.dots(lp, &rho);
     for (j, d) in dots.iter().enumerate() {
         if !in_basis[j] && d.is_negative() {
             return None;
         }
     }
-    for k in 0..asm.slack.len() {
-        if !in_basis[n + k] && asm.slack_dot(&rho, k).is_negative() {
+    for k in 0..lay.slack.len() {
+        if !in_basis[n + k] && lay.slack_dot(&rho, k).is_negative() {
             return None;
         }
     }
@@ -1150,16 +359,16 @@ fn certify_infeasible(
 /// in the real column space).
 fn certify_unbounded(
     lp: &LinearProgram,
-    asm: &Assembled,
+    lay: &Layout,
     factor: &Factorization,
     basis: &[usize],
     enter: usize,
 ) -> Option<LpSolution> {
-    let n = asm.n;
-    if enter >= asm.cols || basis.contains(&enter) {
+    let n = lay.n;
+    if enter >= lay.cols || basis.contains(&enter) {
         return None;
     }
-    let mut xb = asm.rhs.clone();
+    let mut xb = lay.rhs.clone();
     factor.ftran_inplace(&mut xb);
     for (i, &b) in basis.iter().enumerate() {
         if b == VIRTUAL {
@@ -1171,7 +380,7 @@ fn certify_unbounded(
         }
     }
 
-    let ecol = asm.exact_cols(lp, &[enter]).pop().expect("one column requested");
+    let ecol = lay.exact_cols(lp, &[enter]).pop().expect("one column requested");
     let mut rc = if enter < n { lp.objective[enter].clone() } else { Q::zero() };
     if let Some(y) = basic_duals(lp, factor, basis) {
         for (i, v) in &ecol {
@@ -1207,7 +416,7 @@ fn certify_unbounded(
 /// trusted.
 fn certify(
     lp: &LinearProgram,
-    asm: &Assembled,
+    lay: &Layout,
     proposal: &FloatProposal,
     reuse: Option<ReuseState>,
 ) -> Result<(LpSolution, Option<ReuseState>, bool), Fallback> {
@@ -1227,27 +436,27 @@ fn certify(
     let mut reused_snapshot: Option<Vec<SVec>> = None;
     let (factor, basis, extracted) = 'build: {
         if let Some(r) = reuse {
-            if r.m == asm.m && r.cols == asm.cols && r.basis.len() == cols_prop.len() {
+            if r.m == lay.m && r.cols == lay.cols && r.basis.len() == cols_prop.len() {
                 let mut sorted_prop = cols_prop.to_vec();
                 sorted_prop.sort_unstable();
                 let mut sorted_reuse = r.basis.clone();
                 sorted_reuse.sort_unstable();
-                if sorted_prop == sorted_reuse && asm.exact_cols(lp, &r.basis) == r.snapshot {
+                if sorted_prop == sorted_reuse && lay.exact_cols(lp, &r.basis) == r.snapshot {
                     reused_snapshot = Some(r.snapshot);
                     break 'build (r.factor, r.basis, Vec::new());
                 }
             }
         }
-        build_exact_basis(lp, asm, cols_prop, unit_rows).ok_or(Fallback::Singular)?
+        build_exact_basis(lp, lay, cols_prop, unit_rows).ok_or(Fallback::Singular)?
     };
 
     let sol = match proposal {
-        FloatProposal::Optimal { .. } => certify_optimal(lp, asm, &factor, &basis),
+        FloatProposal::Optimal { .. } => certify_optimal(lp, lay, &factor, &basis),
         FloatProposal::Infeasible { witness, .. } => {
-            certify_infeasible(lp, asm, &factor, &basis, witness)
+            certify_infeasible(lp, lay, &factor, &basis, witness)
         }
         FloatProposal::Unbounded { enter, .. } => {
-            certify_unbounded(lp, asm, &factor, &basis, *enter)
+            certify_unbounded(lp, lay, &factor, &basis, *enter)
         }
         FloatProposal::GaveUp => unreachable!("handled above"),
     }
@@ -1258,54 +467,84 @@ fn certify(
     let reused_snapshot_used = reused_snapshot.is_some();
     let reuse_out = (sol.status == LpStatus::Optimal && !basis.contains(&VIRTUAL)).then(|| {
         let snapshot = reused_snapshot.unwrap_or_else(|| {
-            let mut idx_of = vec![usize::MAX; asm.cols];
+            let mut idx_of = vec![usize::MAX; lay.cols];
             for (p, &c) in cols_prop.iter().enumerate() {
                 idx_of[c] = p;
             }
             basis.iter().map(|&b| extracted[idx_of[b]].clone()).collect()
         });
-        ReuseState { m: asm.m, cols: asm.cols, basis, factor, snapshot }
+        ReuseState { m: lay.m, cols: lay.cols, basis, factor, snapshot }
     });
     let reused = reused_snapshot_used;
     Ok((sol, reuse_out, reused))
 }
 
-/// The float two-phase proposal. The cold float layout appends one
-/// artificial column per `≥`/`=` row, mirroring the exact cold solver's
-/// structural | slack | artificial order. They live only in the float
-/// view and are stripped again here; an infeasibility witness names the
-/// rows whose artificials stayed basic, and the certifier rebuilds
-/// exactly those as unit columns.
-fn propose_cold(asm: &mut Assembled, pricing: Pricing, stats: &mut RevisedStats) -> FloatProposal {
-    let art_start = asm.cols;
-    let mut basis0 = vec![VIRTUAL; asm.m];
-    let mut next_slack = asm.n;
-    let mut next_art = art_start;
-    for (i, rel) in asm.rels.iter().enumerate() {
-        match rel {
-            Relation::Le => {
-                basis0[i] = next_slack;
-                next_slack += 1;
-            }
-            Relation::Ge => {
-                next_slack += 1;
-                asm.f_cols.push_unit(i);
-                basis0[i] = next_art;
-                next_art += 1;
-            }
-            Relation::Eq => {
-                asm.f_cols.push_unit(i);
-                basis0[i] = next_art;
-                next_art += 1;
-            }
-        }
+/// The float proposer's pivot cap: once a float driver has made
+/// `64(m + cols) + 1025` pivots it gives up at the next one.
+fn float_cap(m: usize, cols: usize) -> usize {
+    64 * (m + cols) + 1025
+}
+
+/// A float driver's outcome as a proposal over the real columns below
+/// `real`; its pricing counters go into the solve's `stats`.
+fn propose(
+    core: &Core<'_, f64>,
+    outcome: Outcome,
+    real: usize,
+    stats: &mut RevisedStats,
+) -> FloatProposal {
+    stats.columns_priced += core.stats.columns_priced;
+    stats.candidate_refills += core.stats.candidate_refills;
+    let cols = core.real_basis(real);
+    match outcome {
+        Outcome::Optimal => FloatProposal::Optimal { cols },
+        Outcome::Unbounded { enter } => FloatProposal::Unbounded { cols, enter },
+        Outcome::Infeasible { witness } => FloatProposal::Infeasible { cols, witness },
+        _ => FloatProposal::GaveUp,
     }
-    asm.f_cost.resize(next_art, 0.0);
-    let proposal =
-        float_cold(&asm.f_cols, &asm.f_rhs, &asm.f_cost, basis0, art_start, pricing, stats);
-    asm.f_cols.truncate_cols(art_start);
-    asm.f_cost.truncate(art_start);
+}
+
+/// The float two-phase proposal. The cold layout appends one artificial
+/// column per `≥`/`=` row, as the exact cold solver does. They live only
+/// in the float view and are stripped again here; an infeasibility
+/// witness names the rows whose artificials stayed basic, and the
+/// certifier rebuilds exactly those as unit columns.
+fn propose_cold(
+    lay: &Layout,
+    float: &mut Program<f64>,
+    pricing: Pricing,
+    stats: &mut RevisedStats,
+) -> FloatProposal {
+    let basis = lay.push_artificials(float);
+    let cap = float_cap(lay.m, float.cols.count());
+    let mut core =
+        Core::new(float, basis, Factorization::identity(lay.m), pricing, Refactor::default());
+    let outcome = core.two_phase(lay.cols, cap);
+    let proposal = propose(&core, outcome, lay.cols, stats);
+    float.cols.truncate(lay.cols);
+    float.cost.truncate(lay.cols);
     proposal
+}
+
+/// The float warm proposal: crash the `wanted` columns, then repair and
+/// optimize. The repair's pivot budget is tight — a good hint repairs in
+/// O(m) pivots, and a float repair that needs more is almost always
+/// stalling on noise; better to hand the program to the exact solver
+/// early than to grind out thousands of degenerate float pivots.
+fn propose_warm(
+    float: &Program<f64>,
+    m: usize,
+    wanted: &[usize],
+    pricing: Pricing,
+    stats: &mut RevisedStats,
+) -> FloatProposal {
+    let Some((basis, factor)) = crash(&float.cols, m, wanted) else {
+        return FloatProposal::GaveUp;
+    };
+    let cols = float.cols.count();
+    let mut core = Core::new(float, basis, factor, pricing, Refactor::default());
+    let outcome = core.warm(RepairCap::Unfinished(2 * m + 64), float_cap(m, cols));
+    propose(&core, outcome, cols, stats)
 }
 
 impl LinearProgram {
@@ -1320,20 +559,23 @@ impl LinearProgram {
         opts: SolveOptions,
         cache: Option<&mut WarmCache>,
     ) -> (LpSolution, RevisedStats) {
-        self.solve_hybrid_cold_assembled(assemble_hybrid(self), opts, cache)
+        let lay = Layout::new(self);
+        let float = lay.program(self);
+        self.solve_hybrid_cold_from(&lay, float, opts, cache)
     }
 
     /// [`solve_hybrid_cold`](Self::solve_hybrid_cold) on this program's
-    /// already-built [`Assembled`] view.
-    fn solve_hybrid_cold_assembled(
+    /// already-built layout and float view.
+    fn solve_hybrid_cold_from(
         &self,
-        mut asm: Assembled,
+        lay: &Layout,
+        mut float: Program<f64>,
         opts: SolveOptions,
         cache: Option<&mut WarmCache>,
     ) -> (LpSolution, RevisedStats) {
         let mut stats = RevisedStats::default();
-        let proposal = propose_cold(&mut asm, opts.pricing, &mut stats);
-        match certify(self, &asm, &proposal, None) {
+        let proposal = propose_cold(lay, &mut float, opts.pricing, &mut stats);
+        match certify(self, lay, &proposal, None) {
             Ok((sol, reuse_out, _)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;
@@ -1395,18 +637,19 @@ impl LinearProgram {
             }
         }
 
-        let mut asm = assemble_hybrid(self);
+        let lay = Layout::new(self);
+        let mut float = lay.program(self);
         let mut stats = RevisedStats::default();
 
         // Hint-first certification: no pivots of any kind when the
         // previously certified basis is still optimal here.
         if let Some(c) = cache.as_deref_mut() {
             if let Some(r) = c.reuse.take() {
-                if r.m == asm.m
-                    && r.cols == asm.cols
-                    && asm.exact_cols(self, &r.basis) == r.snapshot
+                if r.m == lay.m
+                    && r.cols == lay.cols
+                    && lay.exact_cols(self, &r.basis) == r.snapshot
                 {
-                    if let Some(sol) = certify_optimal(self, &asm, &r.factor, &r.basis) {
+                    if let Some(sol) = certify_optimal(self, &lay, &r.factor, &r.basis) {
                         c.reuse = Some(r);
                         c.factor_reuses += 1;
                         stats.hybrid_certified = 1;
@@ -1422,7 +665,7 @@ impl LinearProgram {
         // basis (mirrors the exact cached path, which cold-solves when
         // the cache is cold).
         if hint.is_empty() {
-            return Ok(self.solve_hybrid_cold_assembled(asm, opts, cache));
+            return Ok(self.solve_hybrid_cold_from(&lay, float, opts, cache));
         }
 
         // A stale hint (out-of-range columns or duplicate slots — a
@@ -1430,35 +673,29 @@ impl LinearProgram {
         // half-garbage float basis whose repair almost always gives up.
         // Route straight to the cold path and count the fallback, the
         // same policy as the exact warm solver.
-        {
-            let mut sanitized: Vec<usize> =
-                hint.iter().copied().filter(|&c| c < asm.cols).collect();
-            sanitized.sort_unstable();
-            sanitized.dedup();
-            if sanitized.len() != hint.len() {
-                if let Some(c) = cache.as_deref_mut() {
-                    c.warm_fallbacks += 1;
-                }
-                return Ok(self.solve_hybrid_cold_assembled(asm, opts, cache));
+        let (wanted, stale) = sanitize(hint, lay.cols);
+        if stale {
+            if let Some(c) = cache.as_deref_mut() {
+                c.warm_fallbacks += 1;
             }
+            return Ok(self.solve_hybrid_cold_from(&lay, float, opts, cache));
         }
 
-        let mut proposal =
-            float_warm(&asm.f_cols, &asm.f_rhs, &asm.f_cost, hint, opts.pricing, &mut stats);
+        let mut proposal = propose_warm(&float, lay.m, &wanted, opts.pricing, &mut stats);
         // A warm give-up says more about the crash basis than about the
         // program: propose again cold before paying for exact pivots.
         let retried = matches!(proposal, FloatProposal::GaveUp);
         if retried {
-            proposal = propose_cold(&mut asm, opts.pricing, &mut stats);
+            proposal = propose_cold(&lay, &mut float, opts.pricing, &mut stats);
         }
 
         let reuse = match (&proposal, cache.as_deref_mut()) {
             // Only lift the cached state out for a clean full-rank
             // optimal proposal; certify() revalidates before trusting it.
-            (FloatProposal::Optimal { cols }, Some(c)) if cols.len() == asm.m => c.reuse.take(),
+            (FloatProposal::Optimal { cols }, Some(c)) if cols.len() == lay.m => c.reuse.take(),
             _ => None,
         };
-        match certify(self, &asm, &proposal, reuse) {
+        match certify(self, &lay, &proposal, reuse) {
             Ok((sol, reuse_out, reused)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;

@@ -96,42 +96,6 @@ impl LinearProgram {
         acc
     }
 
-    /// Rows in normalized sparse form — duplicate indices summed, zeros
-    /// dropped, entries in column order, and `b ≥ 0` with the relation
-    /// flipped wherever the right-hand side was negated. The revised
-    /// solver builds its column view from these rows.
-    pub(crate) fn assemble(&self) -> (Vec<Vec<(usize, Q)>>, Vec<Relation>, Vec<Q>) {
-        let m = self.constraints.len();
-        let mut rows = Vec::with_capacity(m);
-        let mut rels = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        let mut dense_scratch: Vec<Q> = vec![Q::zero(); self.num_vars];
-        for c in &self.constraints {
-            // Sum duplicate indices via a scratch accumulator, then collect
-            // the nonzeros in column order.
-            let mut touched: Vec<usize> = Vec::with_capacity(c.coeffs.len());
-            for (idx, coef) in &c.coeffs {
-                if dense_scratch[*idx].is_zero() {
-                    touched.push(*idx);
-                }
-                dense_scratch[*idx] += coef.clone();
-            }
-            touched.sort_unstable();
-            let negate = c.rhs.is_negative();
-            let mut row = Vec::with_capacity(touched.len());
-            for idx in touched {
-                let v = std::mem::take(&mut dense_scratch[idx]);
-                if !v.is_zero() {
-                    row.push((idx, if negate { -v } else { v }));
-                }
-            }
-            rows.push(row);
-            rels.push(if negate { c.rel.flipped() } else { c.rel });
-            rhs.push(if negate { -c.rhs.clone() } else { c.rhs.clone() });
-        }
-        (rows, rels, rhs)
-    }
-
     /// Check whether a point satisfies every constraint exactly
     /// (including nonnegativity). Used by tests and by the rounding code
     /// to validate intermediate solutions.

@@ -1,16 +1,17 @@
-//! Revised simplex with an exact LU-factorized basis — the production
-//! solver, plus the options, warm-start cache, and budget types shared
-//! by both production solvers ([`Solver`]).
+//! The revised simplex — one core over either arithmetic ([`Scalar`]):
+//! exact `Q` for the production solver, `f64` for the hybrid's proposer
+//! ([`crate::hybrid`]) — plus the options, warm-start cache, and budget
+//! types shared by both production solvers ([`Solver`]).
 //!
 //! A tableau solver maintains the transformed matrix `B⁻¹A` explicitly:
 //! every pivot rewrites every touched row, and on the paper's decision
 //! LPs the rows fill in rapidly once the basis outgrows a few hundred
 //! rows. The revised method never materializes the tableau. It keeps the
-//! original constraint matrix in sparse column form, represents `B⁻¹` as
-//! a [`Factorization`] (an exact elimination of the basis columns,
-//! triangular part first, refactorized on a fill/pivot-count trigger,
-//! plus one eta per pivot since), and derives everything the simplex
-//! compares on demand:
+//! constraint matrix in one flat column store ([`Cols`]), represents
+//! `B⁻¹` as a [`Factorization`] (an elimination of the basis columns,
+//! refactorized on a pivot-count trigger — and, exactly, on fill — plus
+//! one eta per pivot since), and derives everything the simplex compares
+//! on demand:
 //!
 //! * **pricing** — one BTRAN for the multipliers `y = B⁻ᵀ c_B`, then
 //!   reduced costs `c_j − y·A_j` column by column in Bland order with
@@ -21,13 +22,17 @@
 //!
 //! Because all of these are the *same exact rational values* a tableau
 //! maintains, and the Bland entering rule and ratio tie-break are
-//! verbatim the same, the revised solver takes the pivot path of the
+//! verbatim the same, the exact solver takes the pivot path of the
 //! dense test oracle ([`LinearProgram::solve_dense`]) and returns
 //! bit-identical vertices — the differential tests assert equality of
-//! status, objective, values, and basis.
+//! status, objective, values, and basis. The `f64` instance runs the
+//! same pivots with tolerances ([`Scalar`] holds every difference) and
+//! gives up on numerical trouble; the hybrid certifies what it proposes.
 //!
-//! [`LinearProgram::solve_warm`] is also implemented here: the hinted
-//! columns are crashed into a basis by one exact factorization pass
+//! The core has two drivers, each returning an [`Outcome`] its caller
+//! maps: the cold two-phase ([`Core::two_phase`]) and the warm crash plus
+//! dual repair ([`crash`], [`Core::warm`]). [`LinearProgram::solve_warm`]
+//! crashes the hinted columns into a basis by one factorization pass
 //! (instead of `m` full-tableau Gaussian pivots), a zero-objective dual
 //! simplex repairs primal feasibility, and a final primal phase
 //! optimizes the real objective. A [`WarmCache`] carried across related
@@ -35,11 +40,11 @@
 //! reuses the *parent factorization* wholesale whenever the hinted basis
 //! columns are unchanged in the new program, skipping even the crash.
 
-use std::convert::Infallible;
+use std::cmp::Ordering;
 
 use numeric::Q;
 
-use crate::factor::{Factorization, SVec};
+use crate::factor::{Factorization, Refactor, SVec, Scalar};
 use crate::problem::{LinearProgram, Relation};
 use crate::simplex::{LpSolution, LpStatus};
 
@@ -70,13 +75,13 @@ pub enum Solver {
 ///
 /// [`Pricing::Bland`] is the default and keeps the historical pivot path
 /// bit-identical — the fixed-seed goldens, the differential suites, and
-/// the B&B node paths all depend on that. The other strategies trade the
-/// full in-order scan for far fewer reduced-cost evaluations per pivot;
-/// any optimum they reach is exact (status and objective always agree
-/// with Bland), but the returned vertex may be a *different* optimal
-/// basic solution. A degenerate-pivot-streak guard falls back to Bland's
-/// rule within the phase until the objective strictly improves, so
-/// termination stays guaranteed.
+/// the B&B node paths all depend on that. [`Pricing::PartialCandidate`]
+/// trades the full in-order scan for far fewer reduced-cost evaluations
+/// per pivot; any optimum it reaches is exact (status and objective
+/// always agree with Bland), but the returned vertex may be a
+/// *different* optimal basic solution. A degenerate-pivot-streak guard
+/// falls back to Bland's rule within the phase until the objective
+/// strictly improves, so termination stays guaranteed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Pricing {
     /// Full scan in column order, entering at the first negative reduced
@@ -108,23 +113,6 @@ pub struct SolveOptions {
 impl From<Solver> for SolveOptions {
     fn from(solver: Solver) -> Self {
         SolveOptions { solver, ..SolveOptions::default() }
-    }
-}
-
-/// Refactorization trigger of the exact core. Crate-private: only the
-/// representation-only test tightens it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Refactor {
-    /// Refactorize after this many eta updates (pivot-count trigger).
-    pub(crate) interval: usize,
-    /// Refactorize when the update file's nonzeros exceed
-    /// `fill_factor · (m + factorization nonzeros)` (fill trigger).
-    pub(crate) fill_factor: usize,
-}
-
-impl Default for Refactor {
-    fn default() -> Self {
-        Refactor { interval: 64, fill_factor: 4 }
     }
 }
 
@@ -446,14 +434,6 @@ impl WarmCache {
     }
 }
 
-enum PhaseOutcome {
-    Optimal,
-    Unbounded,
-    /// A pivot budget ran out before the phase finished (budgeted solves
-    /// only; uncapped phases never return this).
-    PivotLimit,
-}
-
 /// How [`LinearProgram::solve_warm_revised`] treats its pivot cap.
 pub(crate) enum WarmMode {
     /// Historical behavior: on cap trip, restart cold (exact result
@@ -531,35 +511,36 @@ impl std::fmt::Display for BudgetError {
 
 impl std::error::Error for BudgetError {}
 
-/// Column-filter callback for the pricing scans.
-pub(crate) type Allowed<'f> = &'f dyn Fn(usize) -> bool;
-
-/// Mutable pricing state carried across the pivots of one solve, and
-/// the one implementation of entering-column selection both cores run.
-/// Selection (Bland scan, candidate list, rotating refill) is plain
-/// bookkeeping either way; each core supplies only its
-/// reduced-cost arithmetic, as a closure `negative(j)` returning
-/// `Some(rc)` when column `j` prices negative and `Err` when the core
-/// must give up.
-pub(crate) struct PriceState {
-    pub(crate) pricing: Pricing,
+/// Mutable pricing state carried across the pivots of one solve:
+/// entering-column selection (Bland scan, candidate list, rotating
+/// refill) is plain bookkeeping; the core supplies its reduced-cost
+/// arithmetic as a closure `negative(j)` returning `Some(rc)` when column
+/// `j` prices negative and `Err` when the core must give up.
+struct PriceState {
+    pricing: Pricing,
     /// Where the next rotating refill scan starts.
     cursor: usize,
     /// Nonbasic columns last seen with negative reduced cost, re-priced
     /// lazily under each new set of multipliers.
-    pub(crate) candidates: Vec<usize>,
+    candidates: Vec<usize>,
     /// Consecutive degenerate pivots under non-Bland selection.
-    pub(crate) degen_streak: usize,
+    degen_streak: usize,
     /// Degenerate-streak escape: price with Bland's rule until the
     /// objective strictly improves. Partial selection alone can
     /// cycle on degenerate vertices; Bland's rule cannot, so a phase
     /// that latches here still terminates.
-    pub(crate) bland_mode: bool,
+    bland_mode: bool,
 }
 
 impl PriceState {
-    pub(crate) fn new(pricing: Pricing) -> Self {
-        PriceState { pricing, cursor: 0, candidates: Vec::new(), degen_streak: 0, bland_mode: false }
+    fn new(pricing: Pricing) -> Self {
+        PriceState {
+            pricing,
+            cursor: 0,
+            candidates: Vec::new(),
+            degen_streak: 0,
+            bland_mode: false,
+        }
     }
 
     /// Candidate-list capacity: ~√cols keeps both the refill scans and
@@ -571,48 +552,47 @@ impl PriceState {
     /// Degenerate pivots tolerated before latching Bland mode — roomy
     /// enough that real instances never trip it, small enough that a
     /// cycling vertex escapes quickly.
-    pub(crate) fn degen_threshold(m: usize) -> usize {
+    fn degen_threshold(m: usize) -> usize {
         8 * (m + 16)
     }
 
-    /// Entering column under the configured strategy among the `cols`
-    /// columns; `Ok(None)` = no allowed nonbasic column prices negative
-    /// (the phase is optimal). Every reduced cost evaluated is counted
-    /// in `stats.columns_priced`.
-    pub(crate) fn price_enter<R: PartialOrd, E>(
+    /// Entering column under the configured strategy among the columns
+    /// `0..bound` of the `cols`; `Ok(None)` = no such nonbasic column
+    /// prices negative (the phase is optimal). Every reduced cost
+    /// evaluated is counted in `stats.columns_priced`.
+    fn price_enter<R: PartialOrd, E>(
         &mut self,
         cols: usize,
+        bound: usize,
         in_basis: &[bool],
-        allowed: Allowed,
         stats: &mut RevisedStats,
         mut negative: impl FnMut(usize) -> Result<Option<R>, E>,
     ) -> Result<Option<usize>, E> {
         if self.pricing == Pricing::Bland || self.bland_mode {
-            return Self::bland_enter(cols, in_basis, allowed, stats, &mut negative);
+            return Self::bland_enter(bound, in_basis, stats, &mut negative);
         }
-        let mut enter = self.select_candidates(in_basis, allowed, stats, &mut negative)?;
+        let mut enter = self.select_candidates(bound, in_basis, stats, &mut negative)?;
         if enter.is_none() {
             // List exhausted: refill by a rotating scan. The refill
             // prices every column when nothing is negative, so an empty
             // refill proves optimality under the current multipliers.
             stats.candidate_refills += 1;
-            self.refill_candidates(cols, in_basis, allowed, stats, &mut negative)?;
-            enter = self.select_candidates(in_basis, allowed, stats, &mut negative)?;
+            self.refill_candidates(cols, bound, in_basis, stats, &mut negative)?;
+            enter = self.select_candidates(bound, in_basis, stats, &mut negative)?;
         }
         Ok(enter)
     }
 
-    /// Bland's rule: the smallest allowed nonbasic column with negative
-    /// reduced cost, in column order with early exit.
+    /// Bland's rule: the smallest nonbasic column below `bound` with
+    /// negative reduced cost, in column order with early exit.
     fn bland_enter<R, E>(
-        cols: usize,
+        bound: usize,
         in_basis: &[bool],
-        allowed: Allowed,
         stats: &mut RevisedStats,
         negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
     ) -> Result<Option<usize>, E> {
-        for j in 0..cols {
-            if !allowed(j) || in_basis[j] {
+        for j in 0..bound {
+            if in_basis[j] {
                 continue;
             }
             stats.columns_priced += 1;
@@ -624,13 +604,13 @@ impl PriceState {
     }
 
     /// Re-price the candidate list under the current multipliers,
-    /// dropping entries that went basic, disallowed, or nonnegative, and
-    /// return the survivor with the most negative reduced cost (ties to
-    /// the smaller column).
+    /// dropping entries that went basic, out of bounds, or nonnegative,
+    /// and return the survivor with the most negative reduced cost (ties
+    /// to the smaller column).
     fn select_candidates<R: PartialOrd, E>(
         &mut self,
+        bound: usize,
         in_basis: &[bool],
-        allowed: Allowed,
         stats: &mut RevisedStats,
         negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
     ) -> Result<Option<usize>, E> {
@@ -638,7 +618,7 @@ impl PriceState {
         let mut kept = 0;
         for idx in 0..self.candidates.len() {
             let j = self.candidates[idx];
-            if !allowed(j) || in_basis[j] {
+            if j >= bound || in_basis[j] {
                 continue;
             }
             stats.columns_priced += 1;
@@ -659,15 +639,16 @@ impl PriceState {
         Ok(best.map(|(j, _)| j))
     }
 
-    /// Rotating refill: price columns from the cursor, wrapping once
-    /// around the ring, collecting up to the list cap of
-    /// negative-reduced-cost columns. A full wrap collecting nothing
-    /// leaves the list empty, which the caller reads as phase-optimal.
+    /// Rotating refill: price columns below `bound` from the cursor,
+    /// wrapping once around the ring of all `cols`, collecting up to the
+    /// list cap of negative-reduced-cost columns. A full wrap collecting
+    /// nothing leaves the list empty, which the caller reads as
+    /// phase-optimal.
     fn refill_candidates<R, E>(
         &mut self,
         cols: usize,
+        bound: usize,
         in_basis: &[bool],
-        allowed: Allowed,
         stats: &mut RevisedStats,
         negative: &mut impl FnMut(usize) -> Result<Option<R>, E>,
     ) -> Result<(), E> {
@@ -678,7 +659,7 @@ impl PriceState {
         let start = self.cursor % cols;
         for step in 0..cols {
             let j = (start + step) % cols;
-            if !allowed(j) || in_basis[j] {
+            if j >= bound || in_basis[j] {
                 continue;
             }
             stats.columns_priced += 1;
@@ -695,38 +676,397 @@ impl PriceState {
     }
 }
 
-/// The revised-simplex working state: original columns + factorized
-/// basis + incrementally maintained basic values.
-struct Core<'a> {
+/// Column-major sparse matrix in one flat arena. The IP-3 LPs have tens
+/// of thousands of 2–5-entry columns; per-column `Vec`s cost more in
+/// allocator traffic and cache misses than the numerical work they
+/// carry, in every pricing scan over all columns. `len[j]` may undershoot
+/// the reserved span when duplicate raw indices cancel exactly — the gap
+/// is simply never read.
+pub(crate) struct Cols<S> {
+    offs: Vec<usize>,
+    len: Vec<usize>,
+    ents: Vec<(usize, S)>,
+}
+
+impl<S: Scalar> Cols<S> {
+    pub(crate) fn count(&self) -> usize {
+        self.offs.len()
+    }
+
+    pub(crate) fn col(&self, j: usize) -> &[(usize, S)] {
+        &self.ents[self.offs[j]..self.offs[j] + self.len[j]]
+    }
+
+    /// Drop columns `k..` (the hybrid strips its artificials again).
+    pub(crate) fn truncate(&mut self, k: usize) {
+        if k >= self.offs.len() {
+            return;
+        }
+        self.ents.truncate(self.offs[k]);
+        self.offs.truncate(k);
+        self.len.truncate(k);
+    }
+}
+
+/// A program in the solvers' normalized layout: each row with a negative
+/// right-hand side is negated (its relation flipped), so `b ≥ 0`; columns
+/// are the structural variables `0..n`, then one slack per inequality row
+/// in row order (`+e_row` for `≤`, `−e_row` for `≥`), and cold solves
+/// append one artificial per `≥`/`=` row. Column indices and basis hints
+/// are therefore interchangeable between both solvers.
+pub(crate) struct Layout {
+    pub(crate) n: usize,
+    pub(crate) m: usize,
+    /// Structural plus slack columns.
+    pub(crate) cols: usize,
+    /// Row sign-flip flags (raw rhs was negative).
+    pub(crate) neg: Vec<bool>,
+    /// Effective (post-flip) relations.
+    rels: Vec<Relation>,
+    /// Normalized exact rhs (`≥ 0`).
+    pub(crate) rhs: Vec<Q>,
+    /// Per-slack `(row, is_ge)`: slack column `n + k` is `∓e_row`.
+    pub(crate) slack: Vec<(usize, bool)>,
+}
+
+/// A program's columns, right-hand side and costs in one arithmetic.
+pub(crate) struct Program<S> {
+    pub(crate) cols: Cols<S>,
+    pub(crate) rhs: Vec<S>,
+    /// The objective over every column (zero past the structural ones).
+    pub(crate) cost: Vec<S>,
+}
+
+impl Layout {
+    pub(crate) fn new(lp: &LinearProgram) -> Self {
+        let n = lp.num_vars();
+        let m = lp.constraints.len();
+        let mut neg = Vec::with_capacity(m);
+        let mut rels = Vec::with_capacity(m);
+        let mut rhs = Vec::with_capacity(m);
+        let mut slack = Vec::new();
+        for (i, c) in lp.constraints.iter().enumerate() {
+            let ng = c.rhs.is_negative();
+            let rel = if ng { c.rel.flipped() } else { c.rel };
+            if !matches!(rel, Relation::Eq) {
+                slack.push((i, matches!(rel, Relation::Ge)));
+            }
+            neg.push(ng);
+            rels.push(rel);
+            rhs.push(if ng { -c.rhs.clone() } else { c.rhs.clone() });
+        }
+        Layout { n, m, cols: n + slack.len(), neg, rels, rhs, slack }
+    }
+
+    /// The program in arithmetic `S` over the structural and slack
+    /// columns, by one row→column transpose of the raw constraints:
+    /// duplicate indices summed in `S`, zeros dropped, each column's
+    /// entries in row order. Two passes: count the distinct per-column
+    /// entries (an upper bound — exact cancellations leave small
+    /// never-read gaps), then scatter into one flat arena. Rows with
+    /// strictly increasing indices (every row the paper's formulations
+    /// emit) are duplicate-free by construction and take a streaming
+    /// path; general rows sum through an epoch-marked scratch.
+    pub(crate) fn program<S: Scalar>(&self, lp: &LinearProgram) -> Program<S> {
+        let (n, cols) = (self.n, self.cols);
+        let sorted: Vec<bool> =
+            lp.constraints.iter().map(|c| c.coeffs.windows(2).all(|w| w[0].0 < w[1].0)).collect();
+        let mut count = vec![0u32; cols];
+        let mut mark = vec![usize::MAX; n];
+        for (i, c) in lp.constraints.iter().enumerate() {
+            if sorted[i] {
+                for (idx, _) in &c.coeffs {
+                    count[*idx] += 1;
+                }
+                continue;
+            }
+            for (idx, _) in &c.coeffs {
+                if mark[*idx] != i {
+                    mark[*idx] = i;
+                    count[*idx] += 1;
+                }
+            }
+        }
+        count[n..].fill(1);
+        let mut offs = Vec::with_capacity(cols);
+        let mut acc = 0usize;
+        for &c in &count {
+            offs.push(acc);
+            acc += c as usize;
+        }
+        let mut a = Cols { offs, len: vec![0; cols], ents: vec![(0, S::default()); acc] };
+        let push = |a: &mut Cols<S>, j: usize, row: usize, v: S| {
+            if !v.is_zero() {
+                a.ents[a.offs[j] + a.len[j]] = (row, v);
+                a.len[j] += 1;
+            }
+        };
+        let mut scratch = vec![S::default(); n];
+        let mut mark = vec![usize::MAX; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for (i, c) in lp.constraints.iter().enumerate() {
+            let signed = |v: S| if self.neg[i] { -v } else { v };
+            if sorted[i] {
+                for (idx, coef) in &c.coeffs {
+                    push(&mut a, *idx, i, signed(S::from_q(coef)));
+                }
+                continue;
+            }
+            touched.clear();
+            for (idx, coef) in &c.coeffs {
+                if mark[*idx] != i {
+                    mark[*idx] = i;
+                    scratch[*idx] = S::default();
+                    touched.push(*idx);
+                }
+                scratch[*idx] += S::from_q(coef);
+            }
+            for &idx in &touched {
+                push(&mut a, idx, i, signed(std::mem::take(&mut scratch[idx])));
+            }
+        }
+        for (k, &(row, is_ge)) in self.slack.iter().enumerate() {
+            push(&mut a, n + k, row, if is_ge { -S::one() } else { S::one() });
+        }
+        let mut cost = vec![S::default(); cols];
+        for (c, v) in cost.iter_mut().zip(&lp.objective) {
+            *c = S::from_q(v);
+        }
+        Program { cols: a, rhs: self.rhs.iter().map(S::from_q).collect(), cost }
+    }
+
+    /// Append the cold layout's artificials — one unit column per `≥`/`=`
+    /// row, in row order, at zero cost — and return the identity start:
+    /// each `≤` row's slack, each other row's artificial.
+    pub(crate) fn push_artificials<S: Scalar>(&self, prog: &mut Program<S>) -> Vec<usize> {
+        let a = &mut prog.cols;
+        let mut basis = vec![VIRTUAL; self.m];
+        let mut next_slack = self.n;
+        for (i, rel) in self.rels.iter().enumerate() {
+            if matches!(rel, Relation::Le) {
+                basis[i] = next_slack;
+            } else {
+                basis[i] = a.offs.len();
+                a.offs.push(a.ents.len());
+                a.len.push(1);
+                a.ents.push((i, S::one()));
+            }
+            next_slack += usize::from(!matches!(rel, Relation::Eq));
+        }
+        prog.cost.resize(a.count(), S::default());
+        basis
+    }
+}
+
+/// How a driver ended; each caller maps it to its own result.
+pub(crate) enum Outcome {
+    Optimal,
+    /// Entering column `enter` has no ratio-test row.
+    Unbounded {
+        enter: usize,
+    },
+    Infeasible {
+        witness: Witness,
+    },
+    /// The warm crash left a unit column at a nonzero value: an
+    /// inconsistent redundant row.
+    Inconsistent,
+    /// The warm repair's pivot cap tripped.
+    RepairCapped,
+    /// The phase's pivot cap was reached with a pivot still to make.
+    PivotLimit,
+    /// Numerical trouble: a non-finite value, a singular refactorization,
+    /// or a pivot entry the tolerance rejects (`f64` only).
+    GaveUp,
+}
+
+/// What proves an [`Outcome::Infeasible`].
+pub(crate) enum Witness {
+    /// The basic column of the stuck dual-repair row; its row functional
+    /// is the Farkas vector.
+    Column(usize),
+    /// Phase 1 terminated with positive artificials, still basic on
+    /// `art_rows`: the phase-1 duals of the final phase-1 basis — its
+    /// real columns plus exactly the unit columns of those rows — are
+    /// the Farkas vector.
+    PhaseOneDuals { art_rows: Vec<usize> },
+}
+
+/// When the warm dual repair's pivot cap trips.
+#[derive(Clone, Copy)]
+pub(crate) enum RepairCap {
+    /// Once the repair has performed more than this many pivots, even if
+    /// the last one finished it: the exact warm path's anti-cycling cap
+    /// and pivot budget, which count work done.
+    Performed(usize),
+    /// When this many pivots have left a row still to repair: the float
+    /// proposer's early give-up.
+    Unfinished(usize),
+}
+
+/// The revised-simplex working state: the program's columns, a
+/// factorized basis, and incrementally maintained basic values.
+pub(crate) struct Core<'a, S> {
     m: usize,
-    /// Sparse columns of the full assembled matrix (structural, slack,
-    /// and — for cold solves — artificial columns).
-    a_cols: &'a [SVec],
-    /// Basic column per row slot ([`VIRTUAL`] = virtual identity).
+    prog: &'a Program<S>,
+    /// Basic column per row slot ([`VIRTUAL`] = unit column).
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     /// `x_B = B⁻¹ b` per slot — the tableau's right-hand side.
-    xb: Vec<Q>,
-    factor: Factorization,
+    xb: Vec<S>,
+    factor: Factorization<S>,
     refactor: Refactor,
-    stats: RevisedStats,
+    pub(crate) stats: RevisedStats,
     /// Scratch for FTRAN results.
-    u: Vec<Q>,
+    u: Vec<S>,
     price: PriceState,
 }
 
-impl<'a> Core<'a> {
+impl<'a, S: Scalar> Core<'a, S> {
+    /// A core at the factorized `basis` (one column per row slot), with
+    /// `x_B = B⁻¹b`.
+    pub(crate) fn new(
+        prog: &'a Program<S>,
+        basis: Vec<usize>,
+        factor: Factorization<S>,
+        pricing: Pricing,
+        refactor: Refactor,
+    ) -> Self {
+        let mut in_basis = vec![false; prog.cols.count()];
+        for &b in basis.iter().filter(|&&b| b != VIRTUAL) {
+            in_basis[b] = true;
+        }
+        let mut xb = prog.rhs.clone();
+        factor.ftran_inplace(&mut xb);
+        Core {
+            m: basis.len(),
+            prog,
+            basis,
+            in_basis,
+            xb,
+            factor,
+            refactor,
+            stats: RevisedStats::default(),
+            u: Vec::new(),
+            price: PriceState::new(pricing),
+        }
+    }
+
+    /// The cold two-phase driver from the identity start: phase 1
+    /// minimizes the sum of the artificials (columns `art_start..`),
+    /// zero-level artificials are driven out, and phase 2 minimizes the
+    /// objective over the real columns. `cap` bounds the pivots of both
+    /// phases.
+    pub(crate) fn two_phase(&mut self, art_start: usize, cap: usize) -> Outcome {
+        let cols = self.prog.cols.count();
+        if cols > art_start {
+            let mut phase1 = vec![S::default(); cols];
+            phase1[art_start..].fill(S::one());
+            // Phase 1 is bounded below by 0: any other end is trouble.
+            if !matches!(self.run_phase(&phase1, cols, cap), Outcome::Optimal) {
+                return Outcome::GaveUp;
+            }
+            let infeas = (0..self.m)
+                .filter(|&i| self.basis[i] >= art_start)
+                .fold(S::default(), |acc, i| acc + self.xb[i].clone());
+            if !infeas.is_finite() {
+                return Outcome::GaveUp;
+            }
+            if infeas.infeasible_sum() {
+                // Artificial `art_start + k` is the unit column of the row
+                // it was pushed for.
+                let art_rows = (self.basis.iter().filter(|&&b| b >= art_start))
+                    .map(|&b| self.prog.cols.col(b)[0].0)
+                    .collect();
+                return Outcome::Infeasible { witness: Witness::PhaseOneDuals { art_rows } };
+            }
+            // Drive the remaining zero-level artificials out, pivoting on
+            // the smallest real column with a nonzero transformed entry. A
+            // row with none keeps its artificial: exactly, its whole
+            // transformed row is zero over the real columns and stays so
+            // under every later pivot (the tableau oracle deletes it), so
+            // keeping it cannot change the pivot path.
+            for i in 0..self.m {
+                if self.basis[i] < art_start {
+                    continue;
+                }
+                let rho = self.btran_unit(i);
+                let Some(j) =
+                    (0..art_start).find(|&j| self.transformed_entry(&rho, j).beyond_tol())
+                else {
+                    continue;
+                };
+                self.ftran_col(j);
+                if self.u[i].beyond_tol() && !self.pivot(i, j) {
+                    return Outcome::GaveUp;
+                }
+            }
+        }
+        let prog = self.prog;
+        self.run_phase(&prog.cost, art_start, cap)
+    }
+
+    /// The warm driver from a crashed or reused basis: a dual-simplex
+    /// repair of `x_B ≥ 0` under a zero objective (any basis is dual
+    /// feasible; Bland's row and column choices are the classic
+    /// anti-cycling dual rule), then the primal phase over every column,
+    /// its pivots bounded by `cap`.
+    pub(crate) fn warm(&mut self, repair: RepairCap, cap: usize) -> Outcome {
+        if self.xb.iter().any(|v| !v.is_finite()) {
+            return Outcome::GaveUp;
+        }
+        // A unit slot at a nonzero value is an inconsistent zero row:
+        // Σ (zero coefficients)·x = b ≠ 0.
+        if (0..self.m).any(|i| self.basis[i] == VIRTUAL && self.xb[i].beyond_tol()) {
+            return Outcome::Inconsistent;
+        }
+        let cols = self.prog.cols.count();
+        loop {
+            if matches!(repair, RepairCap::Performed(n) if self.stats.pivots > n) {
+                return Outcome::RepairCapped;
+            }
+            let Some(row) = (0..self.m)
+                .filter(|&i| self.basis[i] != VIRTUAL && self.xb[i].needs_repair())
+                .min_by_key(|&i| self.basis[i])
+            else {
+                break;
+            };
+            if matches!(repair, RepairCap::Unfinished(n) if self.stats.pivots > n) {
+                return Outcome::RepairCapped;
+            }
+            let rho = self.btran_unit(row);
+            let enter = (0..cols)
+                .filter(|&j| !self.in_basis[j])
+                .find(|&j| self.transformed_entry(&rho, j).below_tol());
+            let Some(enter) = enter else {
+                // Σ (nonnegative coefficients)·x = b < 0 over x ≥ 0.
+                return Outcome::Infeasible { witness: Witness::Column(self.basis[row]) };
+            };
+            self.ftran_col(enter);
+            if !self.u[row].below_tol() || !self.pivot(row, enter) {
+                return Outcome::GaveUp;
+            }
+        }
+        let prog = self.prog;
+        self.run_phase(&prog.cost, cols, cap)
+    }
+
+    /// The real basic columns (those below `limit`) in slot order.
+    pub(crate) fn real_basis(&self, limit: usize) -> Vec<usize> {
+        self.basis.iter().copied().filter(|&b| b < limit).collect()
+    }
+
     /// `y = B⁻ᵀ e_slot` (a unit BTRAN: the transformed row `slot`).
-    fn btran_unit(&self, slot: usize) -> Vec<Q> {
-        let mut y = vec![Q::zero(); self.m];
-        y[slot] = Q::one();
+    fn btran_unit(&self, slot: usize) -> Vec<S> {
+        let mut y = vec![S::default(); self.m];
+        y[slot] = S::one();
         self.factor.btran_inplace(&mut y);
         y
     }
 
     /// `y = B⁻ᵀ c_B` for a cost vector over columns.
-    fn btran_costs(&self, cost: &[Q]) -> Vec<Q> {
-        let mut y = vec![Q::zero(); self.m];
+    fn btran_costs(&self, cost: &[S]) -> Vec<S> {
+        let mut y = vec![S::default(); self.m];
         let mut any = false;
         for (slot, &b) in self.basis.iter().enumerate() {
             if b != VIRTUAL && !cost[b].is_zero() {
@@ -741,9 +1081,9 @@ impl<'a> Core<'a> {
     }
 
     /// Entry `(B⁻¹ A_j)[slot]` given the unit BTRAN `rho` of `slot`.
-    fn transformed_entry(&self, rho: &[Q], j: usize) -> Q {
-        let mut d = Q::zero();
-        for (i, v) in &self.a_cols[j] {
+    fn transformed_entry(&self, rho: &[S], j: usize) -> S {
+        let mut d = S::default();
+        for (i, v) in self.prog.cols.col(j) {
             if !rho[*i].is_zero() {
                 d += v.clone() * rho[*i].clone();
             }
@@ -751,30 +1091,35 @@ impl<'a> Core<'a> {
         d
     }
 
-    /// FTRAN the original column `j` into the scratch vector.
+    /// FTRAN column `j` into the scratch vector.
     fn ftran_col(&mut self, j: usize) {
-        let mut u = std::mem::take(&mut self.u);
-        self.factor.ftran_sparse(&self.a_cols[j], &mut u);
-        self.u = u;
+        self.factor.ftran_sparse(self.prog.cols.col(j), &mut self.u);
     }
 
     /// Ratio test over `u` (the FTRAN scratch): minimal `x_B[i]/u_i`
     /// over `u_i > 0`, ties to the smallest basic column index — the
-    /// Bland tie-break all solvers in this crate share.
+    /// Bland tie-break of the dense oracle.
     fn ratio_test(&self) -> Option<usize> {
-        let mut leave: Option<(usize, Q)> = None;
+        let mut leave: Option<(usize, S)> = None;
         for (i, ui) in self.u.iter().enumerate() {
-            if !ui.is_positive() {
+            if !ui.above_tol() {
                 continue;
             }
-            let ratio = self.xb[i].clone() / ui.clone();
-            match &leave {
-                None => leave = Some((i, ratio)),
-                Some((best_i, best)) => {
-                    if ratio < *best || (ratio == *best && self.basis[i] < self.basis[*best_i]) {
-                        leave = Some((i, ratio));
-                    }
-                }
+            let ratio = S::ratio(&self.xb[i], ui);
+            let wins = match &leave {
+                None => true,
+                Some((best_i, best)) => match S::ratio_cmp(&ratio, best) {
+                    Ordering::Less => true,
+                    Ordering::Equal => self.basis[i] < self.basis[*best_i],
+                    Ordering::Greater => false,
+                },
+            };
+            if wins {
+                let best = match leave {
+                    Some((_, best)) if best < ratio => best,
+                    _ => ratio,
+                };
+                leave = Some((i, best));
             }
         }
         leave.map(|(i, _)| i)
@@ -782,13 +1127,18 @@ impl<'a> Core<'a> {
 
     /// Pivot: column `enter` becomes basic in `slot`. `self.u` must hold
     /// the transformed entering column; its `slot` entry must be nonzero
-    /// (either sign — the warm crash and dual repair pivot on negatives).
-    fn pivot(&mut self, slot: usize, enter: usize) {
+    /// (either sign — the dual repair pivots on negatives). `false` on
+    /// numerical trouble: a non-finite step, or a refactorization that
+    /// finds the basis singular or its values non-finite.
+    fn pivot(&mut self, slot: usize, enter: usize) -> bool {
         let t = self.xb[slot].clone() / self.u[slot].clone();
+        if !t.is_finite() {
+            return false;
+        }
         if !t.is_zero() {
             for (i, ui) in self.u.iter().enumerate() {
                 if i != slot && !ui.is_zero() {
-                    self.xb[i] = self.xb[i].clone() - ui.clone() * t.clone();
+                    self.xb[i] -= ui.clone() * t.clone();
                 }
             }
         }
@@ -801,104 +1151,144 @@ impl<'a> Core<'a> {
         self.in_basis[enter] = true;
         self.factor.append_update(slot, &self.u);
         self.stats.pivots += 1;
-        self.maybe_refactor();
+        !S::refactor_due(&self.factor, self.refactor) || self.refactor()
     }
 
-    /// Fill/pivot-count refactorization trigger.
-    fn maybe_refactor(&mut self) {
-        let f = &self.factor;
-        let fill_cap = self.refactor.fill_factor * (self.m + f.factor_nnz());
-        if f.update_count() < self.refactor.interval && f.update_nnz() <= fill_cap {
-            return;
-        }
-        self.refactor();
-    }
-
-    /// Unconditional refactorization from the current basis columns.
-    fn refactor(&mut self) {
-        // Virtual slots contribute identity columns.
-        let virt: Vec<SVec> = (0..self.m).map(|s| vec![(s, Q::one())]).collect();
-        let cols: Vec<&SVec> = self
-            .basis
-            .iter()
-            .enumerate()
-            .map(|(s, &b)| if b == VIRTUAL { &virt[s] } else { &self.a_cols[b] })
+    /// Refactorize from the current basis columns (unit columns in
+    /// virtual slots).
+    fn refactor(&mut self) -> bool {
+        let units: Vec<[(usize, S); 1]> = (0..self.m).map(|s| [(s, S::one())]).collect();
+        let cols: Vec<&[(usize, S)]> = (self.basis.iter().zip(&units))
+            .map(|(&b, unit)| if b == VIRTUAL { unit } else { self.prog.cols.col(b) })
             .collect();
-        self.factor.refactor(&cols);
+        if !self.factor.refactor(&cols) {
+            return false;
+        }
         self.stats.refactorizations += 1;
+        S::reset_drift(&self.factor, &self.prog.rhs, &mut self.xb)
     }
 
-    /// One primal simplex phase minimizing `cost` over `allowed`
-    /// columns, selecting entering columns by the configured
+    /// One primal simplex phase minimizing `cost` over the columns
+    /// `0..bound`, selecting entering columns by the configured
     /// [`Pricing`] strategy; the ratio test (and hence the anti-cycling
-    /// leave tie-break) is shared by all strategies.
-    fn run_phase(&mut self, cost: &[Q], allowed: Allowed) -> PhaseOutcome {
-        self.run_phase_capped(cost, allowed, None)
-    }
-
-    /// [`Core::run_phase`] under an optional hard cap on
-    /// `self.stats.pivots` (which includes pivots performed *before*
-    /// this phase, e.g. warm crash/repair): when one more pivot would
-    /// exceed the cap the phase stops with [`PhaseOutcome::PivotLimit`].
-    /// The check sits after pricing, so a phase that is already optimal
-    /// at the cap still reports `Optimal`.
-    fn run_phase_capped(
-        &mut self,
-        cost: &[Q],
-        allowed: Allowed,
-        cap: Option<usize>,
-    ) -> PhaseOutcome {
+    /// leave tie-break) is shared by all strategies. Once `cap` pivots
+    /// are done the phase stops at the next entering column with
+    /// [`Outcome::PivotLimit`], so a phase already optimal at the cap
+    /// still reports optimal.
+    fn run_phase(&mut self, cost: &[S], bound: usize, cap: usize) -> Outcome {
         loop {
             let y = self.btran_costs(cost);
-            let Some(enter) = self.price_enter(cost, &y, allowed) else {
-                return PhaseOutcome::Optimal;
+            let enter = match self.price_enter(cost, &y, bound) {
+                Err(()) => return Outcome::GaveUp,
+                Ok(None) => return Outcome::Optimal,
+                Ok(Some(enter)) => enter,
             };
-            if cap.is_some_and(|c| self.stats.pivots >= c) {
-                return PhaseOutcome::PivotLimit;
+            if self.stats.pivots >= cap {
+                return Outcome::PivotLimit;
             }
             self.ftran_col(enter);
             let Some(slot) = self.ratio_test() else {
-                return PhaseOutcome::Unbounded;
+                return Outcome::Unbounded { enter };
             };
             if self.price.pricing != Pricing::Bland {
                 self.note_degeneracy(slot);
             }
-            self.pivot(slot, enter);
+            if !self.pivot(slot, enter) {
+                return Outcome::GaveUp;
+            }
         }
     }
 
-    /// Entering column under the configured strategy; `None` = no
-    /// allowed nonbasic column has negative reduced cost `c_j − y·A_j`
-    /// (the phase is optimal).
-    fn price_enter(&mut self, cost: &[Q], y: &[Q], allowed: Allowed) -> Option<usize> {
-        let Core { a_cols, in_basis, price, stats, .. } = self;
+    /// Entering column under the configured strategy; `Ok(None)` = no
+    /// nonbasic column below `bound` has negative reduced cost
+    /// `c_j − y·A_j` (the phase is optimal), `Err` = a reduced cost is
+    /// not finite.
+    fn price_enter(&mut self, cost: &[S], y: &[S], bound: usize) -> Result<Option<usize>, ()> {
+        let Core { prog, in_basis, price, stats, .. } = self;
         let negative = |j: usize| {
             let mut rc = cost[j].clone();
-            for (i, v) in &a_cols[j] {
+            for (i, v) in prog.cols.col(j) {
                 if !y[*i].is_zero() {
                     rc -= v.clone() * y[*i].clone();
                 }
             }
-            Ok::<_, Infallible>(rc.is_negative().then_some(rc))
+            if !rc.is_finite() {
+                return Err(());
+            }
+            Ok(rc.below_tol().then_some(rc))
         };
-        let Ok(enter) = price.price_enter(a_cols.len(), in_basis, allowed, stats, negative);
-        enter
+        price.price_enter(prog.cols.count(), bound, in_basis, stats, negative)
     }
 
     /// Track degenerate-pivot streaks for the non-Bland strategies: a
     /// long streak latches Bland mode (guaranteed termination), a
     /// nondegenerate pivot (strict objective improvement) unlatches it.
     fn note_degeneracy(&mut self, slot: usize) {
-        if self.xb[slot].is_zero() {
+        if self.xb[slot].beyond_tol() {
+            self.price.degen_streak = 0;
+            self.price.bland_mode = false;
+        } else {
             self.price.degen_streak += 1;
             if self.price.degen_streak > PriceState::degen_threshold(self.m) {
                 self.price.bland_mode = true;
             }
-        } else {
-            self.price.degen_streak = 0;
-            self.price.bland_mode = false;
         }
     }
+}
+
+/// A hint's in-range columns, ascending and deduplicated, and whether the
+/// hint was stale: out-of-range or duplicate columns, a basis from a
+/// differently-shaped program.
+pub(crate) fn sanitize(hint: &[usize], cols: usize) -> (Vec<usize>, bool) {
+    let mut wanted: Vec<usize> = hint.iter().copied().filter(|&c| c < cols).collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    let stale = wanted.len() != hint.len();
+    (wanted, stale)
+}
+
+/// The warm crash: eliminate the `wanted` columns, then every column in
+/// order, into a basis by one factorization pass, and complete the rows
+/// no column pivots with unit ([`VIRTUAL`]) columns — the redundant or
+/// inconsistent rows a tableau deletes or rejects. Returns the basis per
+/// slot and its factorization, or `None` when a unit column fails to
+/// complete it (numerically, in `f64`).
+pub(crate) fn crash<S: Scalar>(
+    a: &Cols<S>,
+    m: usize,
+    wanted: &[usize],
+) -> Option<(Vec<usize>, Factorization<S>)> {
+    let mut factor = Factorization::identity(m);
+    let mut basis = vec![VIRTUAL; m];
+    let mut in_basis = vec![false; a.count()];
+    let mut pivoted = vec![false; m];
+    let mut left = m;
+    let mut scratch = Vec::new();
+    for c in wanted.iter().copied().chain(0..a.count()) {
+        if left == 0 {
+            break;
+        }
+        if in_basis[c] {
+            continue;
+        }
+        if let Some(p) = factor.eliminate(a.col(c), &pivoted, &mut scratch) {
+            pivoted[p] = true;
+            basis[p] = c;
+            in_basis[c] = true;
+            left -= 1;
+        }
+    }
+    for p in 0..m {
+        if left == 0 {
+            break;
+        }
+        if !pivoted[p] {
+            let pp = factor.eliminate(&[(p, S::one())], &pivoted, &mut scratch)?;
+            pivoted[pp] = true;
+            left -= 1;
+        }
+    }
+    Some((basis, factor))
 }
 
 impl LinearProgram {
@@ -932,133 +1322,31 @@ impl LinearProgram {
         opts: SolveOptions,
         refactor: Refactor,
     ) -> (LpSolution, RevisedStats) {
-        let n = self.num_vars;
-        let (srows, rels, rhs) = self.assemble();
-        let m = srows.len();
-
-        // Column layout: structural | slacks/surplus | artificials —
-        // identical to the tableau assembly.
-        let n_slack = rels.iter().filter(|r| !matches!(r, Relation::Eq)).count();
-        let art_start = n + n_slack;
-        let n_art = rels.iter().filter(|r| matches!(r, Relation::Ge | Relation::Eq)).count();
-        let cols = art_start + n_art;
-
-        let mut a_cols: Vec<SVec> = vec![Vec::new(); cols];
-        for (i, row) in srows.iter().enumerate() {
-            for (j, v) in row {
-                a_cols[*j].push((i, v.clone()));
-            }
-        }
-        let mut basis = vec![VIRTUAL; m];
-        let mut in_basis = vec![false; cols];
-        let (mut next_slack, mut next_art) = (n, art_start);
-        for (i, rel) in rels.iter().enumerate() {
-            match rel {
-                Relation::Le => {
-                    a_cols[next_slack].push((i, Q::one()));
-                    basis[i] = next_slack;
-                    next_slack += 1;
-                }
-                Relation::Ge => {
-                    a_cols[next_slack].push((i, -Q::one()));
-                    next_slack += 1;
-                    a_cols[next_art].push((i, Q::one()));
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-                Relation::Eq => {
-                    a_cols[next_art].push((i, Q::one()));
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-            }
-            in_basis[basis[i]] = true;
-        }
-
-        // Initial basis is the identity (slacks and artificials all +1).
-        let mut core = Core {
-            m,
-            a_cols: &a_cols,
-            basis,
-            in_basis,
-            xb: rhs,
-            factor: Factorization::identity(m),
-            refactor,
-            stats: RevisedStats::default(),
-            u: Vec::new(),
-            price: PriceState::new(opts.pricing),
+        let lay = Layout::new(self);
+        let mut prog = lay.program::<Q>(self);
+        let basis = lay.push_artificials(&mut prog);
+        let identity = Factorization::identity(lay.m);
+        let mut core = Core::new(&prog, basis, identity, opts.pricing, refactor);
+        let sol = match core.two_phase(lay.cols, usize::MAX) {
+            Outcome::Optimal => self.extract_revised(&core, lay.cols),
+            Outcome::Infeasible { .. } => LpSolution::failed(LpStatus::Infeasible, self.num_vars),
+            Outcome::Unbounded { .. } => LpSolution::failed(LpStatus::Unbounded, self.num_vars),
+            _ => unreachable!("an uncapped exact two-phase solve runs to its end"),
         };
-        let mut dead = vec![false; m];
-
-        // --- Phase 1: minimize the sum of artificials. -------------------
-        if n_art > 0 {
-            let mut phase1_cost = vec![Q::zero(); cols];
-            for c in phase1_cost.iter_mut().skip(art_start) {
-                *c = Q::one();
-            }
-            match core.run_phase(&phase1_cost, &|_| true) {
-                PhaseOutcome::Unbounded => {
-                    unreachable!("phase-1 objective is bounded below by 0")
-                }
-                PhaseOutcome::PivotLimit => {
-                    unreachable!("uncapped phase cannot hit a pivot limit")
-                }
-                PhaseOutcome::Optimal => {}
-            }
-            let infeas: Q = Q::sum(
-                core.basis
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &b)| b >= art_start)
-                    .map(|(i, _)| &core.xb[i]),
-            );
-            if infeas.is_positive() {
-                return (LpSolution::failed(LpStatus::Infeasible, n), core.stats);
-            }
-            // Drive remaining (degenerate, zero-valued) artificials out,
-            // pivoting on the smallest real column with a nonzero
-            // transformed entry — or mark the row dead when the whole
-            // transformed row is zero over real columns (the tableau
-            // oracle deletes such rows; a dead row's entries stay zero
-            // under every later pivot, so keeping it cannot change the
-            // pivot path).
-            for i in 0..m {
-                if core.basis[i] < art_start {
-                    continue;
-                }
-                debug_assert!(core.xb[i].is_zero());
-                let rho = core.btran_unit(i);
-                let piv = (0..art_start).find(|&j| !core.transformed_entry(&rho, j).is_zero());
-                match piv {
-                    Some(j) => {
-                        core.ftran_col(j);
-                        debug_assert!(!core.u[i].is_zero());
-                        core.pivot(i, j);
-                    }
-                    None => dead[i] = true,
-                }
-            }
-        }
-
-        // --- Phase 2: minimize the real objective over real columns. -----
-        let mut cost = self.objective.clone();
-        cost.resize(cols, Q::zero());
-        if let PhaseOutcome::Unbounded = core.run_phase(&cost, &|j| j < art_start) {
-            return (LpSolution::failed(LpStatus::Unbounded, n), core.stats);
-        }
-
-        (self.extract_revised(&core, &dead), core.stats)
+        (sol, core.stats)
     }
 
-    /// Read the structural solution out of a finished core, skipping
-    /// dead rows so the reported basis matches the tableau oracle's
-    /// (which physically deletes redundant rows).
-    fn extract_revised(&self, core: &Core<'_>, dead: &[bool]) -> LpSolution {
+    /// Read the structural solution out of a finished core. Slots whose
+    /// basic column is not real (at or above `real`: an artificial left
+    /// on a redundant row, or a unit column of the warm crash) are
+    /// skipped, so the reported basis matches the tableau oracle's, which
+    /// physically deletes redundant rows.
+    fn extract_revised(&self, core: &Core<'_, Q>, real: usize) -> LpSolution {
         let n = self.num_vars;
         let mut values = vec![Q::zero(); n];
         let mut basis = Vec::with_capacity(core.m);
         for (i, &bcol) in core.basis.iter().enumerate() {
-            if dead[i] {
+            if bcol >= real {
                 continue;
             }
             if bcol < n {
@@ -1101,40 +1389,15 @@ impl LinearProgram {
         mode: WarmMode,
     ) -> Result<LpSolution, BudgetError> {
         let n = self.num_vars;
-        let (srows, rels, rhs) = self.assemble();
-        let m = srows.len();
-        let n_slack = rels.iter().filter(|r| !matches!(r, Relation::Eq)).count();
-        let cols = n + n_slack;
-
-        let mut a_cols: Vec<SVec> = vec![Vec::new(); cols];
-        for (i, row) in srows.iter().enumerate() {
-            for (j, v) in row {
-                a_cols[*j].push((i, v.clone()));
-            }
-        }
-        // Slack columns in row order, matching the cold layout so hints
-        // from cold solutions point at the same columns.
-        let mut next_slack = n;
-        for (i, rel) in rels.iter().enumerate() {
-            match rel {
-                Relation::Le => {
-                    a_cols[next_slack].push((i, Q::one()));
-                    next_slack += 1;
-                }
-                Relation::Ge => {
-                    a_cols[next_slack].push((i, -Q::one()));
-                    next_slack += 1;
-                }
-                Relation::Eq => {}
-            }
-        }
+        let lay = Layout::new(self);
+        let prog = lay.program::<Q>(self);
+        let (m, cols) = (lay.m, lay.cols);
 
         // --- Obtain a factorized starting basis. -------------------------
         // Either reuse the parent factorization (hinted basis columns
         // unchanged in this program) or crash the hint by one exact
         // elimination pass, completing with further columns and, for
         // genuinely redundant rows, virtual identity columns.
-        let mut dead = vec![false; m];
         // Move (not clone) a valid cached state out: the field is
         // rebuilt on every successful solve anyway, and a failed solve
         // conservatively invalidates it (the basis hint survives).
@@ -1143,7 +1406,10 @@ impl LinearProgram {
                 let valid = c.reuse.as_ref().is_some_and(|r| {
                     r.m == m
                         && r.cols == cols
-                        && r.basis.iter().zip(&r.snapshot).all(|(&b, snap)| a_cols[b] == *snap)
+                        && r.basis
+                            .iter()
+                            .zip(&r.snapshot)
+                            .all(|(&b, snap)| prog.cols.col(b) == snap)
                 });
                 if valid {
                     c.factor_reuses += 1;
@@ -1158,26 +1424,14 @@ impl LinearProgram {
         // cache refresh: if no pivot moved the basis, the snapshot is
         // still exact and the per-column clone pass can be skipped.
         let mut prior_snapshot: Option<(Vec<usize>, Vec<SVec>)> = None;
-        let (basis, in_basis, factor) = match reused {
+        let (basis, factor) = match reused {
             Some(r) => {
-                let mut in_basis = vec![false; cols];
-                for &b in &r.basis {
-                    in_basis[b] = true;
-                }
                 prior_snapshot = Some((r.basis.clone(), r.snapshot));
-                (r.basis, in_basis, r.factor)
+                (r.basis, r.factor)
             }
             None => {
-                let mut factor = Factorization::identity(m);
-                let mut basis = vec![VIRTUAL; m];
-                let mut in_basis = vec![false; cols];
-                let mut pivoted = vec![false; m];
-                let mut left = m;
-                let mut scratch = Vec::new();
-                let mut wanted: Vec<usize> = hint.iter().copied().filter(|&c| c < cols).collect();
-                wanted.sort_unstable();
-                wanted.dedup();
-                if wanted.len() != hint.len() {
+                let (mut wanted, stale) = sanitize(hint, cols);
+                if stale {
                     // Stale hint from a differently-shaped program
                     // (out-of-range columns or duplicate slots): crashing
                     // what's left would start from a half-garbage basis.
@@ -1194,90 +1448,26 @@ impl LinearProgram {
                     }
                     wanted.clear();
                 }
-                for c in wanted.into_iter().chain(0..cols) {
-                    if left == 0 {
-                        break;
-                    }
-                    if in_basis[c] {
-                        continue;
-                    }
-                    if let Some(p) = factor.eliminate(&a_cols[c], &pivoted, &mut scratch) {
-                        pivoted[p] = true;
-                        basis[p] = c;
-                        in_basis[c] = true;
-                        left -= 1;
-                    }
-                }
-                // Rows no real column can pivot: virtual identity
-                // columns (the redundant/inconsistent rows a tableau
-                // deletes or rejects).
-                for p in 0..m {
-                    if left == 0 {
-                        break;
-                    }
-                    if pivoted[p] {
-                        continue;
-                    }
-                    let unit: SVec = vec![(p, Q::one())];
-                    if let Some(pp) = factor.eliminate(&unit, &pivoted, &mut scratch) {
-                        pivoted[pp] = true;
-                        dead[pp] = true;
-                        left -= 1;
-                    }
-                }
-                debug_assert_eq!(left, 0, "identity columns always complete a basis");
-                (basis, in_basis, factor)
+                crash(&prog.cols, m, &wanted).expect("unit columns always complete an exact basis")
             }
         };
+        let mut core = Core::new(&prog, basis, factor, opts.pricing, Refactor::default());
 
-        let mut xb = rhs;
-        factor.ftran_inplace(&mut xb);
-        // A virtual-basic slot with a nonzero value is an inconsistent
-        // zero row: Σ (zero coefficients)·x = b ≠ 0.
-        for (i, is_dead) in dead.iter().enumerate() {
-            if *is_dead && !xb[i].is_zero() {
-                return Ok(LpSolution::failed(LpStatus::Infeasible, n));
-            }
-        }
-
-        let mut core = Core {
-            m,
-            a_cols: &a_cols,
-            basis,
-            in_basis,
-            xb,
-            factor,
-            refactor: Refactor::default(),
-            stats: RevisedStats::default(),
-            u: Vec::new(),
-            price: PriceState::new(opts.pricing),
-        };
-
-        // --- Dual-simplex repair of b ≥ 0 (zero objective: any basis is
-        // dual-feasible; Bland selections are the classic anti-cycling
-        // dual rule).
+        // The repair counts its own pivots against the anti-cycling cap
+        // (or the budget); a budget also bounds the primal phase, whose
+        // count includes the repair's.
         let anticycle_cap = 64 * (m + cols) + 1024;
-        let pivot_cap = match mode {
-            WarmMode::Capped(o) => o.unwrap_or(anticycle_cap),
-            WarmMode::Budget(l) => l.min(anticycle_cap),
+        let (repair, phase_cap) = match mode {
+            WarmMode::Capped(o) => (RepairCap::Performed(o.unwrap_or(anticycle_cap)), usize::MAX),
+            WarmMode::Budget(l) => (RepairCap::Performed(l.min(anticycle_cap)), l),
         };
-        let mut pivots = 0usize;
-        while let Some(row) =
-            (0..m).filter(|&i| core.xb[i].is_negative()).min_by_key(|&i| core.basis[i])
-        {
-            let rho = core.btran_unit(row);
-            let enter = (0..cols)
-                .filter(|&j| !core.in_basis[j])
-                .find(|&j| core.transformed_entry(&rho, j).is_negative());
-            let Some(enter) = enter else {
-                // Σ (nonnegative coeffs)·x = b < 0 over x ≥ 0: infeasible.
+        match core.warm(repair, phase_cap) {
+            Outcome::Optimal => {}
+            Outcome::Unbounded { .. } => return Ok(LpSolution::failed(LpStatus::Unbounded, n)),
+            Outcome::Infeasible { .. } | Outcome::Inconsistent => {
                 return Ok(LpSolution::failed(LpStatus::Infeasible, n));
-            };
-            core.ftran_col(enter);
-            debug_assert!(core.u[row].is_negative());
-            core.pivot(row, enter);
-            pivots += 1;
-            if pivots > pivot_cap {
+            }
+            Outcome::RepairCapped => {
                 if let Some(c) = cache.as_deref_mut() {
                     c.absorb(&core.stats);
                 }
@@ -1295,39 +1485,26 @@ impl LinearProgram {
                 }
                 return Ok(self.solve_cold(opts, cache));
             }
-        }
-
-        // --- Primal phase for the real objective. ------------------------
-        let mut cost = self.objective.clone();
-        cost.resize(cols, Q::zero());
-        let phase_cap = match mode {
-            WarmMode::Capped(_) => None,
-            WarmMode::Budget(l) => Some(l),
-        };
-        match core.run_phase_capped(&cost, &|_| true, phase_cap) {
-            PhaseOutcome::Unbounded => {
-                return Ok(LpSolution::failed(LpStatus::Unbounded, n));
-            }
-            PhaseOutcome::PivotLimit => {
+            Outcome::PivotLimit => {
                 if let Some(c) = cache.as_deref_mut() {
                     c.absorb(&core.stats);
                 }
                 return Err(BudgetError::PivotCapExhausted { pivots: core.stats.pivots });
             }
-            PhaseOutcome::Optimal => {}
+            Outcome::GaveUp => unreachable!("exact pivots never give up"),
         }
 
-        let sol = self.extract_revised(&core, &dead);
+        let sol = self.extract_revised(&core, cols);
         if let Some(c) = cache {
             c.absorb(&core.stats);
-            c.reuse = if dead.iter().any(|&d| d) {
+            c.reuse = if core.basis.contains(&VIRTUAL) {
                 // A basis with virtual columns is only valid against
                 // this exact program; don't offer it for reuse.
                 None
             } else {
                 let snapshot: Vec<SVec> = match prior_snapshot {
                     Some((basis, snap)) if basis == core.basis => snap,
-                    _ => core.basis.iter().map(|&b| core.a_cols[b].clone()).collect(),
+                    _ => core.basis.iter().map(|&b| prog.cols.col(b).to_vec()).collect(),
                 };
                 Some(ReuseState { m, cols, basis: core.basis, factor: core.factor, snapshot })
             };
