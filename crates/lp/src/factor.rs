@@ -24,7 +24,7 @@
 //! column meets no earlier pivot row, so its eta is the column itself:
 //! the assignment-shaped bases of the paper's LPs, whose fractional part
 //! is a forest, factorize with no fill at all. The float proposer's
-//! refactorization still eliminates every column sparsest-first with
+//! refactorization eliminates every column sparsest-first with
 //! largest-magnitude pivots ([`Factorization::eliminate_sparsest`]).
 //!
 //! In exact `Q` arithmetic a factorization is *only* a change of
@@ -61,8 +61,8 @@ const EPS_INFEAS: f64 = 1e-7;
 /// and the certifier, `f64` for the hybrid's proposer. Everything the two
 /// instances do differently is one of these items — the tolerances
 /// (exact zero for `Q`), the finiteness give-up (never for `Q`), the
-/// crash pivot, and the refactorization's trigger, order and drift
-/// reset.
+/// transposed eta's zero skip, the crash pivot, and the
+/// refactorization's trigger, order and drift reset.
 pub(crate) trait Scalar:
     Clone
     + Default
@@ -509,8 +509,7 @@ impl<S: Scalar> Factorization<S> {
 
     /// Eliminate every basis column sparsest-first with
     /// [`eliminate`](Self::eliminate)'s pivot rule: the float proposer's
-    /// refactorization order, and the exact side's before
-    /// [`eliminate_basis`](Self::eliminate_basis).
+    /// refactorization order.
     pub(crate) fn eliminate_sparsest<C: AsRef<[(usize, S)]>>(
         &mut self,
         cols: &[C],

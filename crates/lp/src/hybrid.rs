@@ -737,8 +737,8 @@ mod tests {
     }
 
     /// Status and objective must always match the exact solver; on the
-    /// certified cold path the float mirrors the exact pivot sequence,
-    /// so the vertex matches too.
+    /// certified cold path the float instance takes the exact pivot
+    /// sequence, so the vertex matches too.
     fn assert_matches_revised(lp: &LinearProgram) {
         let exact = lp.solve();
         let (hybrid, stats) = solve_hybrid(lp);

@@ -25,10 +25,13 @@
 //! Two production solvers sit behind one options struct
 //! ([`SolveOptions`]): the exact [revised simplex](crate::Solver::Revised)
 //! against an LU-factorized basis with eta updates (the default), and the
-//! certified [float→exact hybrid](crate::Solver::Hybrid). The revised
-//! solver is pivot-identical to the dense tableau kept as a test-only
-//! differential oracle ([`LinearProgram::solve_dense`]). Warm starts
-//! ([`LinearProgram::solve_warm`], [`WarmCache`]) re-solve related
+//! certified [float→exact hybrid](crate::Solver::Hybrid). Both run one
+//! simplex core — its factorization, pivot rules and drivers — written
+//! once over the arithmetic: exact `Q` for the revised solver, `f64` for
+//! the hybrid's proposer, whose every answer is certified exactly. The
+//! revised solver is pivot-identical to the dense tableau kept as a
+//! test-only differential oracle ([`LinearProgram::solve_dense`]). Warm
+//! starts ([`LinearProgram::solve_warm`], [`WarmCache`]) re-solve related
 //! programs from a previous basis — the hot path of every binary search
 //! on the horizon `T`.
 

@@ -697,6 +697,14 @@ impl<S: Scalar> Cols<S> {
         &self.ents[self.offs[j]..self.offs[j] + self.len[j]]
     }
 
+    /// Append a nonzero `(row, v)` to column `j`'s reserved span.
+    fn push(&mut self, j: usize, row: usize, v: S) {
+        if !v.is_zero() {
+            self.ents[self.offs[j] + self.len[j]] = (row, v);
+            self.len[j] += 1;
+        }
+    }
+
     /// Drop columns `k..` (the hybrid strips its artificials again).
     pub(crate) fn truncate(&mut self, k: usize) {
         if k >= self.offs.len() {
@@ -795,20 +803,15 @@ impl Layout {
             acc += c as usize;
         }
         let mut a = Cols { offs, len: vec![0; cols], ents: vec![(0, S::default()); acc] };
-        let push = |a: &mut Cols<S>, j: usize, row: usize, v: S| {
-            if !v.is_zero() {
-                a.ents[a.offs[j] + a.len[j]] = (row, v);
-                a.len[j] += 1;
-            }
-        };
         let mut scratch = vec![S::default(); n];
         let mut mark = vec![usize::MAX; n];
         let mut touched: Vec<usize> = Vec::new();
         for (i, c) in lp.constraints.iter().enumerate() {
-            let signed = |v: S| if self.neg[i] { -v } else { v };
+            let neg = self.neg[i];
             if sorted[i] {
                 for (idx, coef) in &c.coeffs {
-                    push(&mut a, *idx, i, signed(S::from_q(coef)));
+                    let v = S::from_q(coef);
+                    a.push(*idx, i, if neg { -v } else { v });
                 }
                 continue;
             }
@@ -822,11 +825,12 @@ impl Layout {
                 scratch[*idx] += S::from_q(coef);
             }
             for &idx in &touched {
-                push(&mut a, idx, i, signed(std::mem::take(&mut scratch[idx])));
+                let v = std::mem::take(&mut scratch[idx]);
+                a.push(idx, i, if neg { -v } else { v });
             }
         }
         for (k, &(row, is_ge)) in self.slack.iter().enumerate() {
-            push(&mut a, n + k, row, if is_ge { -S::one() } else { S::one() });
+            a.push(n + k, row, if is_ge { -S::one() } else { S::one() });
         }
         let mut cost = vec![S::default(); cols];
         for (c, v) in cost.iter_mut().zip(&lp.objective) {
