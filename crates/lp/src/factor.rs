@@ -85,16 +85,22 @@ pub(crate) trait Scalar:
     /// Negative beyond the sign tolerance.
     fn below_tol(&self) -> bool;
     /// Nonzero beyond the sign tolerance.
-    fn beyond_tol(&self) -> bool;
+    fn beyond_tol(&self) -> bool {
+        self.above_tol() || self.below_tol()
+    }
     /// `acc −= u·y`, the step of a transposed eta. Exactly, a zero `y` is
     /// skipped: a rational product costs more than the test. In floats
     /// every entry is multiplied: a branch per entry costs more than the
     /// product.
     fn sub_product(acc: &mut Self, u: &Self, y: &Self);
     /// A basic value the warm dual repair must raise.
-    fn needs_repair(&self) -> bool;
+    fn needs_repair(&self) -> bool {
+        self.below_tol()
+    }
     /// A phase-1 sum of artificials that proves the program infeasible.
-    fn infeasible_sum(&self) -> bool;
+    fn infeasible_sum(&self) -> bool {
+        self.above_tol()
+    }
     /// The ratio test's step from basic value `x` along pivot entry `u`.
     fn ratio(x: &Self, u: &Self) -> Self;
     /// Ratio `r` against the incumbent `best`: `Less` beats it, `Equal`
@@ -136,19 +142,10 @@ impl Scalar for Q {
     fn below_tol(&self) -> bool {
         self.is_negative()
     }
-    fn beyond_tol(&self) -> bool {
-        !Q::is_zero(self)
-    }
     fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
         if !Q::is_zero(y) {
             *acc -= u.clone() * y.clone();
         }
-    }
-    fn needs_repair(&self) -> bool {
-        self.is_negative()
-    }
-    fn infeasible_sum(&self) -> bool {
-        self.is_positive()
     }
     fn ratio(x: &Self, u: &Self) -> Self {
         x.clone() / u.clone()
@@ -205,9 +202,6 @@ impl Scalar for f64 {
     }
     fn below_tol(&self) -> bool {
         *self < -EPS
-    }
-    fn beyond_tol(&self) -> bool {
-        self.abs() > EPS
     }
     fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
         *acc -= u * y;

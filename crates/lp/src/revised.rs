@@ -796,13 +796,20 @@ impl Layout {
             }
         }
         count[n..].fill(1);
-        let mut offs = Vec::with_capacity(cols);
+        // Room for the artificials a cold solve appends, so that appending
+        // them never copies the arena.
+        let arts = self.rels.iter().filter(|r| !matches!(r, Relation::Le)).count();
+        let mut offs = Vec::with_capacity(cols + arts);
         let mut acc = 0usize;
         for &c in &count {
             offs.push(acc);
             acc += c as usize;
         }
-        let mut a = Cols { offs, len: vec![0; cols], ents: vec![(0, S::default()); acc] };
+        let mut len = Vec::with_capacity(cols + arts);
+        len.resize(cols, 0);
+        let mut ents = Vec::with_capacity(acc + arts);
+        ents.resize(acc, (0, S::default()));
+        let mut a = Cols { offs, len, ents };
         let mut scratch = vec![S::default(); n];
         let mut mark = vec![usize::MAX; n];
         let mut touched: Vec<usize> = Vec::new();
@@ -832,10 +839,9 @@ impl Layout {
         for (k, &(row, is_ge)) in self.slack.iter().enumerate() {
             a.push(n + k, row, if is_ge { -S::one() } else { S::one() });
         }
-        let mut cost = vec![S::default(); cols];
-        for (c, v) in cost.iter_mut().zip(&lp.objective) {
-            *c = S::from_q(v);
-        }
+        let mut cost = Vec::with_capacity(cols + arts);
+        cost.extend(lp.objective.iter().map(S::from_q));
+        cost.resize(cols, S::default());
         Program { cols: a, rhs: self.rhs.iter().map(S::from_q).collect(), cost }
     }
 
