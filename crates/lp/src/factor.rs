@@ -85,6 +85,7 @@ pub(crate) trait Scalar:
     /// Negative beyond the sign tolerance.
     fn below_tol(&self) -> bool;
     /// Nonzero beyond the sign tolerance.
+    #[inline]
     fn beyond_tol(&self) -> bool {
         self.above_tol() || self.below_tol()
     }
@@ -94,10 +95,12 @@ pub(crate) trait Scalar:
     /// product.
     fn sub_product(acc: &mut Self, u: &Self, y: &Self);
     /// A basic value the warm dual repair must raise.
+    #[inline]
     fn needs_repair(&self) -> bool {
         self.below_tol()
     }
     /// A phase-1 sum of artificials that proves the program infeasible.
+    #[inline]
     fn infeasible_sum(&self) -> bool {
         self.above_tol()
     }
@@ -127,32 +130,41 @@ pub(crate) trait Scalar:
 }
 
 impl Scalar for Q {
+    #[inline]
     fn one() -> Self {
         Q::one()
     }
+    #[inline]
     fn from_q(v: &Q) -> Self {
         v.clone()
     }
+    #[inline]
     fn is_zero(&self) -> bool {
         Q::is_zero(self)
     }
+    #[inline]
     fn above_tol(&self) -> bool {
         self.is_positive()
     }
+    #[inline]
     fn below_tol(&self) -> bool {
         self.is_negative()
     }
+    #[inline]
     fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
         if !Q::is_zero(y) {
             *acc -= u.clone() * y.clone();
         }
     }
+    #[inline]
     fn ratio(x: &Self, u: &Self) -> Self {
         x.clone() / u.clone()
     }
+    #[inline]
     fn ratio_cmp(r: &Self, best: &Self) -> Ordering {
         r.cmp(best)
     }
+    #[inline]
     fn is_finite(&self) -> bool {
         true
     }
@@ -188,34 +200,44 @@ impl Scalar for Q {
 }
 
 impl Scalar for f64 {
+    #[inline]
     fn one() -> Self {
         1.0
     }
+    #[inline]
     fn from_q(v: &Q) -> Self {
         v.to_f64()
     }
+    #[inline]
     fn is_zero(&self) -> bool {
         *self == 0.0
     }
+    #[inline]
     fn above_tol(&self) -> bool {
         *self > EPS
     }
+    #[inline]
     fn below_tol(&self) -> bool {
         *self < -EPS
     }
+    #[inline]
     fn sub_product(acc: &mut Self, u: &Self, y: &Self) {
         *acc -= u * y;
     }
+    #[inline]
     fn needs_repair(&self) -> bool {
         *self < -FEAS_EPS
     }
+    #[inline]
     fn infeasible_sum(&self) -> bool {
         *self > EPS_INFEAS
     }
     /// A basic value drifted below zero steps from zero.
+    #[inline]
     fn ratio(x: &Self, u: &Self) -> Self {
         x.max(0.0) / u
     }
+    #[inline]
     fn ratio_cmp(r: &Self, best: &Self) -> Ordering {
         if *r < best - EPS {
             Ordering::Less
@@ -225,6 +247,7 @@ impl Scalar for f64 {
             Ordering::Greater
         }
     }
+    #[inline]
     fn is_finite(&self) -> bool {
         f64::is_finite(*self)
     }
@@ -293,6 +316,7 @@ struct Eta<S> {
 
 impl<S: Scalar> Eta<S> {
     /// Forward application (`x ← E⁻¹ x`) on a dense vector.
+    #[inline]
     fn apply(&self, x: &mut [S]) {
         if x[self.pivot].is_zero() {
             return;
@@ -306,6 +330,7 @@ impl<S: Scalar> Eta<S> {
 
     /// Transposed application (`y ← E⁻ᵀ y`) on a dense vector: only the
     /// pivot component changes, to `(y_p − Σ_{i≠p} u_i y_i) / u_p`.
+    #[inline]
     fn apply_transposed(&self, y: &mut [S]) {
         let mut acc = y[self.pivot].clone();
         for (i, v) in &self.col {
