@@ -6,11 +6,13 @@
 //! m ∈ {100, 256, 1024}, where the exact revised solver is benchmarked
 //! against the certified float→exact hybrid (E12), plus the n-axis
 //! pricing ablation at n = 1024 (E13: Bland's full scan vs the
-//! partial candidate list).
+//! partial candidate list). The `lst_rounding` group times Theorem V.2's
+//! rounding LP at `T*` on the offline benchmark's instance shape.
 
 use bench::fixtures;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsched_core::formulations::build_ip3;
+use hsched_core::lst::lst_assign;
 use lp::{Pricing, SolveOptions, Solver};
 
 fn bench_ip3_lp(c: &mut Criterion) {
@@ -71,5 +73,18 @@ fn bench_ip3_lp(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ip3_lp);
+/// Theorem V.2's rounding LP as `two_approx` solves it: `lst_assign` at
+/// `T*` (the LPT-seeded hybrid solve, its certification and the LST
+/// matching) on the offline benchmark's instance shape.
+fn bench_lst_rounding(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lst_rounding");
+    for row in fixtures::lst_rounding_rows() {
+        g.bench_with_input(BenchmarkId::from_parameter(&row.label), &row, |b, row| {
+            b.iter(|| std::hint::black_box(lst_assign(&row.p, row.m, row.t_star)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_ip3_lp, bench_lst_rounding);
 criterion_main!(benches);

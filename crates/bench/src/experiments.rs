@@ -1466,7 +1466,7 @@ mod tests {
         // (columns_priced, candidate_refills) per pricing.
         let golden = [
             (lp::Solver::Revised, [(66_394, 0), (10_098, 26)]),
-            (lp::Solver::Hybrid, [(66_394, 0), (7_794, 24)]),
+            (lp::Solver::Hybrid, [(66_394, 0), (7_820, 24)]),
         ];
         for (solver, counters) in golden {
             for (pricing, want) in pricings.into_iter().zip(counters) {

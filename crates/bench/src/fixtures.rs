@@ -2,6 +2,8 @@
 //! every experiment's instances come from here so that EXPERIMENTS.md's
 //! numbers are reproducible from the listed seeds.
 
+use hsched_core::approx::singleton_times;
+use hsched_core::lst::{lpt_schedule, lst_binary_search};
 use hsched_core::Instance;
 use laminar::{topology, LaminarFamily};
 use workloads::{random, rng};
@@ -50,6 +52,42 @@ pub fn e10_instance(n: usize, m: usize, seed: u64) -> Instance {
 /// probe runs.
 pub fn open_bracket_instance(n: usize, m: usize, seed: u64) -> Instance {
     random::overhead_instance(topology::semi_partitioned(m), n, 5, 60, 1, 4, &mut rng(seed))
+}
+
+/// One rounding LP of Theorem V.2 as `two_approx` solves it: a label, the
+/// singleton times `p` (`n × m`), the machine count and the horizon `T*`.
+pub struct LstRoundingRow {
+    pub label: String,
+    pub p: Vec<Vec<Option<u64>>>,
+    pub m: usize,
+    pub t_star: u64,
+}
+
+/// The `lst_rounding` bench rows: three identical-machine rows of the
+/// offline benchmark's shape (semi-partitioned, base demands 5–60, 1/4
+/// overhead per extra machine), where `T*` is McNaughton's bound, and
+/// one heterogeneous-speed row (E9's speeds 1–4), where `T*` comes from
+/// the bisection. Each row takes the first seed from 1 whose LPT
+/// makespan exceeds `T*`, so `lst_assign` solves its LP there.
+pub fn lst_rounding_rows() -> Vec<LstRoundingRow> {
+    let shapes = [(24, 8, "identical"), (36, 12, "identical"), (48, 16, "identical")];
+    (shapes.into_iter().chain([(32, 8, "heterogeneous")]))
+        .map(|(n, m, kind)| {
+            (1..)
+                .find_map(|seed| {
+                    let inst = match kind {
+                        "identical" => open_bracket_instance(n, m, seed),
+                        _ => e9_heterogeneous_instance(topology::semi_partitioned(m), n, seed),
+                    };
+                    let p = singleton_times(&inst.with_singletons());
+                    let (t_star, _) = lst_binary_search(&p, m)?;
+                    let (_, lpt) = lpt_schedule(&p, m)?;
+                    let label = format!("{kind}_n{n}_m{m}_seed{seed}");
+                    (lpt > t_star).then_some(LstRoundingRow { label, p, m, t_star })
+                })
+                .expect("some seed puts the LPT makespan above T*")
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,8 +5,6 @@
 //! variable set to `R = {(α, j) : p_{αj} ≤ T}` (which absorbs constraint
 //! (2c)), and asks for feasibility of the assignment + capacity system.
 
-use std::collections::HashMap;
-
 use lp::{LinearProgram, LpStatus, Relation};
 use numeric::Q;
 
@@ -17,14 +15,23 @@ use crate::instance::Instance;
 #[derive(Clone, Debug)]
 pub struct VarMap {
     pairs: Vec<(usize, usize)>,
-    index: HashMap<(usize, usize), usize>,
+    /// The variables ordered by `(set, job)`, then by `(job, set)`: each
+    /// set's and each job's variables form one run of these, and
+    /// [`var`](Self::var) binary-searches the first.
+    by_set: Vec<usize>,
+    by_job: Vec<usize>,
 }
 
 impl VarMap {
-    /// Build from an ordered pair list.
+    /// Build from an ordered list of distinct pairs.
     pub fn new(pairs: Vec<(usize, usize)>) -> Self {
-        let index = pairs.iter().enumerate().map(|(k, &p)| (p, k)).collect();
-        VarMap { pairs, index }
+        let mut by_set: Vec<usize> = (0..pairs.len()).collect();
+        if !pairs.is_sorted() {
+            by_set.sort_unstable_by_key(|&v| pairs[v]);
+        }
+        let mut by_job = by_set.clone();
+        by_job.sort_by_key(|&v| pairs[v].1);
+        VarMap { pairs, by_set, by_job }
     }
 
     /// One variable per finite `(set, job)` pair, set-major — the fixed
@@ -54,7 +61,22 @@ impl VarMap {
 
     /// Variable index of pair `(set, job)`, if in `R`.
     pub fn var(&self, set: usize, job: usize) -> Option<usize> {
-        self.index.get(&(set, job)).copied()
+        let k = self.by_set.binary_search_by_key(&(set, job), |&v| self.pairs[v]).ok()?;
+        Some(self.by_set[k])
+    }
+
+    /// The variables of `set`'s pairs, by job.
+    fn set_vars(&self, set: usize) -> &[usize] {
+        let lo = self.by_set.partition_point(|&v| self.pairs[v].0 < set);
+        let hi = self.by_set.partition_point(|&v| self.pairs[v].0 <= set);
+        &self.by_set[lo..hi]
+    }
+
+    /// The variables of `job`'s pairs, by set.
+    fn job_vars(&self, job: usize) -> &[usize] {
+        let lo = self.by_job.partition_point(|&v| self.pairs[v].1 < job);
+        let hi = self.by_job.partition_point(|&v| self.pairs[v].1 <= job);
+        &self.by_job[lo..hi]
     }
 
     /// Pair `(set, job)` of variable `v`.
@@ -77,68 +99,52 @@ impl VarMap {
 pub fn build_ip3(instance: &Instance, t: u64) -> Option<(LinearProgram, VarMap)> {
     let vm = VarMap::new(instance.pruned_pairs(t));
     // Every job needs at least one variable.
-    for j in 0..instance.num_jobs() {
-        let has = (0..instance.family().len()).any(|a| vm.var(a, j).is_some());
-        if !has {
-            return None;
-        }
+    if (0..instance.num_jobs()).any(|j| vm.job_vars(j).is_empty()) {
+        return None;
     }
     let mut lp = LinearProgram::new(vm.len());
     // Assignment constraints: Σ_α x_αj = 1 for every job.
     for j in 0..instance.num_jobs() {
-        let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
-            .filter_map(|a| vm.var(a, j).map(|v| (v, Q::one())))
-            .collect();
-        lp.add_constraint(coeffs, Relation::Eq, Q::one());
+        lp.add_constraint(vm.job_vars(j).iter().map(|&v| (v, Q::one())), Relation::Eq, Q::one());
     }
     // Capacity constraints (3a): Σ_j Σ_{β⊆α} p_βj x_βj ≤ |α|·t.
     for a in 0..instance.family().len() {
-        let mut coeffs: Vec<(usize, Q)> = Vec::new();
-        for b in instance.subsets_of(a) {
-            for j in 0..instance.num_jobs() {
-                if let Some(v) = vm.var(b, j) {
-                    let p = instance.ptime_q(j, b).expect("pairs in R are finite");
-                    coeffs.push((v, p));
-                }
-            }
-        }
+        let row = (instance.subsets_of(a).into_iter()).flat_map(|b| vm.set_vars(b)).map(|&v| {
+            let (b, j) = vm.pair(v);
+            (v, instance.ptime_q(j, b).expect("pairs in R are finite"))
+        });
         let cap = Q::from(instance.family().set(a).len() as u64) * Q::from(t);
-        lp.add_constraint(coeffs, Relation::Le, cap);
+        lp.add_constraint(row, Relation::Le, cap);
     }
     Some((lp, vm))
 }
 
 /// The decision system (IP-3) at horizon `t` over a *fixed* layout `vm`
-/// (normally [`VarMap::finite`]): pairs with `p_{αj} > t` are omitted
-/// from every constraint, which is feasibility-equivalent to the pruned
-/// program of [`build_ip3`] (a variable appearing in no constraint never
-/// carries weight at a returned vertex). A job with every pair pruned
-/// gets an empty `0 = 1` row, the fixed-layout encoding of
-/// `build_ip3 == None`, and every set keeps its capacity row, so the row
-/// count — and with it the slack-column layout — is the same at every
-/// horizon.
+/// (normally [`VarMap::finite`]; it must hold every finite pair): pairs
+/// with `p_{αj} > t` are omitted from every constraint, which is
+/// feasibility-equivalent to the pruned program of [`build_ip3`] (a
+/// variable appearing in no constraint never carries weight at a
+/// returned vertex). A job with every pair pruned gets an empty `0 = 1`
+/// row, the fixed-layout encoding of `build_ip3 == None`, and every set
+/// keeps its capacity row, so the row count — and with it the
+/// slack-column layout — is the same at every horizon.
 pub fn build_ip3_fixed(instance: &Instance, vm: &VarMap, t: u64) -> LinearProgram {
+    // The processing time of variable `v`'s pair, if admitted at `t`.
+    let admitted = |v: usize| {
+        let (a, j) = vm.pair(v);
+        instance.ptime(j, a).filter(|&p| p <= t)
+    };
     let mut lp = LinearProgram::new(vm.len());
     for j in 0..instance.num_jobs() {
-        let coeffs: Vec<(usize, Q)> = (0..instance.family().len())
-            .filter(|&a| instance.ptime(j, a).is_some_and(|p| p <= t))
-            .map(|a| (vm.var(a, j).expect("finite pair in layout"), Q::one()))
-            .collect();
-        lp.add_constraint(coeffs, Relation::Eq, Q::one());
+        let row = vm.job_vars(j).iter().filter(|&&v| admitted(v).is_some()).map(|&v| (v, Q::one()));
+        lp.add_constraint(row, Relation::Eq, Q::one());
     }
     for a in 0..instance.family().len() {
-        let mut coeffs: Vec<(usize, Q)> = Vec::new();
-        for b in instance.subsets_of(a) {
-            for j in 0..instance.num_jobs() {
-                if let Some(p) = instance.ptime(j, b) {
-                    if p <= t {
-                        coeffs.push((vm.var(b, j).expect("finite pair in layout"), Q::from(p)));
-                    }
-                }
-            }
-        }
+        let row = (instance.subsets_of(a).into_iter())
+            .flat_map(|b| vm.set_vars(b))
+            .filter_map(|&v| admitted(v).map(|p| (v, Q::from(p))));
         let cap = Q::from(instance.family().set(a).len() as u64) * Q::from(t);
-        lp.add_constraint(coeffs, Relation::Le, cap);
+        lp.add_constraint(row, Relation::Le, cap);
     }
     lp
 }

@@ -67,41 +67,38 @@ impl LstAssignment {
 /// The pruned unrelated-machines LP at horizon `t`: one variable per
 /// pair `(j, i)` with `p_ij ≤ t` (job-major order), one assignment row
 /// per job, then one capacity row per machine that has a pair. Returns
-/// the LP and `var_of[j][i]` (`usize::MAX` = pruned), or `None` when
-/// some job has no pair left.
-fn pruned_lp(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<(LinearProgram, Vec<Vec<usize>>)> {
+/// the LP and the flat table `var_of[j * m + i]` (`usize::MAX` =
+/// pruned), or `None` when some job has no pair left.
+fn pruned_lp(p: &[Vec<Option<u64>>], m: usize, t: u64) -> Option<(LinearProgram, Vec<usize>)> {
     let n = p.len();
-    let mut var_of = vec![vec![usize::MAX; m]; n];
+    let mut var_of = vec![usize::MAX; n * m];
     let mut num_vars = 0;
+    let mut used = vec![false; m];
     for (j, row) in p.iter().enumerate() {
         assert_eq!(row.len(), m, "p must be n × m");
+        let first = num_vars;
         for (i, time) in row.iter().enumerate() {
             if time.is_some_and(|time| time <= t) {
-                var_of[j][i] = num_vars;
+                var_of[j * m + i] = num_vars;
                 num_vars += 1;
+                used[i] = true;
             }
         }
-        if var_of[j].iter().all(|&v| v == usize::MAX) {
+        if num_vars == first {
             return None;
         }
     }
 
     let mut lp = LinearProgram::new(num_vars);
-    for j in 0..n {
-        let coeffs: Vec<(usize, Q)> = (0..m)
-            .filter(|&i| var_of[j][i] != usize::MAX)
-            .map(|i| (var_of[j][i], Q::one()))
-            .collect();
-        lp.add_constraint(coeffs, Relation::Eq, Q::one());
+    for vars in var_of.chunks(m.max(1)) {
+        let row = vars.iter().filter(|&&v| v != usize::MAX).map(|&v| (v, Q::one()));
+        lp.add_constraint(row, Relation::Eq, Q::one());
     }
-    for i in 0..m {
-        let coeffs: Vec<(usize, Q)> = (0..n)
-            .filter(|&j| var_of[j][i] != usize::MAX)
-            .map(|j| (var_of[j][i], Q::from(p[j][i].expect("pair is finite"))))
-            .collect();
-        if !coeffs.is_empty() {
-            lp.add_constraint(coeffs, Relation::Le, Q::from(t));
-        }
+    for i in (0..m).filter(|&i| used[i]) {
+        let row = (0..n)
+            .filter(|&j| var_of[j * m + i] != usize::MAX)
+            .map(|j| (var_of[j * m + i], Q::from(p[j][i].expect("pair is finite"))));
+        lp.add_constraint(row, Relation::Le, Q::from(t));
     }
     Some((lp, var_of))
 }
@@ -120,8 +117,10 @@ fn seeded_vertex(
 ) -> Option<(Vec<Vec<(usize, Q)>>, lp::WarmCache)> {
     let (lp, var_of) = pruned_lp(p, m, t)?;
     let num_vars = lp.num_vars();
-    let mut hint: Vec<usize> =
-        lpt.iter().zip(&var_of).map(|(&i, vars)| vars[i]).filter(|&v| v != usize::MAX).collect();
+    let mut hint: Vec<usize> = (lpt.iter().enumerate())
+        .map(|(j, &i)| var_of[j * m + i])
+        .filter(|&v| v != usize::MAX)
+        .collect();
     hint.extend(num_vars..num_vars + lp.num_constraints() - p.len());
     let mut cache = lp::WarmCache::with_options(Solver::Hybrid.into());
     cache.set_hint(hint);
@@ -130,7 +129,7 @@ fn seeded_vertex(
         return None;
     }
     let support = var_of
-        .iter()
+        .chunks(m.max(1))
         .map(|vars| {
             vars.iter()
                 .enumerate()
@@ -275,7 +274,9 @@ fn assign_from_lpt(
 pub struct LstProbe<'a> {
     p: &'a [Vec<Option<u64>>],
     m: usize,
-    pairs: Vec<(usize, usize)>,
+    /// `var_of[j * m + i]`: the variable of the finite pair `(j, i)`.
+    var_of: Vec<usize>,
+    num_vars: usize,
     cache: lp::WarmCache,
 }
 
@@ -289,25 +290,27 @@ impl<'a> LstProbe<'a> {
 
     /// A probe seeded with the given LPT assignment (`None`: cold).
     fn seeded(p: &'a [Vec<Option<u64>>], m: usize, lpt: Option<&[usize]>) -> Self {
-        let mut pairs = Vec::new();
+        let mut var_of = vec![usize::MAX; p.len() * m];
+        let mut num_vars = 0;
         let mut hint = Vec::new();
         for (j, row) in p.iter().enumerate() {
             assert_eq!(row.len(), m, "p must be n × m");
             for (i, time) in row.iter().enumerate() {
                 if time.is_some() {
                     if lpt.is_some_and(|lpt| lpt[j] == i) {
-                        hint.push(pairs.len());
+                        hint.push(num_vars);
                     }
-                    pairs.push((j, i));
+                    var_of[j * m + i] = num_vars;
+                    num_vars += 1;
                 }
             }
         }
         let mut cache = lp::WarmCache::with_options(lp::Solver::Hybrid.into());
         if lpt.is_some() {
-            hint.extend(pairs.len()..pairs.len() + m);
+            hint.extend(num_vars..num_vars + m);
             cache.set_hint(hint);
         }
-        LstProbe { p, m, pairs, cache }
+        LstProbe { p, m, var_of, num_vars, cache }
     }
 
     /// The warm-start cache (pricing/certification counters for
@@ -327,23 +330,21 @@ impl<'a> LstProbe<'a> {
         if self.p.iter().any(|row| !row.iter().flatten().any(|&time| time <= t)) {
             return false;
         }
-        let mut by_job: Vec<Vec<(usize, Q)>> = vec![Vec::new(); n];
-        let mut by_machine: Vec<Vec<(usize, Q)>> = vec![Vec::new(); self.m];
-        for (v, &(j, i)) in self.pairs.iter().enumerate() {
-            let time = self.p[j][i].expect("pair is finite");
-            if time <= t {
-                by_job[j].push((v, Q::one()));
-                by_machine[i].push((v, Q::from(time)));
-            }
-        }
-        let mut lp = LinearProgram::new(self.pairs.len());
-        for coeffs in by_job {
-            lp.add_constraint(coeffs, Relation::Eq, Q::one());
+        let m = self.m;
+        // The variable and time of each pair admitted at `t`.
+        let admitted = |j: usize, i: usize| {
+            self.p[j][i].filter(|&time| time <= t).map(|time| (self.var_of[j * m + i], time))
+        };
+        let mut lp = LinearProgram::new(self.num_vars);
+        for j in 0..n {
+            let row = (0..m).filter_map(|i| admitted(j, i)).map(|(v, _)| (v, Q::one()));
+            lp.add_constraint(row, Relation::Eq, Q::one());
         }
         // One capacity row per machine at every probe (possibly empty):
         // a fixed row count keeps slack columns aligned across horizons.
-        for coeffs in by_machine {
-            lp.add_constraint(coeffs, Relation::Le, Q::from(t));
+        for i in 0..m {
+            let row = (0..n).filter_map(|j| admitted(j, i)).map(|(v, time)| (v, Q::from(time)));
+            lp.add_constraint(row, Relation::Le, Q::from(t));
         }
         lp.solve_warm_cached(&mut self.cache).status == LpStatus::Optimal
     }

@@ -527,7 +527,7 @@ mod tests {
         for v in 0..5 {
             lp.set_objective(v, q(-(v as i64 + 2)));
         }
-        lp.add_constraint((0..5).map(|v| (v, q(v as i64 + 1))).collect(), Relation::Le, q(7));
+        lp.add_constraint((0..5).map(|v| (v, q(v as i64 + 1))), Relation::Le, q(7));
         lp.add_constraint(vec![(0, q(1)), (2, q(1)), (4, q(1))], Relation::Le, q(2));
         let binary: Vec<usize> = (0..5).collect();
         let warm = solve_binary(&lp, &binary, &BnbOptions::default());

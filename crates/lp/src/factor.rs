@@ -15,17 +15,19 @@
 //!   and unit rows for the artificial-cleanup and dual-ratio scans),
 //!   applying the transposed etas in reverse.
 //!
-//! Every exact whole-basis factorization — the exact simplex's
-//! refactorization and the hybrid certifier's — eliminates in one order,
-//! [`Factorization::eliminate_basis`]: the triangular part of the basis
+//! Every elimination of a set of basis columns — the simplex core's
+//! refactorization and its warm crash, in both arithmetics, and the
+//! hybrid certifier's factorization — runs in one order,
+//! [`Factorization::eliminate_basis`]: the triangular part of the set
 //! first, found by peeling row singletons (Suhl & Suhl, "Computing sparse
 //! LU factorizations for large-scale linear programming bases", ORSA J.
-//! Computing 1990), then the remaining nucleus sparsest-first. A peeled
-//! column meets no earlier pivot row, so its eta is the column itself:
-//! the assignment-shaped bases of the paper's LPs, whose fractional part
-//! is a forest, factorize with no fill at all. The float proposer's
-//! refactorization eliminates every column sparsest-first with
-//! largest-magnitude pivots ([`Factorization::eliminate_sparsest`]).
+//! Computing 1990), then the remaining nucleus sparsest-first under the
+//! scalar's pivot rule ([`Scalar::crash_pivot`]: a unit pivot exactly,
+//! the largest magnitude in floats). A peeled column meets no earlier
+//! pivot row, so its eta is the column itself: the assignment-shaped
+//! bases of the paper's LPs, whose fractional part is a forest,
+//! factorize with no fill at all. A singleton row's pivot is forced, so
+//! the peel costs the float side no stability.
 //!
 //! In exact `Q` arithmetic a factorization is *only* a change of
 //! representation, so refactorizing at any point cannot change any exact
@@ -61,8 +63,8 @@ const EPS_INFEAS: f64 = 1e-7;
 /// and the certifier, `f64` for the hybrid's proposer. Everything the two
 /// instances do differently is one of these items — the tolerances
 /// (exact zero for `Q`), the finiteness give-up (never for `Q`), the
-/// transposed eta's zero skip, the crash pivot, and the
-/// refactorization's trigger, order and drift reset.
+/// transposed eta's zero skip, the nucleus pivot, and the
+/// refactorization's trigger and drift reset.
 pub(crate) trait Scalar:
     Clone
     + Default
@@ -111,18 +113,12 @@ pub(crate) trait Scalar:
     fn ratio_cmp(r: &Self, best: &Self) -> Ordering;
     /// False for a value the float proposer gives up on.
     fn is_finite(&self) -> bool;
-    /// The crash's pivot slot among the unpivoted entries of the
-    /// transformed column `x`; `None` when the column is dependent.
+    /// The pivot slot of a nucleus or completion column among the
+    /// unpivoted entries of its transformed form `x`; `None` when the
+    /// column is dependent.
     fn crash_pivot(x: &[Self], pivoted: &[bool]) -> Option<usize>;
     /// Whether the update file is due for a refactorization.
     fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool;
-    /// Eliminate the basis columns into the empty factor file in the
-    /// refactorization's order; `None` when they are (numerically)
-    /// singular.
-    fn refactorize<C: AsRef<[(usize, Self)]>>(
-        f: &mut Factorization<Self>,
-        cols: &[C],
-    ) -> Option<Vec<usize>>;
     /// After a refactorization: `Q` keeps `x_B`, which is exact, and
     /// `f64` recomputes `x_B = B⁻¹b`, the drift reset. False when the
     /// recomputed values are not finite.
@@ -187,12 +183,6 @@ impl Scalar for Q {
     /// exceed `fill_factor · (m + factorization nonzeros)`.
     fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool {
         f.update_count() >= r.interval || f.update_nnz() > r.fill_factor * (f.m + f.factor_nnz())
-    }
-    fn refactorize<C: AsRef<[(usize, Self)]>>(
-        f: &mut Factorization<Self>,
-        cols: &[C],
-    ) -> Option<Vec<usize>> {
-        f.eliminate_basis(cols)
     }
     fn reset_drift(_: &Factorization<Self>, _: &[Self], _: &mut Vec<Self>) -> bool {
         true
@@ -268,12 +258,6 @@ impl Scalar for f64 {
     /// Every `interval` updates; the float file is never cut for fill.
     fn refactor_due(f: &Factorization<Self>, r: Refactor) -> bool {
         f.update_count() >= r.interval
-    }
-    fn refactorize<C: AsRef<[(usize, Self)]>>(
-        f: &mut Factorization<Self>,
-        cols: &[C],
-    ) -> Option<Vec<usize>> {
-        f.eliminate_sparsest(cols)
     }
     fn reset_drift(f: &Factorization<Self>, rhs: &[Self], xb: &mut Vec<Self>) -> bool {
         xb.clear();
@@ -441,10 +425,10 @@ impl<S: Scalar> Factorization<S> {
     }
 
     /// Rebuild `F`/`P` from scratch out of the given basis columns
-    /// (`cols[slot]` = the column basic in `slot`) in the scalar's
-    /// refactorization order, and clear the update file. `false` when the
-    /// columns are (numerically) singular, which an exact pivot sequence
-    /// can never produce.
+    /// (`cols[slot]` = the column basic in `slot`) in
+    /// [`eliminate_basis`](Self::eliminate_basis)'s order, and clear the
+    /// update file. `false` when the columns are (numerically) singular,
+    /// which an exact pivot sequence can never produce.
     pub(crate) fn refactor<C: AsRef<[(usize, S)]>>(&mut self, cols: &[C]) -> bool {
         assert_eq!(cols.len(), self.m, "one basis column per row slot");
         self.factor.clear();
@@ -452,29 +436,31 @@ impl<S: Scalar> Factorization<S> {
         self.perm = None;
         self.factor_nnz = 0;
         self.update_nnz = 0;
-        self.perm = S::refactorize(self, cols);
+        self.perm = self.eliminate_basis(cols).into_iter().collect();
         self.perm.is_some()
     }
 
-    /// Eliminate a set of basis columns into the still-empty factor file
-    /// and return each column's pivot position, or `None` if the columns
-    /// are dependent. The exact refactorization's order, also the hybrid
-    /// certifier's, which completes a partial set with unit columns
-    /// afterwards.
+    /// Eliminate a set of columns into the still-empty factor file and
+    /// return each column's pivot position, `None` for a column dependent
+    /// on those eliminated before it (the crash skips it; for a basis it
+    /// means singular). The one order of every refactorization, of the
+    /// warm crash's hinted columns and of the certifier's basis, in both
+    /// arithmetics.
     ///
-    /// The order finds the triangular part of the basis first (Suhl &
-    /// Suhl, ORSA J. Computing 1990): while some row is touched by
-    /// exactly one column not yet eliminated, that column pivots on that
-    /// row. Every column eliminated later is zero on that row, so the
-    /// peeled column's eta transforms no later column, and no earlier
-    /// eta transformed it: it is stored as its own eta, with no
-    /// arithmetic. The remaining nucleus (zero on every peeled row) is
+    /// The order finds the triangular part of the set first (Suhl & Suhl,
+    /// ORSA J. Computing 1990): while some row is touched by exactly one
+    /// column not yet eliminated, that column pivots on that row. Every
+    /// column eliminated later is zero on that row, so the peeled
+    /// column's eta transforms no later column, and no earlier eta
+    /// transformed it: it is stored as its own eta, with no arithmetic.
+    /// (The float side leaves a singleton inside its pivot tolerance to
+    /// the nucleus.) The remaining nucleus (zero on every peeled row) is
     /// then eliminated sparsest-first with
     /// [`eliminate`](Self::eliminate)'s pivot rule; only it can fill.
     pub(crate) fn eliminate_basis<C: AsRef<[(usize, S)]>>(
         &mut self,
         cols: &[C],
-    ) -> Option<Vec<usize>> {
+    ) -> Vec<Option<usize>> {
         debug_assert!(self.factor.is_empty() && self.perm.is_none() && self.updates.is_empty());
         let m = self.m;
         // Per row: how many uneliminated columns touch it, and the sum of
@@ -489,7 +475,7 @@ impl<S: Scalar> Factorization<S> {
                 }
             }
         }
-        let mut pos = vec![usize::MAX; cols.len()];
+        let mut pos = vec![None; cols.len()];
         let mut pivoted = vec![false; m];
         let mut singletons: Vec<usize> = (0..m).filter(|&r| count[r] == 1).collect();
         while let Some(r) = singletons.pop() {
@@ -497,9 +483,13 @@ impl<S: Scalar> Factorization<S> {
                 continue;
             }
             let c = sum[r];
+            let col = cols[c].as_ref();
+            if !col.iter().any(|(i, v)| *i == r && v.beyond_tol()) {
+                continue;
+            }
             let mut piv = S::default();
             let mut off = Vec::new();
-            for (i, v) in cols[c].as_ref().iter().filter(|(_, v)| !v.is_zero()) {
+            for (i, v) in col.iter().filter(|(_, v)| !v.is_zero()) {
                 count[*i] -= 1;
                 sum[*i] -= c;
                 if count[*i] == 1 {
@@ -512,42 +502,23 @@ impl<S: Scalar> Factorization<S> {
                 }
             }
             self.push_factor(Eta { pivot: r, piv, col: off });
-            pos[c] = r;
+            pos[c] = Some(r);
             pivoted[r] = true;
         }
-        let mut nucleus: Vec<usize> = (0..cols.len()).filter(|&c| pos[c] == usize::MAX).collect();
+        let mut nucleus: Vec<usize> = (0..cols.len()).filter(|&c| pos[c].is_none()).collect();
         nucleus.sort_by_key(|&c| (cols[c].as_ref().len(), c));
         let mut x = Vec::new();
         for c in nucleus {
-            let p = self.eliminate(cols[c].as_ref(), &pivoted, &mut x)?;
-            pos[c] = p;
-            pivoted[p] = true;
+            pos[c] = self.eliminate(cols[c].as_ref(), &pivoted, &mut x);
+            if let Some(p) = pos[c] {
+                pivoted[p] = true;
+            }
         }
-        Some(pos)
+        pos
     }
 
-    /// Eliminate every basis column sparsest-first with
-    /// [`eliminate`](Self::eliminate)'s pivot rule: the float proposer's
-    /// refactorization order.
-    pub(crate) fn eliminate_sparsest<C: AsRef<[(usize, S)]>>(
-        &mut self,
-        cols: &[C],
-    ) -> Option<Vec<usize>> {
-        let mut order: Vec<usize> = (0..cols.len()).collect();
-        order.sort_by_key(|&c| (cols[c].as_ref().len(), c));
-        let mut pos = vec![usize::MAX; cols.len()];
-        let mut pivoted = vec![false; self.m];
-        let mut x = Vec::new();
-        for c in order {
-            let p = self.eliminate(cols[c].as_ref(), &pivoted, &mut x)?;
-            pos[c] = p;
-            pivoted[p] = true;
-        }
-        Some(pos)
-    }
-
-    /// One elimination step shared by both orders and the warm-start
-    /// crash: apply the factor etas built so far to `col`, pick a pivot
+    /// One elimination step of the nucleus and of the crash's completion:
+    /// apply the factor etas built so far to `col`, pick a pivot
     /// position among the still-unpivoted slots
     /// ([`Scalar::crash_pivot`]), append the eta, and return the chosen
     /// position — or `None` if the column is dependent on the
@@ -650,7 +621,14 @@ mod tests {
     /// fill oracle: every column sparsest-first with free pivot choice.
     fn sparsest_first(m: usize, cols: &[SVec]) -> Factorization {
         let mut f = Factorization::identity(m);
-        f.eliminate_sparsest(cols).expect("nonsingular");
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        order.sort_by_key(|&c| (cols[c].len(), c));
+        let mut pivoted = vec![false; m];
+        let mut x = Vec::new();
+        for c in order {
+            let p = f.eliminate(&cols[c], &pivoted, &mut x).expect("nonsingular");
+            pivoted[p] = true;
+        }
         f
     }
 
@@ -727,7 +705,8 @@ mod tests {
         assert_round_trips(&f, &cyclic);
         let cycle = &cyclic[11..];
         let mut alone = Factorization::identity(15);
-        alone.eliminate_basis(&cycle.iter().collect::<Vec<_>>()).expect("nonsingular cycle");
+        let pos = alone.eliminate_basis(&cycle.iter().collect::<Vec<_>>());
+        assert!(pos.iter().all(Option::is_some), "nonsingular cycle");
         assert!(alone.factor_nnz() > nnz(cycle), "a cycle cannot be eliminated without fill");
         assert_eq!(
             f.factor_nnz() - nnz(&cyclic),

@@ -10,12 +10,14 @@
 //!    with tolerance-based signs and ratio test — runs the whole pivot
 //!    sequence and *proposes* a terminal basis (or an infeasibility /
 //!    unboundedness witness);
-//! 2. an **exact certifier** builds one `Q` factorization of the
-//!    proposed basis and checks the claim exactly: primal feasibility
-//!    `B⁻¹b ≥ 0` plus dual feasibility `c_j − yᵀA_j ≥ 0` for an optimum
-//!    (complementary slackness is automatic at a basic solution), a
-//!    Farkas vector for infeasibility, a feasible point plus a
-//!    nonpositive ray for unboundedness.
+//! 2. an **exact certifier** reads the exact values of just the proposed
+//!    basis columns from the normalized rows, through the float program's
+//!    column structure, builds one `Q` factorization of them and checks
+//!    the claim exactly: primal feasibility `B⁻¹b ≥ 0` plus dual
+//!    feasibility `c_j − yᵀA_j ≥ 0` for an optimum (complementary
+//!    slackness is automatic at a basic solution), a Farkas vector for
+//!    infeasibility, a feasible point plus a nonpositive ray for
+//!    unboundedness.
 //!
 //! This module holds the proposal's assembly and outcome mapping, the
 //! certifier, and the orchestration between them. On success the exact
@@ -48,8 +50,8 @@ use numeric::Q;
 use crate::factor::{Factorization, Refactor, SVec};
 use crate::problem::LinearProgram;
 use crate::revised::{
-    crash, sanitize, BudgetError, Core, Fallback, Layout, Outcome, Pricing, Program, RepairCap,
-    ReuseState, RevisedStats, SolveOptions, WarmCache, WarmMode, Witness, VIRTUAL,
+    crash, sanitize, BudgetError, Cols, Core, Fallback, Layout, Outcome, Pricing, Program,
+    RepairCap, ReuseState, RevisedStats, SolveOptions, WarmCache, WarmMode, Witness, VIRTUAL,
 };
 use crate::simplex::{LpSolution, LpStatus};
 
@@ -75,58 +77,54 @@ enum FloatProposal {
 // Exact certifier.
 // ---------------------------------------------------------------------
 
-/// The certifier's exact views of the program, read off the raw
-/// constraints: it only ever clones the handful of exact columns it
-/// factorizes.
+/// The certifier's exact views of the program, read off its normalized
+/// rows: it builds only the handful of exact columns it factorizes.
 impl Layout {
-    /// Normalized exact columns for `wanted` (unique indices), built in
-    /// one pass over the raw constraints; output parallel to `wanted`.
-    fn exact_cols(&self, lp: &LinearProgram, wanted: &[usize]) -> Vec<SVec> {
-        let mut pos = vec![usize::MAX; self.cols];
-        for (p, &w) in wanted.iter().enumerate() {
-            pos[w] = p;
-        }
-        let mut out: Vec<SVec> = vec![Vec::new(); wanted.len()];
-        for (i, c) in lp.constraints.iter().enumerate() {
-            for (idx, coef) in &c.coeffs {
-                let p = pos[*idx];
-                if p == usize::MAX {
-                    continue;
-                }
-                let v = if self.neg[i] { -coef.clone() } else { coef.clone() };
-                match out[p].last_mut() {
-                    Some(last) if last.0 == i => last.1 += v,
-                    _ => out[p].push((i, v)),
-                }
+    /// Column `j`'s exact entries in the normalized layout. The rows come
+    /// from the float transpose `a`, which lists exactly the program's
+    /// nonzeros; each value comes from the exact row, by a binary search.
+    /// O(the column's nonzeros), and no value of `a` is read.
+    fn exact_col<'s>(
+        &'s self,
+        lp: &'s LinearProgram,
+        a: &'s Cols<f64>,
+        j: usize,
+    ) -> impl Iterator<Item = (usize, Q)> + 's {
+        a.col(j).iter().map(move |&(i, _)| match j.checked_sub(self.n) {
+            Some(k) => (i, if self.slack[k].1 { -Q::one() } else { Q::one() }),
+            None => {
+                let v = lp.coef(i, j).expect("the transpose lists the row's nonzeros").clone();
+                (i, if self.neg[i] { -v } else { v })
             }
-        }
-        for col in &mut out {
-            col.retain(|(_, v)| !v.is_zero());
-        }
-        for (k, &(row, is_ge)) in self.slack.iter().enumerate() {
-            let p = pos[self.n + k];
-            if p != usize::MAX {
-                out[p] = vec![(row, if is_ge { -Q::one() } else { Q::one() })];
-            }
-        }
-        out
+        })
+    }
+
+    /// Whether every `basis` column still holds its `snapshot` entries.
+    fn unchanged(
+        &self,
+        lp: &LinearProgram,
+        a: &Cols<f64>,
+        basis: &[usize],
+        snapshot: &[SVec],
+    ) -> bool {
+        basis.iter().zip(snapshot).all(|(&b, snap)| {
+            a.col(b).len() == snap.len()
+                && self.exact_col(lp, a, b).zip(snap).all(|((i, v), (si, sv))| i == *si && v == *sv)
+        })
     }
 
     /// `dots[j] = ρᵀA_j` for every structural column, accumulated
-    /// row-major over the raw constraints (duplicates sum linearly, so
-    /// no normalization pass is needed); only rows with `ρ_i ≠ 0` cost
+    /// row-major over the normalized rows; only rows with `ρ_i ≠ 0` cost
     /// exact arithmetic.
     fn dots(&self, lp: &LinearProgram, rho: &[Q]) -> Vec<Q> {
         let mut dots = vec![Q::zero(); self.n];
-        for (i, c) in lp.constraints.iter().enumerate() {
-            if rho[i].is_zero() {
+        for (i, r) in rho.iter().enumerate() {
+            if r.is_zero() {
                 continue;
             }
-            let r = if self.neg[i] { -rho[i].clone() } else { rho[i].clone() };
-            for (idx, coef) in &c.coeffs {
-                if !coef.is_zero() {
-                    dots[*idx] += coef.clone() * r.clone();
-                }
+            let r = if self.neg[i] { -r.clone() } else { r.clone() };
+            for (idx, coef) in lp.row(i) {
+                dots[*idx] += coef.clone() * r.clone();
             }
         }
         dots
@@ -146,12 +144,14 @@ impl Layout {
 /// Factorize the proposed real column set exactly, together with the
 /// unit (virtual) columns of `unit_rows` (the proposer's own basic unit
 /// columns), and complete any row still unpivoted with its unit column.
-/// Returns the factorization, the per-slot basis ([`VIRTUAL`] = unit
-/// column), and the extracted exact columns (parallel to `proposal`),
-/// or `None` when the proposed basis is singular under exact arithmetic.
+/// The exact columns are read through the float transpose `a`. Returns
+/// the factorization, the per-slot basis ([`VIRTUAL`] = unit column), and
+/// each slot's exact column (empty on unit slots), or `None` when the
+/// proposed basis is singular under exact arithmetic.
 fn build_exact_basis(
     lp: &LinearProgram,
     lay: &Layout,
+    a: &Cols<f64>,
     proposal: &[usize],
     unit_rows: &[usize],
 ) -> Option<(Factorization, Vec<usize>, Vec<SVec>)> {
@@ -159,22 +159,25 @@ fn build_exact_basis(
     if proposal.len() + unit_rows.len() > m {
         return None;
     }
-    let ex = lay.exact_cols(lp, proposal);
+    let mut ex: Vec<SVec> = proposal.iter().map(|&j| lay.exact_col(lp, a, j).collect()).collect();
     // Unit columns on the proposer's rows, not wherever the elimination
     // leaves rows open: a phase-1 dual vector is a Farkas vector only for
     // the basis phase 1 actually ended in.
     let units: Vec<SVec> = unit_rows.iter().map(|&row| vec![(row, Q::one())]).collect();
     let cols: Vec<&SVec> = ex.iter().chain(&units).collect();
-    // The triangular order of every exact factorization (Suhl & Suhl
-    // 1990): a forest-shaped assignment basis factorizes without fill.
+    // The triangular order of every factorization (Suhl & Suhl 1990): a
+    // forest-shaped assignment basis factorizes without fill.
     let mut factor = Factorization::identity(m);
-    let pos = factor.eliminate_basis(&cols)?;
+    let pos = factor.eliminate_basis(&cols);
     let mut pivoted = vec![false; m];
     let mut basis = vec![VIRTUAL; m];
-    for (k, &slot) in pos.iter().enumerate() {
+    let mut by_slot = vec![Vec::new(); m];
+    for (k, slot) in pos.into_iter().enumerate() {
+        let slot = slot?;
         pivoted[slot] = true;
         if k < proposal.len() {
             basis[slot] = proposal[k];
+            by_slot[slot] = std::mem::take(&mut ex[k]);
         }
     }
     let mut scratch = Vec::new();
@@ -185,7 +188,7 @@ fn build_exact_basis(
         let pp = factor.eliminate(&[(p, Q::one())], &pivoted, &mut scratch)?;
         pivoted[pp] = true;
     }
-    Some((factor, basis, ex))
+    Some((factor, basis, by_slot))
 }
 
 /// `in_basis` mask over all columns.
@@ -360,6 +363,7 @@ fn certify_infeasible(
 fn certify_unbounded(
     lp: &LinearProgram,
     lay: &Layout,
+    a: &Cols<f64>,
     factor: &Factorization,
     basis: &[usize],
     enter: usize,
@@ -380,7 +384,7 @@ fn certify_unbounded(
         }
     }
 
-    let ecol = lay.exact_cols(lp, &[enter]).pop().expect("one column requested");
+    let ecol: SVec = lay.exact_col(lp, a, enter).collect();
     let mut rc = if enter < n { lp.objective[enter].clone() } else { Q::zero() };
     if let Some(y) = basic_duals(lp, factor, basis) {
         for (i, v) in &ecol {
@@ -417,6 +421,7 @@ fn certify_unbounded(
 fn certify(
     lp: &LinearProgram,
     lay: &Layout,
+    a: &Cols<f64>,
     proposal: &FloatProposal,
     reuse: Option<ReuseState>,
 ) -> Result<(LpSolution, Option<ReuseState>, bool), Fallback> {
@@ -441,13 +446,13 @@ fn certify(
                 sorted_prop.sort_unstable();
                 let mut sorted_reuse = r.basis.clone();
                 sorted_reuse.sort_unstable();
-                if sorted_prop == sorted_reuse && lay.exact_cols(lp, &r.basis) == r.snapshot {
+                if sorted_prop == sorted_reuse && lay.unchanged(lp, a, &r.basis, &r.snapshot) {
                     reused_snapshot = Some(r.snapshot);
                     break 'build (r.factor, r.basis, Vec::new());
                 }
             }
         }
-        build_exact_basis(lp, lay, cols_prop, unit_rows).ok_or(Fallback::Singular)?
+        build_exact_basis(lp, lay, a, cols_prop, unit_rows).ok_or(Fallback::Singular)?
     };
 
     let sol = match proposal {
@@ -456,7 +461,7 @@ fn certify(
             certify_infeasible(lp, lay, &factor, &basis, witness)
         }
         FloatProposal::Unbounded { enter, .. } => {
-            certify_unbounded(lp, lay, &factor, &basis, *enter)
+            certify_unbounded(lp, lay, a, &factor, &basis, *enter)
         }
         FloatProposal::GaveUp => unreachable!("handled above"),
     }
@@ -466,13 +471,7 @@ fn certify(
     // clean (no virtual slots) — the exact warm cache's policy.
     let reused_snapshot_used = reused_snapshot.is_some();
     let reuse_out = (sol.status == LpStatus::Optimal && !basis.contains(&VIRTUAL)).then(|| {
-        let snapshot = reused_snapshot.unwrap_or_else(|| {
-            let mut idx_of = vec![usize::MAX; lay.cols];
-            for (p, &c) in cols_prop.iter().enumerate() {
-                idx_of[c] = p;
-            }
-            basis.iter().map(|&b| extracted[idx_of[b]].clone()).collect()
-        });
+        let snapshot = reused_snapshot.unwrap_or(extracted);
         ReuseState { m: lay.m, cols: lay.cols, basis, factor, snapshot }
     });
     let reused = reused_snapshot_used;
@@ -575,7 +574,7 @@ impl LinearProgram {
     ) -> (LpSolution, RevisedStats) {
         let mut stats = RevisedStats::default();
         let proposal = propose_cold(lay, &mut float, opts.pricing, &mut stats);
-        match certify(self, lay, &proposal, None) {
+        match certify(self, lay, &float.cols, &proposal, None) {
             Ok((sol, reuse_out, _)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;
@@ -647,7 +646,7 @@ impl LinearProgram {
             if let Some(r) = c.reuse.take() {
                 if r.m == lay.m
                     && r.cols == lay.cols
-                    && lay.exact_cols(self, &r.basis) == r.snapshot
+                    && lay.unchanged(self, &float.cols, &r.basis, &r.snapshot)
                 {
                     if let Some(sol) = certify_optimal(self, &lay, &r.factor, &r.basis) {
                         c.reuse = Some(r);
@@ -695,7 +694,7 @@ impl LinearProgram {
             (FloatProposal::Optimal { cols }, Some(c)) if cols.len() == lay.m => c.reuse.take(),
             _ => None,
         };
-        match certify(self, &lay, &proposal, reuse) {
+        match certify(self, &lay, &float.cols, &proposal, reuse) {
             Ok((sol, reuse_out, reused)) => {
                 if let Some(c) = cache {
                     c.reuse = reuse_out;
@@ -751,10 +750,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reference_programs_match() {
-        // The reference set from revised.rs: mixed relations, negative
-        // rhs, redundant equalities, infeasible, unbounded, Beale.
+    /// The reference set from revised.rs — mixed relations, negative
+    /// rhs, redundant equalities, infeasible, unbounded, Beale — plus a
+    /// chain of coupled rows that takes a healthy number of pivots.
+    fn reference_programs() -> Vec<LinearProgram> {
         let mut programs = Vec::new();
         let mut lp = LinearProgram::new(2);
         lp.set_objective(0, q(-2));
@@ -796,9 +795,58 @@ mod tests {
         );
         lp.add_constraint(vec![(2, q(1))], R::Le, q(1));
         programs.push(lp);
-        for lp in &programs {
+        let mut chain = LinearProgram::new(6);
+        for v in 0..6 {
+            chain.set_objective(v, q(-(v as i64 + 1)));
+        }
+        for c in 0..6 {
+            chain.add_constraint(
+                (0..6).map(|v| (v, q(1 + ((c + v) % 3) as i64))),
+                R::Le,
+                q(10 + c as i64),
+            );
+        }
+        chain.add_constraint(vec![(0, q(1)), (3, q(1))], R::Ge, q(1));
+        programs.push(chain);
+        programs
+    }
+
+    #[test]
+    fn reference_programs_match() {
+        for lp in &reference_programs() {
             assert_matches_revised(lp);
         }
+    }
+
+    /// A float refactorization is a change of representation too: the
+    /// cold float proposal, refactorized after every pivot in
+    /// `eliminate_basis`'s order, still certifies the exact solver's
+    /// answer and vertex on every reference program.
+    #[test]
+    fn forced_float_refactorization_certifies_the_exact_vertex() {
+        let every_pivot = Refactor { interval: 1, fill_factor: 0 };
+        let mut refactorizations = 0;
+        for lp in reference_programs() {
+            let lay = Layout::new(&lp);
+            let mut float = lay.program::<f64>(&lp);
+            let basis = lay.push_artificials(&mut float);
+            let mut stats = RevisedStats::default();
+            let proposal = {
+                let identity = Factorization::identity(lay.m);
+                let mut core = Core::new(&float, basis, identity, Pricing::Bland, every_pivot);
+                let outcome = core.two_phase(lay.cols, usize::MAX);
+                refactorizations += core.stats.refactorizations;
+                propose(&core, outcome, lay.cols, &mut stats)
+            };
+            float.cols.truncate(lay.cols);
+            let (sol, _, _) = certify(&lp, &lay, &float.cols, &proposal, None)
+                .unwrap_or_else(|why| panic!("not certified: {why:?}"));
+            let exact = lp.solve();
+            assert_eq!(sol.status, exact.status);
+            assert_eq!(sol.objective_value, exact.objective_value);
+            assert_eq!(sol.values, exact.values, "certified a different vertex");
+        }
+        assert!(refactorizations >= 10, "only {refactorizations} float refactorizations");
     }
 
     /// A coefficient far below the float tolerance forces a wrong float
@@ -1003,10 +1051,10 @@ mod tests {
                 p.iter().copied().max().unwrap_or(0).max(p.iter().sum::<u64>().div_ceil(m as u64));
             let mut lp = LinearProgram::new(n * m);
             for j in 0..n {
-                lp.add_constraint((0..m).map(|i| (j * m + i, Q::one())).collect(), R::Eq, Q::one());
+                lp.add_constraint((0..m).map(|i| (j * m + i, Q::one())), R::Eq, Q::one());
             }
             for i in 0..m {
-                let coeffs = (0..n).map(|j| (j * m + i, Q::from(p[j]))).collect();
+                let coeffs = (0..n).map(|j| (j * m + i, Q::from(p[j])));
                 lp.add_constraint(coeffs, R::Le, Q::from(t));
             }
             let mut order: Vec<usize> = (0..n).collect();

@@ -43,7 +43,7 @@ mod revised;
 mod simplex;
 
 pub use bnb::{solve_binary, BnbOptions, MilpSolution, MilpStatus};
-pub use problem::{Constraint, LinearProgram, Relation};
+pub use problem::{LinearProgram, Relation};
 pub use revised::{
     BudgetError, FallbackReasons, Pricing, RevisedStats, SolveBudget, SolveOptions, Solver,
     WarmCache,

@@ -2,7 +2,9 @@
 //!
 //! All variables are implicitly nonnegative, which matches every program in
 //! the paper ((IP-1)…(IP-4) and their relaxations are assignment/packing
-//! programs over `x ≥ 0`).
+//! programs over `x ≥ 0`). Constraints are kept in one flat row store,
+//! each row normalized once when it is added, which every solver reads
+//! as is.
 
 use numeric::Q;
 
@@ -28,34 +30,44 @@ impl Relation {
     }
 }
 
-/// One linear constraint in sparse form.
-#[derive(Clone, Debug)]
-pub struct Constraint {
-    /// `(variable index, coefficient)` pairs; indices must be `< num_vars`.
-    pub coeffs: Vec<(usize, Q)>,
-    /// Constraint direction.
-    pub rel: Relation,
-    /// Right-hand side.
-    pub rhs: Q,
-}
-
 /// A linear program `min c·x  s.t.  constraints, x ≥ 0`.
 ///
 /// Build with [`LinearProgram::new`], [`set_objective`](Self::set_objective)
 /// and [`add_constraint`](Self::add_constraint); solve with
 /// [`solve`](Self::solve) (exact two-phase simplex, Bland's rule).
+///
+/// The constraints live in one flat row store: row `i`'s entries are
+/// `entries[starts[i]..starts[i + 1]]`, normalized at insertion (sorted
+/// by variable, each variable once, no zero coefficient), next to the
+/// row's relation and right-hand side.
 #[derive(Clone, Debug)]
 pub struct LinearProgram {
     pub(crate) num_vars: usize,
     pub(crate) objective: Vec<Q>,
-    pub(crate) constraints: Vec<Constraint>,
+    starts: Vec<usize>,
+    entries: Vec<(usize, Q)>,
+    rels: Vec<Relation>,
+    rhs: Vec<Q>,
 }
 
 impl LinearProgram {
     /// A program over `num_vars` nonnegative variables with zero objective
     /// (i.e. a pure feasibility problem until an objective is set).
     pub fn new(num_vars: usize) -> Self {
-        LinearProgram { num_vars, objective: vec![Q::zero(); num_vars], constraints: Vec::new() }
+        // Built value by value: `vec![Q::zero(); n]` clones through a call
+        // per value, several times slower on the rounding LP's hot path.
+        let mut objective = Vec::new();
+        objective.resize_with(num_vars, Q::zero);
+        LinearProgram {
+            num_vars,
+            objective,
+            starts: vec![0],
+            // Room for an assignment program, each variable in two rows,
+            // so that building one never copies the arena.
+            entries: Vec::with_capacity(2 * num_vars),
+            rels: Vec::new(),
+            rhs: Vec::new(),
+        }
     }
 
     /// Number of variables.
@@ -65,7 +77,7 @@ impl LinearProgram {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rels.len()
     }
 
     /// Set the objective coefficient of variable `var` (minimization).
@@ -76,12 +88,56 @@ impl LinearProgram {
 
     /// Append the constraint `Σ coeffs · x  rel  rhs`.
     ///
-    /// Repeated indices in `coeffs` are summed.
-    pub fn add_constraint(&mut self, coeffs: Vec<(usize, Q)>, rel: Relation, rhs: Q) {
-        for (idx, _) in &coeffs {
-            assert!(*idx < self.num_vars, "constraint var {idx} out of range");
+    /// The row is normalized once, here: its entries are sorted by
+    /// variable, repeated indices are summed, and zero coefficients
+    /// (given, or summed to zero) are dropped. A row that arrives sorted
+    /// and free of repeated indices costs one check pass.
+    pub fn add_constraint<I>(&mut self, coeffs: I, rel: Relation, rhs: Q)
+    where
+        I: IntoIterator<Item = (usize, Q)>,
+    {
+        let start = self.entries.len();
+        // Strictly ascending so far: `next` is the least index that keeps it so.
+        let (mut sorted, mut next) = (true, 0);
+        for (idx, coef) in coeffs {
+            assert!(idx < self.num_vars, "constraint var {idx} out of range");
+            if coef.is_zero() {
+                continue;
+            }
+            sorted &= idx >= next;
+            next = idx + 1;
+            self.entries.push((idx, coef));
         }
-        self.constraints.push(Constraint { coeffs, rel, rhs });
+        if !sorted {
+            normalize_row(&mut self.entries, start);
+        }
+        self.starts.push(self.entries.len());
+        self.rels.push(rel);
+        self.rhs.push(rhs);
+    }
+
+    /// Row `i`'s entries: ascending variables, nonzero coefficients.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[(usize, Q)] {
+        &self.entries[self.starts[i]..self.starts[i + 1]]
+    }
+
+    /// Row `i`'s relation and right-hand side.
+    #[inline]
+    pub(crate) fn bound(&self, i: usize) -> (Relation, &Q) {
+        (self.rels[i], &self.rhs[i])
+    }
+
+    /// Every row's entries, one flat slice in row order.
+    pub(crate) fn entries(&self) -> &[(usize, Q)] {
+        &self.entries
+    }
+
+    /// The coefficient of variable `var` in row `i` (`None`: zero), by a
+    /// binary search of the sorted row.
+    pub(crate) fn coef(&self, i: usize, var: usize) -> Option<&Q> {
+        let row = self.row(i);
+        row.binary_search_by_key(&var, |e| e.0).ok().map(|k| &row[k].1)
     }
 
     /// Evaluate the objective at a point.
@@ -103,20 +159,47 @@ impl LinearProgram {
         if x.len() != self.num_vars || x.iter().any(|v| v.is_negative()) {
             return false;
         }
-        self.constraints.iter().all(|c| {
+        (0..self.num_constraints()).all(|i| {
             let mut lhs = Q::zero();
-            for (idx, coef) in &c.coeffs {
-                if !coef.is_zero() && !x[*idx].is_zero() {
+            for (idx, coef) in self.row(i) {
+                if !x[*idx].is_zero() {
                     lhs += coef.clone() * x[*idx].clone();
                 }
             }
-            match c.rel {
-                Relation::Le => lhs <= c.rhs,
-                Relation::Ge => lhs >= c.rhs,
-                Relation::Eq => lhs == c.rhs,
+            let (rel, rhs) = self.bound(i);
+            match rel {
+                Relation::Le => lhs <= *rhs,
+                Relation::Ge => lhs >= *rhs,
+                Relation::Eq => lhs == *rhs,
             }
         })
     }
+}
+
+/// Normalize the nonzero entries `entries[start..]` of one row in place:
+/// sort them by variable, sum each variable's entries, and drop the sums
+/// that vanish.
+fn normalize_row(entries: &mut Vec<(usize, Q)>, start: usize) {
+    entries[start..].sort_unstable_by_key(|e| e.0);
+    // `entries[start..w]` is the normalized prefix; its last entry may
+    // still be accumulating.
+    let mut w = start;
+    for r in start..entries.len() {
+        if w > start && entries[w - 1].0 == entries[r].0 {
+            let v = std::mem::take(&mut entries[r].1);
+            entries[w - 1].1 += v;
+            continue;
+        }
+        if w > start && entries[w - 1].1.is_zero() {
+            w -= 1;
+        }
+        entries.swap(w, r);
+        w += 1;
+    }
+    if w > start && entries[w - 1].1.is_zero() {
+        w -= 1;
+    }
+    entries.truncate(w);
 }
 
 #[cfg(test)]
@@ -133,6 +216,30 @@ mod tests {
         assert_eq!(lp.num_vars(), 3);
         lp.add_constraint(vec![(0, q(1)), (2, q(2))], Relation::Le, q(5));
         assert_eq!(lp.num_constraints(), 1);
+    }
+
+    /// Rows normalize at insertion: sorted by variable, repeated indices
+    /// summed, zero coefficients (given or summed) dropped; a clean row is
+    /// kept as given, and the relation and right-hand side follow the row.
+    #[test]
+    fn rows_normalize_at_insertion() {
+        let mut lp = LinearProgram::new(5);
+        lp.add_constraint(
+            vec![(3, q(2)), (1, q(0)), (0, q(4)), (3, q(-2)), (2, q(1)), (0, q(1)), (4, q(7))],
+            Relation::Ge,
+            q(-1),
+        );
+        lp.add_constraint(vec![(1, q(1)), (4, q(3))], Relation::Eq, q(2));
+        lp.add_constraint(vec![(2, q(5)), (2, q(-5))], Relation::Le, q(0));
+        assert_eq!(lp.num_constraints(), 3);
+        assert_eq!(lp.row(0), &[(0, q(5)), (2, q(1)), (4, q(7))][..]);
+        assert_eq!(lp.bound(0), (Relation::Ge, &q(-1)));
+        assert_eq!(lp.row(1), &[(1, q(1)), (4, q(3))][..]);
+        assert_eq!(lp.bound(1), (Relation::Eq, &q(2)));
+        assert!(lp.row(2).is_empty(), "a row that cancels is empty");
+        assert_eq!(lp.coef(0, 2), Some(&q(1)));
+        assert_eq!(lp.coef(0, 3), None);
+        assert_eq!(lp.entries().len(), 5);
     }
 
     #[test]

@@ -32,10 +32,12 @@
 //! The core has two drivers, each returning an [`Outcome`] its caller
 //! maps: the cold two-phase ([`Core::two_phase`]) and the warm crash plus
 //! dual repair ([`crash`], [`Core::warm`]). [`LinearProgram::solve_warm`]
-//! crashes the hinted columns into a basis by one factorization pass
-//! (instead of `m` full-tableau Gaussian pivots), a zero-objective dual
-//! simplex repairs primal feasibility, and a final primal phase
-//! optimizes the real objective. A [`WarmCache`] carried across related
+//! crashes the hinted columns into a basis by one factorization pass in
+//! the refactorization's order, row singletons first (instead of `m`
+//! full-tableau Gaussian pivots), a zero-objective dual simplex repairs
+//! primal feasibility, and a final primal phase optimizes the real
+//! objective. Both arithmetics' programs come from one streaming
+//! transpose of the normalized rows ([`Layout::program`]). A [`WarmCache`] carried across related
 //! solves (the binary-search probes on the horizon `T`) additionally
 //! reuses the *parent factorization* wholesale whenever the hinted basis
 //! columns are unchanged in the new program, skipping even the crash.
@@ -704,41 +706,33 @@ impl PriceState {
 /// Column-major sparse matrix in one flat arena. The IP-3 LPs have tens
 /// of thousands of 2–5-entry columns; per-column `Vec`s cost more in
 /// allocator traffic and cache misses than the numerical work they
-/// carry, in every pricing scan over all columns. `len[j]` may undershoot
-/// the reserved span when duplicate raw indices cancel exactly — the gap
-/// is simply never read.
+/// carry, in every pricing scan over all columns. Column `j` is
+/// `ents[offs[j]..offs[j + 1]]`, in row order. Its rows are exactly the
+/// program's nonzeros in either arithmetic (an `f64` entry that
+/// underflows stays, as a zero), so the certifier can read exact values
+/// through this structure.
 pub(crate) struct Cols<S> {
     offs: Vec<usize>,
-    len: Vec<usize>,
     ents: Vec<(usize, S)>,
 }
 
 impl<S: Scalar> Cols<S> {
     pub(crate) fn count(&self) -> usize {
-        self.offs.len()
+        self.offs.len() - 1
     }
 
     #[inline]
     pub(crate) fn col(&self, j: usize) -> &[(usize, S)] {
-        &self.ents[self.offs[j]..self.offs[j] + self.len[j]]
-    }
-
-    /// Append a nonzero `(row, v)` to column `j`'s reserved span.
-    fn push(&mut self, j: usize, row: usize, v: S) {
-        if !v.is_zero() {
-            self.ents[self.offs[j] + self.len[j]] = (row, v);
-            self.len[j] += 1;
-        }
+        &self.ents[self.offs[j]..self.offs[j + 1]]
     }
 
     /// Drop columns `k..` (the hybrid strips its artificials again).
     pub(crate) fn truncate(&mut self, k: usize) {
-        if k >= self.offs.len() {
+        if k >= self.count() {
             return;
         }
         self.ents.truncate(self.offs[k]);
-        self.offs.truncate(k);
-        self.len.truncate(k);
+        self.offs.truncate(k + 1);
     }
 }
 
@@ -774,101 +768,66 @@ pub(crate) struct Program<S> {
 impl Layout {
     pub(crate) fn new(lp: &LinearProgram) -> Self {
         let n = lp.num_vars();
-        let m = lp.constraints.len();
+        let m = lp.num_constraints();
         let mut neg = Vec::with_capacity(m);
         let mut rels = Vec::with_capacity(m);
         let mut rhs = Vec::with_capacity(m);
         let mut slack = Vec::new();
-        for (i, c) in lp.constraints.iter().enumerate() {
-            let ng = c.rhs.is_negative();
-            let rel = if ng { c.rel.flipped() } else { c.rel };
+        for i in 0..m {
+            let (rel, b) = lp.bound(i);
+            let ng = b.is_negative();
+            let rel = if ng { rel.flipped() } else { rel };
             if !matches!(rel, Relation::Eq) {
                 slack.push((i, matches!(rel, Relation::Ge)));
             }
             neg.push(ng);
             rels.push(rel);
-            rhs.push(if ng { -c.rhs.clone() } else { c.rhs.clone() });
+            rhs.push(if ng { -b.clone() } else { b.clone() });
         }
         Layout { n, m, cols: n + slack.len(), neg, rels, rhs, slack }
     }
 
     /// The program in arithmetic `S` over the structural and slack
-    /// columns, by one row→column transpose of the raw constraints:
-    /// duplicate indices summed in `S`, zeros dropped, each column's
-    /// entries in row order. Two passes: count the distinct per-column
-    /// entries (an upper bound — exact cancellations leave small
-    /// never-read gaps), then scatter into one flat arena. Rows with
-    /// strictly increasing indices (every row the paper's formulations
-    /// emit) are duplicate-free by construction and take a streaming
-    /// path; general rows sum through an epoch-marked scratch.
+    /// columns, by one streaming row→column transpose of the normalized
+    /// rows: a count pass over the flat entry store sizes every column,
+    /// and a scatter pass in row order writes each entry, converted once,
+    /// at its column's cursor, so each column lists its rows in order.
     pub(crate) fn program<S: Scalar>(&self, lp: &LinearProgram) -> Program<S> {
         let (n, cols) = (self.n, self.cols);
-        let sorted: Vec<bool> =
-            lp.constraints.iter().map(|c| c.coeffs.windows(2).all(|w| w[0].0 < w[1].0)).collect();
-        let mut count = vec![0u32; cols];
-        let mut mark = vec![usize::MAX; n];
-        for (i, c) in lp.constraints.iter().enumerate() {
-            if sorted[i] {
-                for (idx, _) in &c.coeffs {
-                    count[*idx] += 1;
-                }
-                continue;
-            }
-            for (idx, _) in &c.coeffs {
-                if mark[*idx] != i {
-                    mark[*idx] = i;
-                    count[*idx] += 1;
-                }
-            }
-        }
-        count[n..].fill(1);
         // Room for the artificials a cold solve appends, so that appending
         // them never copies the arena.
         let arts = self.rels.iter().filter(|r| !matches!(r, Relation::Le)).count();
-        let mut offs = Vec::with_capacity(cols + arts);
-        let mut acc = 0usize;
-        for &c in &count {
-            offs.push(acc);
-            acc += c as usize;
+        // `offs[j + 1]` counts column `j`, then the prefix sums turn
+        // `offs[j]` into its start, which the scatter advances to its end.
+        let mut offs = Vec::with_capacity(cols + arts + 1);
+        offs.resize(cols + 1, 0);
+        for (idx, _) in lp.entries() {
+            offs[*idx + 1] += 1;
         }
-        let mut len = Vec::with_capacity(cols + arts);
-        len.resize(cols, 0);
-        let mut ents = Vec::with_capacity(acc + arts);
-        ents.resize(acc, (0, S::default()));
-        let mut a = Cols { offs, len, ents };
-        let mut scratch = vec![S::default(); n];
-        let mut mark = vec![usize::MAX; n];
-        let mut touched: Vec<usize> = Vec::new();
-        for (i, c) in lp.constraints.iter().enumerate() {
+        offs[n + 1..].fill(1);
+        for j in 0..cols {
+            offs[j + 1] += offs[j];
+        }
+        let mut ents = Vec::with_capacity(offs[cols] + arts);
+        ents.resize(offs[cols], (0, S::default()));
+        for i in 0..self.m {
             let neg = self.neg[i];
-            if sorted[i] {
-                for (idx, coef) in &c.coeffs {
-                    let v = S::from_q(coef);
-                    a.push(*idx, i, if neg { -v } else { v });
-                }
-                continue;
-            }
-            touched.clear();
-            for (idx, coef) in &c.coeffs {
-                if mark[*idx] != i {
-                    mark[*idx] = i;
-                    scratch[*idx] = S::default();
-                    touched.push(*idx);
-                }
-                scratch[*idx] += S::from_q(coef);
-            }
-            for &idx in &touched {
-                let v = std::mem::take(&mut scratch[idx]);
-                a.push(idx, i, if neg { -v } else { v });
+            for (idx, coef) in lp.row(i) {
+                let v = S::from_q(coef);
+                ents[offs[*idx]] = (i, if neg { -v } else { v });
+                offs[*idx] += 1;
             }
         }
         for (k, &(row, is_ge)) in self.slack.iter().enumerate() {
-            a.push(n + k, row, if is_ge { -S::one() } else { S::one() });
+            ents[offs[n + k]] = (row, if is_ge { -S::one() } else { S::one() });
+            offs[n + k] += 1;
         }
+        offs.copy_within(0..cols, 1);
+        offs[0] = 0;
         let mut cost = Vec::with_capacity(cols + arts);
         cost.extend(lp.objective.iter().map(S::from_q));
         cost.resize(cols, S::default());
-        Program { cols: a, rhs: self.rhs.iter().map(S::from_q).collect(), cost }
+        Program { cols: Cols { offs, ents }, rhs: self.rhs.iter().map(S::from_q).collect(), cost }
     }
 
     /// Append the cold layout's artificials — one unit column per `≥`/`=`
@@ -882,10 +841,9 @@ impl Layout {
             if matches!(rel, Relation::Le) {
                 basis[i] = next_slack;
             } else {
-                basis[i] = a.offs.len();
-                a.offs.push(a.ents.len());
-                a.len.push(1);
+                basis[i] = a.count();
                 a.ents.push((i, S::one()));
+                a.offs.push(a.ents.len());
             }
             next_slack += usize::from(!matches!(rel, Relation::Eq));
         }
@@ -1271,12 +1229,20 @@ pub(crate) fn sanitize(hint: &[usize], cols: usize) -> (Vec<usize>, bool) {
     (wanted, stale)
 }
 
-/// The warm crash: eliminate the `wanted` columns, then every column in
-/// order, into a basis by one factorization pass, and complete the rows
-/// no column pivots with unit ([`VIRTUAL`]) columns — the redundant or
+/// The warm crash: eliminate the `wanted` columns in
+/// [`Factorization::eliminate_basis`]'s order (their row singletons
+/// first, then the rest by the scalar's pivot rule, skipping any column
+/// dependent on those before it), then further columns in index order,
+/// into a basis by one factorization pass, and complete the rows no
+/// column pivots with unit ([`VIRTUAL`]) columns — the redundant or
 /// inconsistent rows a tableau deletes or rejects. Returns the basis per
 /// slot and its factorization, or `None` when a unit column fails to
 /// complete it (numerically, in `f64`).
+///
+/// The peel takes the same columns as an elimination in index order: a
+/// column alone on a row is outside the span of the others, so it is
+/// independent whenever it comes. Which slot a column lands in does not
+/// move the warm repair, which chooses by column index throughout.
 pub(crate) fn crash<S: Scalar>(
     a: &Cols<S>,
     m: usize,
@@ -1286,9 +1252,17 @@ pub(crate) fn crash<S: Scalar>(
     let mut basis = vec![VIRTUAL; m];
     let mut in_basis = vec![false; a.count()];
     let mut pivoted = vec![false; m];
-    let mut left = m;
+    let cols: Vec<&[(usize, S)]> = wanted.iter().map(|&c| a.col(c)).collect();
+    for (&c, p) in wanted.iter().zip(factor.eliminate_basis(&cols)) {
+        if let Some(p) = p {
+            pivoted[p] = true;
+            basis[p] = c;
+            in_basis[c] = true;
+        }
+    }
+    let mut left = pivoted.iter().filter(|&&p| !p).count();
     let mut scratch = Vec::new();
-    for c in wanted.iter().copied().chain(0..a.count()) {
+    for c in 0..a.count() {
         if left == 0 {
             break;
         }
@@ -1485,16 +1459,18 @@ impl LinearProgram {
             WarmMode::Capped(o) => (RepairCap::Performed(o.unwrap_or(anticycle_cap)), usize::MAX),
             WarmMode::Budget(l) => (RepairCap::Performed(l.min(anticycle_cap)), l),
         };
-        match core.warm(repair, phase_cap) {
+        let outcome = core.warm(repair, phase_cap);
+        // Every exit counts this solve's pricing work in the cache.
+        if let Some(c) = cache.as_deref_mut() {
+            c.absorb(&core.stats);
+        }
+        match outcome {
             Outcome::Optimal => {}
             Outcome::Unbounded { .. } => return Ok(LpSolution::failed(LpStatus::Unbounded, n)),
             Outcome::Infeasible { .. } | Outcome::Inconsistent => {
                 return Ok(LpSolution::failed(LpStatus::Infeasible, n));
             }
             Outcome::RepairCapped => {
-                if let Some(c) = cache.as_deref_mut() {
-                    c.absorb(&core.stats);
-                }
                 if let WarmMode::Budget(_) = mode {
                     // The budget is a hard stop, not a license to restart
                     // cold; surface what was spent and let the caller's
@@ -1510,9 +1486,6 @@ impl LinearProgram {
                 return Ok(self.solve_cold(opts, cache));
             }
             Outcome::PivotLimit => {
-                if let Some(c) = cache.as_deref_mut() {
-                    c.absorb(&core.stats);
-                }
                 return Err(BudgetError::PivotCapExhausted { pivots: core.stats.pivots });
             }
             Outcome::GaveUp => unreachable!("exact pivots never give up"),
@@ -1520,7 +1493,6 @@ impl LinearProgram {
 
         let sol = self.extract_revised(&core, cols);
         if let Some(c) = cache {
-            c.absorb(&core.stats);
             c.reuse = if core.basis.contains(&VIRTUAL) {
                 // A basis with virtual columns is only valid against
                 // this exact program; don't offer it for reuse.
@@ -1876,7 +1848,7 @@ mod tests {
             lp.set_objective(v, q(-((v - dead + 1) as i64)));
             lp.add_constraint(vec![(v, q(1))], R::Le, q(1));
         }
-        lp.add_constraint((dead..nv).map(|v| (v, q(1))).collect(), R::Le, q(5));
+        lp.add_constraint((dead..nv).map(|v| (v, q(1))), R::Le, q(5));
         lp
     }
 
@@ -2070,6 +2042,103 @@ mod tests {
         assert_eq!(cached.basis, direct.basis, "the cache must solve with its partial pricing");
         assert_eq!(cache.columns_priced(), stats.columns_priced, "cold pricing work is counted");
         assert_eq!(cache.candidate_refills(), stats.candidate_refills);
+    }
+
+    /// Every exit of a warm solve counts its pricing work in the cache:
+    /// min −x0 s.t. x1 ≤ 1, warm from the slack, prices column 0 once
+    /// and ends unbounded, as the cold solve does.
+    #[test]
+    fn unbounded_warm_exit_counts_its_pricing() {
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, q(-1));
+        lp.add_constraint(vec![(1, q(1))], R::Le, q(1));
+        let (cold, stats) = lp.solve_with(SolveOptions::default());
+        assert_eq!(cold.status, LpStatus::Unbounded);
+        assert_eq!(stats.columns_priced, 1);
+        let mut cache = WarmCache::new();
+        cache.set_hint(vec![2]);
+        assert_eq!(lp.solve_warm_cached(&mut cache).status, LpStatus::Unbounded);
+        assert_eq!(cache.columns_priced(), stats.columns_priced);
+    }
+
+    /// The LST relaxation on identical machines (job rows
+    /// `Σ_i x_ij = 1`, machine rows `Σ_j p_j x_ij ≤ T` at McNaughton's
+    /// bound) and its LPT hint: each job's LPT column plus every slack.
+    fn lpt_seeded(n: usize, m: usize, seed: usize) -> (LinearProgram, Vec<usize>) {
+        let p: Vec<u64> = (0..n).map(|j| 5 + ((j * 37 + seed * 11) % 56) as u64).collect();
+        let t = p.iter().copied().max().unwrap_or(0).max(p.iter().sum::<u64>().div_ceil(m as u64));
+        let mut lp = LinearProgram::new(n * m);
+        for j in 0..n {
+            lp.add_constraint((0..m).map(|i| (j * m + i, Q::one())), R::Eq, Q::one());
+        }
+        for i in 0..m {
+            lp.add_constraint((0..n).map(|j| (j * m + i, Q::from(p[j]))), R::Le, Q::from(t));
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&j| (std::cmp::Reverse(p[j]), j));
+        let mut load = vec![0u64; m];
+        let mut hint: Vec<usize> = (n * m..n * m + m).collect();
+        for j in order {
+            let i = (0..m).min_by_key(|&i| (load[i], i)).expect("m ≥ 1");
+            load[i] += p[j];
+            hint.push(j * m + i);
+        }
+        (lp, hint)
+    }
+
+    /// The float crash of an LPT-seeded assignment basis peels it — each
+    /// job row is a singleton of its LPT column, then each machine row of
+    /// its slack — so its factor holds exactly the basis' own nonzeros,
+    /// the float twin of `assignment_basis_factorizes_without_fill`.
+    /// Largest-magnitude pivots put every LPT column on its machine row,
+    /// and a machine's second job filled its first job's row.
+    #[test]
+    fn float_crash_of_an_lpt_basis_has_no_fill() {
+        for (n, m, seed) in [(6, 2, 1), (20, 8, 2), (36, 12, 3), (48, 24, 4)] {
+            let (lp, hint) = lpt_seeded(n, m, seed);
+            let lay = Layout::new(&lp);
+            let prog = lay.program::<f64>(&lp);
+            let (wanted, stale) = sanitize(&hint, lay.cols);
+            assert!(!stale);
+            let (basis, factor) = crash(&prog.cols, lay.m, &wanted).expect("unit columns complete");
+            let mut got = basis.clone();
+            got.sort_unstable();
+            assert_eq!(got, wanted, "n {n} m {m}: the hint is a basis");
+            let own: usize = basis.iter().map(|&b| prog.cols.col(b).len()).sum();
+            assert_eq!(factor.factor_nnz(), own, "n {n} m {m}: the crash filled");
+        }
+    }
+
+    /// The crash keeps every independent hinted column, skips a dependent
+    /// one and an empty one, and completes to full rank, in both
+    /// arithmetics: x4 is peeled (alone on row 3), x0 and x1 form the
+    /// nucleus, x2 = x0 + x1 and x3 (in no row) are skipped, and the slack
+    /// of row 0 completes the basis.
+    #[test]
+    fn crash_skips_dependent_and_empty_hinted_columns() {
+        fn check<S: Scalar>(lp: &LinearProgram) {
+            let lay = Layout::new(lp);
+            let prog = lay.program::<S>(lp);
+            let (basis, factor) = crash(&prog.cols, lay.m, &[0, 1, 2, 3, 4]).expect("completes");
+            let mut got = basis.clone();
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1, 4, 5]);
+            let mut x = Vec::new();
+            for (slot, &b) in basis.iter().enumerate() {
+                factor.ftran_sparse(prog.cols.col(b), &mut x);
+                for (i, v) in x.iter().enumerate() {
+                    let want = if i == slot { S::one() } else { S::default() };
+                    assert!(!(v.clone() - want).beyond_tol(), "B⁻¹B = I at ({i}, {slot})");
+                }
+            }
+        }
+        let mut lp = LinearProgram::new(5);
+        lp.add_constraint(vec![(0, q(1)), (2, q(1)), (4, q(1))], R::Le, q(4));
+        lp.add_constraint(vec![(0, q(1)), (1, q(2)), (2, q(3))], R::Le, q(4));
+        lp.add_constraint(vec![(1, q(1)), (2, q(1))], R::Le, q(4));
+        lp.add_constraint(vec![(4, q(5))], R::Le, q(4));
+        check::<Q>(&lp);
+        check::<f64>(&lp);
     }
 
     #[test]

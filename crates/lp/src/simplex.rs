@@ -192,22 +192,23 @@ impl LinearProgram {
     /// [`solve_with`](Self::solve_with).
     pub fn solve_dense(&self) -> LpSolution {
         let n = self.num_vars;
-        let m = self.constraints.len();
+        let m = self.num_constraints();
 
         // --- Assemble rows with nonnegative right-hand sides. -----------
         // rel is tracked post-normalization.
         let mut dense_rows: Vec<Vec<Q>> = Vec::with_capacity(m);
         let mut rels: Vec<Relation> = Vec::with_capacity(m);
         let mut rhs: Vec<Q> = Vec::with_capacity(m);
-        for c in &self.constraints {
+        for i in 0..m {
             let mut row = vec![Q::zero(); n];
-            for (idx, coef) in &c.coeffs {
-                row[*idx] += coef.clone();
+            for (idx, coef) in self.row(i) {
+                row[*idx] = coef.clone();
             }
-            let (row, rel, b) = if c.rhs.is_negative() {
-                (row.into_iter().map(|v| -v).collect(), c.rel.flipped(), -c.rhs.clone())
+            let (c_rel, c_rhs) = self.bound(i);
+            let (row, rel, b) = if c_rhs.is_negative() {
+                (row.into_iter().map(|v| -v).collect(), c_rel.flipped(), -c_rhs.clone())
             } else {
-                (row, c.rel, c.rhs.clone())
+                (row, c_rel, c_rhs.clone())
             };
             dense_rows.push(row);
             rels.push(rel);

@@ -49,6 +49,6 @@ pub fn wide_lp(nv: usize, seed: i64) -> LinearProgram {
         lp.set_objective(v, q(c));
         lp.add_constraint(vec![(v, q(1))], Relation::Le, q((seed + v as i64) % 9 + 1));
     }
-    lp.add_constraint((0..nv).map(|v| (v, Q::one())).collect(), Relation::Eq, q(nv as i64 / 3));
+    lp.add_constraint((0..nv).map(|v| (v, Q::one())), Relation::Eq, q(nv as i64 / 3));
     lp
 }

@@ -99,7 +99,7 @@ proptest! {
             let _ = w;
         }
         lp.add_constraint(
-            weights.iter().enumerate().map(|(i, &w)| (i, Q::from(w))).collect(),
+            weights.iter().enumerate().map(|(i, &w)| (i, Q::from(w))),
             Relation::Le,
             Q::from(cap),
         );

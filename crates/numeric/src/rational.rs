@@ -50,6 +50,16 @@ enum Repr {
     Big { num: BigInt, den: BigInt },
 }
 
+/// `v` rounded to the nearest `f64`, through the hardware `i64`
+/// conversion when it fits.
+#[inline]
+fn small_to_f64(v: i128) -> f64 {
+    match i64::try_from(v) {
+        Ok(v) => v as f64,
+        Err(_) => v as f64,
+    }
+}
+
 /// Divide out the gcd of an already sign-normalized pair (`den > 0`).
 #[inline]
 fn reduce_small(num: i128, den: i128) -> Repr {
@@ -293,21 +303,13 @@ impl Rational {
     ///
     /// `i128 → f64` is a software libcall on most targets; values that
     /// fit in `i64` (almost all of them in practice) take the hardware
-    /// conversion instead — this sits on the hybrid solver's hot
-    /// assembly path.
+    /// conversion instead, and integers skip the division, which by 1 is
+    /// exact — this sits on the hybrid solver's hot assembly path.
+    #[inline]
     pub fn to_f64(&self) -> f64 {
         match &self.repr {
-            Repr::Small { num, den } => {
-                let n = match i64::try_from(*num) {
-                    Ok(v) => v as f64,
-                    Err(_) => *num as f64,
-                };
-                let d = match i64::try_from(*den) {
-                    Ok(v) => v as f64,
-                    Err(_) => *den as f64,
-                };
-                n / d
-            }
+            Repr::Small { num, den: 1 } => small_to_f64(*num),
+            Repr::Small { num, den } => small_to_f64(*num) / small_to_f64(*den),
             Repr::Big { num, den } => big_ratio_to_f64(num, den),
         }
     }
@@ -671,12 +673,14 @@ impl fmt::Debug for Rational {
 }
 
 impl From<i64> for Rational {
+    #[inline]
     fn from(v: i64) -> Self {
         Self::from_int(v)
     }
 }
 
 impl From<u64> for Rational {
+    #[inline]
     fn from(v: u64) -> Self {
         Rational::small(v as i128, 1)
     }

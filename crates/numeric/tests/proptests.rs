@@ -350,6 +350,39 @@ proptest! {
         }
     }
 
+    /// `to_f64`'s integer path gives the bits of the general formula
+    /// `n / d` (each side rounded to `f64`, through `i64` when it fits):
+    /// a division by 1 is exact, so no float proposal can move. Integers
+    /// are drawn on both sides of `2^63` (`shift` moves a 64-bit draw
+    /// across the whole `i128` range), fractions over small and wide
+    /// denominators.
+    #[test]
+    fn rational_to_f64_integer_path_matches_general_formula(
+        v in any::<i64>(),
+        shift in 0u32..64,
+        wide in any::<bool>(),
+        small_den in 1i128..1000,
+        wide_den in 1i128..i128::MAX,
+    ) {
+        let den = if wide { wide_den } else { small_den };
+        fn side(x: i128) -> f64 {
+            match i64::try_from(x) {
+                Ok(v) => v as f64,
+                Err(_) => x as f64,
+            }
+        }
+        let num = i128::from(v) << shift;
+        for (n, d) in [(num, 1), (num, den)] {
+            let q = Rational::new(BigInt::from_i128(n), BigInt::from_i128(d));
+            let (n, d) = q.to_i128_pair().expect("small operands stay small");
+            prop_assert_eq!(q.to_f64().to_bits(), (side(n) / side(d)).to_bits(), "{}/{}", n, d);
+        }
+        for n in [i128::MAX, i128::MIN + 1, 1i128 << 63, -(1i128 << 63), (1i128 << 63) - 1] {
+            let q = Rational::from_i128(n);
+            prop_assert_eq!(q.to_f64().to_bits(), (side(n) / 1.0).to_bits(), "{}", n);
+        }
+    }
+
     /// `gcd_u128` (which hands 64-bit operands to `gcd_u64`) against
     /// Euclid on `BigUint`, with operands on both sides of 2^64 and a
     /// shared factor so the gcd is not always 1.
